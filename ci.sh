@@ -56,6 +56,18 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+# The host-time benchmark is its own cargo workspace compiled against the
+# crates' public API, so the workspace steps above never build it.
+echo "== benchmark harness (tests, grid-small smoke) =="
+CARGO_TARGET_DIR=benchmark/target cargo test --offline --manifest-path benchmark/Cargo.toml
+hb="$(CARGO_TARGET_DIR=benchmark/target cargo run --release --offline -q \
+  --manifest-path benchmark/Cargo.toml --bin hostbench -- grid-small --seed 1 --seconds 1)"
+echo "$hb" | tail -n 1 | grep -q '"failed": 0' || {
+  echo "hostbench grid-small reported failed operations" >&2
+  echo "$hb" >&2
+  exit 1
+}
+
 echo "== repro faultsweep smoke (deterministic, 2 campaigns) =="
 out1="$(cargo run --release -q -p triarch-bench --bin repro -- faultsweep --campaigns 2)"
 out2="$(cargo run --release -q -p triarch-bench --bin repro -- faultsweep --campaigns 2)"

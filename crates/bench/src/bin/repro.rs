@@ -125,7 +125,7 @@ use triarch_core::experiments::Table3;
 use triarch_core::htmlreport::{self, FoldedCell};
 use triarch_core::roofline::Scorecard;
 use triarch_core::{ablations, chart, dse, experiments, faultsweep, timelinedoc};
-use triarch_kernels::{Kernel, WorkloadSet};
+use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
 use triarch_profile::{flamegraph_svg, HostProf, ProfileDiff, WindowDiff, WindowDoc};
 use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::trace::{export, AggregateSink, RingSink, TeeSink};
@@ -515,7 +515,8 @@ fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         let mut machine = arch.machine()?;
         for kernel in Kernel::ALL {
             let mut sink = TeeSink::new(RingSink::new(RING_CAPACITY), AggregateSink::new());
-            let run = machine.run_traced(kernel, &workloads, &mut sink)?;
+            let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+            let run = machine.run_with(workloads.input(kernel), ctx)?;
             let TeeSink { a: ring, b: agg } = sink;
             let dropped = ring.dropped();
             let events = ring.into_events();

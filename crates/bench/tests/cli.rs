@@ -375,6 +375,17 @@ fn perfgate_fails_loudly_on_cell_count_mismatch() {
     );
 }
 
+/// A seed above 2^53 cannot travel in a JSON number exactly; servectl
+/// refuses it before connecting rather than submitting a rounded job.
+#[test]
+fn servectl_refuses_seeds_a_json_number_would_round() {
+    let out = servectl(&["submit", "faultsweep", "--seed", "9007199254740993"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("seed 9007199254740993 exceeds 2^53"), "{stderr}");
+    assert!(stderr.contains("usage: servectl"), "{stderr}");
+}
+
 #[test]
 fn servectl_retry_flags_are_validated() {
     for args in [

@@ -10,9 +10,11 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::WorkloadSet;
+use triarch_kernels::{KernelInput, RunCtx, WorkloadSet};
 use triarch_ppc::{PpcConfig, PpcMachine};
-use triarch_simcore::{Cycles, KernelRun, SimError, Verification};
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
+use triarch_simcore::{CycleBudget, Cycles, KernelRun, SimError, Verification};
 
 use crate::arch::Architecture;
 use crate::parallel::{run_jobs, PoolStats};
@@ -32,7 +34,10 @@ pub fn ppc_blocked_corner_turn(
     block: usize,
 ) -> Result<(Cycles, Cycles), SimError> {
     let cfg = PpcConfig::paper();
-    let naive = Architecture::Ppc.machine()?.corner_turn(workload)?.cycles;
+    let naive = Architecture::Ppc
+        .machine()?
+        .run_with(KernelInput::CornerTurn(workload), RunCtx::default())?
+        .cycles;
 
     let rows = workload.rows();
     let cols = workload.cols();
@@ -107,7 +112,7 @@ pub fn dwell_sweep(
         let w = BeamSteeringWorkload::new(elements, directions, dwells, seed)?;
         let mut cells = vec![dwells.to_string()];
         for arch in Architecture::RESEARCH {
-            let run = arch.machine()?.beam_steering(&w)?;
+            let run = arch.machine()?.run_with(KernelInput::BeamSteering(&w), RunCtx::default())?;
             cells.push(run.cycles.to_string());
         }
         t.row(cells);
@@ -152,17 +157,13 @@ impl AblationTask {
                 ))
             }
             AblationTask::RawStreamCslc => {
+                use triarch_raw::programs::cslc::{run, CslcMode};
                 let raw_cfg = triarch_raw::RawConfig::paper();
-                let cache = triarch_raw::programs::cslc::run_with_mode(
-                    &raw_cfg,
-                    &workloads.cslc,
-                    triarch_raw::programs::cslc::CslcMode::CacheMimd,
-                )?;
-                let stream = triarch_raw::programs::cslc::run_with_mode(
-                    &raw_cfg,
-                    &workloads.cslc,
-                    triarch_raw::programs::cslc::CslcMode::StreamInterface,
-                )?;
+                let moded = |mode| {
+                    run(&raw_cfg, &workloads.cslc, mode, NullSink, NoFaults, CycleBudget::UNLIMITED)
+                };
+                let cache = moded(CslcMode::CacheMimd)?;
+                let stream = moded(CslcMode::StreamInterface)?;
                 Ok(format!(
                     "Raw CSLC, cache-mode vs stream-interface (measured): {} -> {} cycles ({:.0}% faster; paper projects ~70% FFT gain)\n",
                     cache.cycles,
@@ -171,17 +172,14 @@ impl AblationTask {
                 ))
             }
             AblationTask::ImagineSrfTables => {
+                use triarch_imagine::programs::beam_steering::{run, TablePlacement};
                 let cfg = triarch_imagine::ImagineConfig::paper();
-                let dram = triarch_imagine::programs::beam_steering::run_with_table_placement(
-                    &cfg,
-                    &workloads.beam_steering,
-                    triarch_imagine::programs::beam_steering::TablePlacement::Dram,
-                )?;
-                let srf = triarch_imagine::programs::beam_steering::run_with_table_placement(
-                    &cfg,
-                    &workloads.beam_steering,
-                    triarch_imagine::programs::beam_steering::TablePlacement::SrfResident,
-                )?;
+                let placed = |placement| {
+                    let w = &workloads.beam_steering;
+                    run(&cfg, w, placement, NullSink, NoFaults, CycleBudget::UNLIMITED)
+                };
+                let dram = placed(TablePlacement::Dram)?;
+                let srf = placed(TablePlacement::SrfResident)?;
                 Ok(format!(
                     "Imagine beam steering, DRAM tables vs SRF-resident (measured): {} -> {} cycles ({:.1}x; paper projects ~2x)\n",
                     dram.cycles,
@@ -257,11 +255,8 @@ mod tests {
     #[test]
     fn imagine_srf_projection_is_roughly_two_fold() {
         let workloads = WorkloadSet::paper(2).unwrap();
-        let run = Architecture::Imagine
-            .machine()
-            .unwrap()
-            .beam_steering(&workloads.beam_steering)
-            .unwrap();
+        let run =
+            Architecture::Imagine.machine().unwrap().run(Kernel::BeamSteering, &workloads).unwrap();
         let (measured, projected) = imagine_srf_beam_estimate(&run);
         let gain = measured.ratio(projected);
         assert!(gain > 1.5 && gain < 3.0, "gain {gain}");

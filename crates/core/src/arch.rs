@@ -4,8 +4,8 @@
 //! [`crate::faultsweep`] (campaign grids), [`crate::tracecheck`]
 //! (breakdown validation), and [`crate::dse`] (design-space sweeps) —
 //! runs the same shape of job: *build a machine, run one kernel on it,
-//! hand back the result*. The [`MachineSpec`] type and its `run_cell*`
-//! methods are the single source of truth for that dispatch, so the
+//! hand back the result*. The [`MachineSpec`] type and its `run_cell`
+//! method are the single source of truth for that dispatch, so the
 //! four drivers construct pool jobs the same way instead of each
 //! repeating the architecture match.
 //!
@@ -18,12 +18,11 @@ use std::fmt;
 
 use triarch_dpu::{Dpu, DpuConfig};
 use triarch_imagine::{Imagine, ImagineConfig};
-use triarch_kernels::{Kernel, SignalMachine, WorkloadSet};
+use triarch_kernels::{Kernel, RunCtx, SignalMachine, WorkloadSet};
 use triarch_ppc::{Ppc, PpcConfig, Variant};
 use triarch_profile::{Fold, FoldSink};
 use triarch_raw::{Raw, RawConfig};
-use triarch_simcore::faults::FaultHook;
-use triarch_simcore::trace::{AggregateSink, TeeSink, TraceBreakdown};
+use triarch_simcore::trace::TeeSink;
 use triarch_simcore::{KernelRun, SimError};
 use triarch_timeline::{Timeline, TimelineSink};
 use triarch_viram::{Viram, ViramConfig};
@@ -77,7 +76,7 @@ impl Architecture {
 
     /// Parses a display name back into the architecture (the inverse of
     /// [`Architecture::name`], matched case-insensitively). `None` for
-    /// anything that is not one of the study's five rows.
+    /// anything that is not one of the study's six rows.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Architecture> {
         Architecture::ALL.into_iter().find(|a| a.name().eq_ignore_ascii_case(name))
@@ -120,8 +119,9 @@ pub fn grid() -> Vec<(Architecture, Kernel)> {
 ///
 /// This is the shared job constructor: all four batch drivers turn a
 /// `MachineSpec` plus a [`Kernel`] into a pool job via
-/// [`MachineSpec::run_cell`] (or its traced/faulted variants), so the
-/// per-architecture dispatch lives in exactly one place.
+/// [`MachineSpec::run_cell`], with the trace sink, fault hook and budget
+/// in its [`RunCtx`], so the per-architecture dispatch lives in exactly
+/// one place.
 #[derive(Debug, Clone)]
 pub enum MachineSpec {
     /// A study row with its published configuration.
@@ -175,53 +175,22 @@ impl MachineSpec {
         })
     }
 
-    /// Builds a fresh machine and runs one kernel — the pool-job body
-    /// shared by every batch driver. Building per cell (rather than
-    /// reusing one machine across kernels) is byte-identical because
-    /// engines rebuild all run state from their configuration.
+    /// Builds a fresh machine and runs one kernel under `ctx` — the
+    /// pool-job body shared by every batch driver. Building per cell
+    /// (rather than reusing one machine across kernels) is byte-identical
+    /// because engines rebuild all run state from their configuration.
     ///
     /// # Errors
     ///
-    /// Propagates construction and simulation errors.
-    pub fn run_cell(&self, kernel: Kernel, workloads: &WorkloadSet) -> Result<KernelRun, SimError> {
-        self.build()?.run(kernel, workloads)
-    }
-
-    /// [`Self::run_cell`] with an [`AggregateSink`] attached, returning
-    /// the trace-derived per-category totals alongside the run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction and simulation errors.
-    pub fn run_cell_traced(
+    /// Propagates construction errors, and simulation errors, detected
+    /// faults and watchdog trips exactly as the engine reports them.
+    pub fn run_cell(
         &self,
         kernel: Kernel,
         workloads: &WorkloadSet,
-    ) -> Result<(KernelRun, TraceBreakdown), SimError> {
-        let mut machine = self.build()?;
-        let mut sink = AggregateSink::new();
-        let run = machine.run_traced(kernel, workloads, &mut sink)?;
-        Ok((run, sink.into_breakdown()))
-    }
-
-    /// [`Self::run_cell`] with a [`FoldSink`] attached, returning the
-    /// collapsed-stack profile alongside the run. The fold's total
-    /// re-adds to the run's cycle count exactly (the counted-span
-    /// contract), which `repro -- flame` prints per cell as "fold drift
-    /// 0".
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction and simulation errors.
-    pub fn run_cell_folded(
-        &self,
-        kernel: Kernel,
-        workloads: &WorkloadSet,
-    ) -> Result<(KernelRun, Fold), SimError> {
-        let mut machine = self.build()?;
-        let mut sink = FoldSink::new();
-        let run = machine.run_traced(kernel, workloads, &mut sink)?;
-        Ok((run, sink.into_fold()))
+        ctx: RunCtx<'_>,
+    ) -> Result<KernelRun, SimError> {
+        self.build()?.run_with(workloads.input(kernel), ctx)
     }
 
     /// [`Self::run_cell`] with a [`FoldSink`] *and* a
@@ -243,25 +212,10 @@ impl MachineSpec {
         workloads: &WorkloadSet,
         window: u64,
     ) -> Result<(KernelRun, Fold, Timeline), SimError> {
-        let mut machine = self.build()?;
         let mut sink = TeeSink::new(FoldSink::new(), TimelineSink::new(window));
-        let run = machine.run_traced(kernel, workloads, &mut sink)?;
+        let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+        let run = self.run_cell(kernel, workloads, ctx)?;
         Ok((run, sink.a.into_fold(), sink.b.into_timeline()))
-    }
-
-    /// [`Self::run_cell`] under a fault hook.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors, detected faults, and watchdog
-    /// trips exactly as the engine reports them.
-    pub fn run_cell_faulted(
-        &self,
-        kernel: Kernel,
-        workloads: &WorkloadSet,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        self.build()?.run_faulted(kernel, workloads, faults)
     }
 }
 
@@ -281,6 +235,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::trace::AggregateSink;
 
     #[test]
     fn registry_builds_all_machines() {
@@ -351,7 +306,8 @@ mod tests {
     fn explicit_paper_specs_match_registry_cells() {
         let workloads = WorkloadSet::small(42).unwrap();
         for (arch, kernel) in grid() {
-            let via_spec = MachineSpec::Paper(arch).run_cell(kernel, &workloads).unwrap();
+            let via_spec =
+                MachineSpec::Paper(arch).run_cell(kernel, &workloads, RunCtx::default()).unwrap();
             let mut machine = arch.machine().unwrap();
             let via_registry = machine.run(kernel, &workloads).unwrap();
             assert_eq!(via_spec.cycles, via_registry.cycles, "{arch}/{kernel}");
@@ -366,18 +322,23 @@ mod tests {
     #[test]
     fn traced_cell_agrees_with_breakdown() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let (run, trace) = MachineSpec::Paper(Architecture::Raw)
-            .run_cell_traced(Kernel::CornerTurn, &workloads)
+        let mut sink = AggregateSink::new();
+        let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+        let run = MachineSpec::Paper(Architecture::Raw)
+            .run_cell(Kernel::CornerTurn, &workloads, ctx)
             .unwrap();
-        assert_eq!(run.cycles.get(), trace.total());
+        assert_eq!(run.cycles.get(), sink.into_breakdown().total());
     }
 
     #[test]
     fn folded_cell_re_adds_to_total_with_drift_zero() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let (run, fold) = MachineSpec::Paper(Architecture::Viram)
-            .run_cell_folded(Kernel::Cslc, &workloads)
+        let mut sink = FoldSink::new();
+        let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+        let run = MachineSpec::Paper(Architecture::Viram)
+            .run_cell(Kernel::Cslc, &workloads, ctx)
             .unwrap();
+        let fold = sink.into_fold();
         assert_eq!(run.cycles.get(), fold.total());
         // Per-category agreement with the engine's own ledger too.
         for (category, cycles) in run.breakdown.iter() {

@@ -25,8 +25,8 @@
 
 use std::fmt::Write as _;
 
-use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_profile::{fnv1a64, ProfileDiff};
+use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
+use triarch_profile::{fnv1a64, FoldSink, ProfileDiff};
 use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::SimError;
 
@@ -49,6 +49,11 @@ pub const DEFAULT_SEED: u64 = 42;
 
 /// Default fault-injection campaigns per grid cell (`repro --campaigns`).
 pub const DEFAULT_CAMPAIGNS: u64 = 8;
+
+/// The largest integer a JSON number — an IEEE-754 double — carries
+/// exactly. A job's seed and campaign count travel as JSON numbers, so
+/// anything above this would reach the daemon rounded: a different job.
+const JSON_EXACT_MAX: u64 = 1 << 53;
 
 /// The batch drivers a job can request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -209,11 +214,19 @@ impl JobSpec {
     ///
     /// [`SimError::Protocol`] when a required argument is missing
     /// (`flame` without a cell, `profdiff` without artifacts), when an
-    /// argument is supplied to a driver that does not take it, or when
-    /// `campaigns` is zero.
+    /// argument is supplied to a driver that does not take it, when
+    /// `campaigns` is zero, or when `seed` or `campaigns` exceeds 2^53
+    /// and so cannot cross the wire exactly.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.campaigns == 0 {
             return Err(SimError::protocol("campaigns must be at least 1"));
+        }
+        for (name, value) in [("seed", self.seed), ("campaigns", self.campaigns)] {
+            if value > JSON_EXACT_MAX {
+                return Err(SimError::protocol(format!(
+                    "{name} {value} exceeds 2^53, the largest integer a JSON number carries exactly"
+                )));
+            }
         }
         if self.driver == DriverKind::Flame && self.cell.is_none() {
             return Err(SimError::protocol("flame jobs require an arch and a kernel"));
@@ -404,10 +417,14 @@ fn field_str(obj: &[(String, Json)], key: &str) -> Result<Option<String>, SimErr
 }
 
 /// Reads an optional non-negative-integer field off a decoded JSON
-/// object.
+/// object. Numbers above 2^53 are refused rather than cast: the parsed
+/// double no longer names the integer the sender wrote.
 fn field_u64(obj: &[(String, Json)], key: &str) -> Result<Option<u64>, SimError> {
     match obj.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
         None => Ok(None),
+        Some(Json::Num(n)) if *n > JSON_EXACT_MAX as f64 => Err(SimError::protocol(format!(
+            "job body: field '{key}' exceeds 2^53, the largest integer a JSON number carries exactly"
+        ))),
         Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
         Some(_) => Err(SimError::protocol(format!(
             "job body: field '{key}' must be a non-negative integer"
@@ -558,8 +575,10 @@ pub fn run_job(spec: &JobSpec, jobs: usize) -> Result<Artifact, SimError> {
                 .cell
                 .ok_or_else(|| SimError::protocol("flame jobs require an arch and a kernel"))?;
             let w = workloads(spec.workload)?;
-            let (_, fold) = MachineSpec::Paper(arch).run_cell_folded(kernel, &w)?;
-            Ok(Artifact::text(fold.render_collapsed(arch.name(), kernel.name())))
+            let mut sink = FoldSink::new();
+            let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+            MachineSpec::Paper(arch).run_cell(kernel, &w, ctx)?;
+            Ok(Artifact::text(sink.into_fold().render_collapsed(arch.name(), kernel.name())))
         }
         DriverKind::Profdiff => {
             let (a_text, b_text) = spec
@@ -652,6 +671,32 @@ mod tests {
             assert_eq!(decoded, spec, "{}", spec.to_json());
             assert_eq!(decoded.key(), spec.key());
         }
+    }
+
+    #[test]
+    fn seeds_and_campaigns_round_trip_up_to_2_pow_53_and_are_refused_above() {
+        let max = JobSpec {
+            seed: JSON_EXACT_MAX,
+            campaigns: JSON_EXACT_MAX,
+            ..JobSpec::new(DriverKind::Faultsweep, WorkloadKind::Small)
+        };
+        assert_eq!(JobSpec::from_json(&max.to_json()).unwrap(), max);
+        for value in [JSON_EXACT_MAX + 1, u64::MAX - 1] {
+            for spec in [
+                JobSpec { seed: value, ..max.clone() },
+                JobSpec { campaigns: value, ..max.clone() },
+            ] {
+                let err = spec.validate().unwrap_err();
+                assert!(matches!(err, SimError::Protocol { .. }), "{value}: {err}");
+                assert!(err.to_string().contains("exceeds 2^53"), "{err}");
+            }
+        }
+        // The decoder refuses a number it could only round, instead of
+        // casting u64::MAX - 1 to u64::MAX.
+        let body = max.to_json().replace(&JSON_EXACT_MAX.to_string(), &(u64::MAX - 1).to_string());
+        let err = JobSpec::from_json(&body).unwrap_err();
+        assert!(matches!(err, SimError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("field 'seed' exceeds 2^53"), "{err}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::fmt;
 use triarch_dpu::DpuConfig;
 use triarch_imagine::ImagineConfig;
 use triarch_kernels::verify::tolerance;
-use triarch_kernels::{Kernel, WorkloadSet};
+use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
 use triarch_ppc::{PpcConfig, Variant};
 use triarch_raw::RawConfig;
 use triarch_simcore::{Cycles, SimError};
@@ -403,7 +403,7 @@ pub fn sweep(workloads: &WorkloadSet, jobs: usize) -> Result<(DseReport, PoolSta
         }
     }
     let (runs, stats) = run_jobs(jobs, cells, |(point, kernel)| {
-        let run = point.spec.run_cell(kernel, workloads)?;
+        let run = point.spec.run_cell(kernel, workloads, RunCtx::default())?;
         Ok(DseRun {
             arch: point.spec.arch(),
             label: point.label,

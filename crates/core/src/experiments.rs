@@ -1,6 +1,6 @@
 //! The paper's tables and figures, regenerated from the simulators.
 
-use triarch_kernels::{Kernel, WorkloadSet};
+use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
 use triarch_simcore::{Cycles, KernelDemands, KernelRun, SimError};
 
 use crate::arch::{grid, Architecture, MachineSpec};
@@ -183,7 +183,8 @@ pub fn table3(workloads: &WorkloadSet) -> Result<Table3, SimError> {
 /// [`SimError::JobPanicked`] if a cell panicked.
 pub fn table3_jobs(workloads: &WorkloadSet, jobs: usize) -> Result<(Table3, PoolStats), SimError> {
     let (runs, stats) = run_jobs(jobs, grid(), |(arch, kernel)| {
-        MachineSpec::Paper(arch).run_cell(kernel, workloads).map(|run| ((arch, kernel), run))
+        let run = MachineSpec::Paper(arch).run_cell(kernel, workloads, RunCtx::default())?;
+        Ok(((arch, kernel), run))
     })?;
     Ok((Table3 { runs }, stats))
 }

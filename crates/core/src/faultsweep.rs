@@ -22,7 +22,7 @@
 use std::fmt;
 
 use triarch_kernels::verify::tolerance;
-use triarch_kernels::{Kernel, WorkloadSet};
+use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
 use triarch_simcore::faults::{FaultInjector, FaultOutcome, FaultPlan, FaultReport};
 use triarch_simcore::SimError;
 
@@ -192,7 +192,8 @@ pub fn campaign_run(
 ) -> Result<CampaignRun, SimError> {
     let plan = FaultPlan::campaign(seed, campaign);
     let mut injector = FaultInjector::new(plan.clone());
-    let result = MachineSpec::Paper(arch).run_cell_faulted(kernel, workloads, &mut injector);
+    let ctx = RunCtx { faults: Some(&mut injector), ..RunCtx::default() };
+    let result = MachineSpec::Paper(arch).run_cell(kernel, workloads, ctx);
     if let Err(e) = &result {
         if !e.is_detected_abort() {
             // A shape/config error is a sweep bug, not a fault outcome.

@@ -17,8 +17,8 @@
 
 use std::fmt;
 
-use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_simcore::trace::TraceBreakdown;
+use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
+use triarch_simcore::trace::{AggregateSink, TraceBreakdown};
 use triarch_simcore::{KernelRun, SimError};
 
 use crate::arch::{grid, Architecture, MachineSpec};
@@ -89,7 +89,7 @@ impl fmt::Display for TraceCheck {
 }
 
 /// Runs one machine × kernel pair with an
-/// [`AggregateSink`](triarch_simcore::trace::AggregateSink) attached.
+/// [`AggregateSink`] attached.
 ///
 /// # Errors
 ///
@@ -99,8 +99,10 @@ pub fn check(
     kernel: Kernel,
     workloads: &WorkloadSet,
 ) -> Result<TraceCheck, SimError> {
-    let (run, trace) = MachineSpec::Paper(arch).run_cell_traced(kernel, workloads)?;
-    Ok(TraceCheck { arch, kernel, run, trace })
+    let mut sink = AggregateSink::new();
+    let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+    let run = MachineSpec::Paper(arch).run_cell(kernel, workloads, ctx)?;
+    Ok(TraceCheck { arch, kernel, run, trace: sink.into_breakdown() })
 }
 
 /// Runs every machine × kernel pair of the study with trace aggregation.

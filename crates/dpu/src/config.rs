@@ -7,7 +7,7 @@
 //! software-emulated floating point. Cross-era clock/ALU/GFLOPS
 //! identities are pinned the same way the paper's Table 2 rows are.
 
-use triarch_simcore::{ClockFrequency, CycleBudget, MachineInfo, SimError, ThroughputModel};
+use triarch_simcore::{ClockFrequency, MachineInfo, SimError, ThroughputModel};
 
 /// Parameters of the simulated DPU machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,8 +45,6 @@ pub struct DpuConfig {
     /// Instructions per 32-bit floating-point operation (software
     /// emulation: DPUs have no FPU).
     pub fp_instrs_per_op: u64,
-    /// Watchdog budget on simulated cycles (default: unlimited).
-    pub budget: CycleBudget,
 }
 
 impl DpuConfig {
@@ -70,7 +68,6 @@ impl DpuConfig {
             host_startup: 64,
             launch_cycles: 128,
             fp_instrs_per_op: 8,
-            budget: CycleBudget::UNLIMITED,
         }
     }
 

@@ -87,34 +87,29 @@ pub struct DpuMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
 }
 
 impl DpuMachine<NullSink, NoFaults> {
-    /// Builds an untraced machine from a configuration.
+    /// Builds an untraced, unfaulted machine with an unlimited budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
     pub fn new(cfg: &DpuConfig) -> Result<Self, SimError> {
-        Self::with_sink(cfg, NullSink)
-    }
-}
-
-impl<S: TraceSink> DpuMachine<S, NoFaults> {
-    /// Builds a machine that emits cycle-attribution events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_sink(cfg: &DpuConfig, sink: S) -> Result<Self, SimError> {
-        Self::with_hooks(cfg, sink, NoFaults)
+        Self::with_hooks(cfg, NullSink, NoFaults, CycleBudget::UNLIMITED)
     }
 }
 
 impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
-    /// Builds a machine with both a trace sink and a fault hook.
+    /// Builds a machine with a trace sink, a fault hook and a watchdog
+    /// budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_hooks(cfg: &DpuConfig, sink: S, faults: F) -> Result<Self, SimError> {
+    pub fn with_hooks(
+        cfg: &DpuConfig,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
+    ) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(DpuMachine {
             host: WordMemory::new(cfg.host_mem_words),
@@ -130,7 +125,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             mem_words: 0,
             host_words: 0,
             launches: 0,
-            budget: cfg.budget,
+            budget,
             spent: 0,
             cfg: cfg.clone(),
             sink,
@@ -657,9 +652,9 @@ mod tests {
 
     #[test]
     fn tiny_budget_trips_on_first_transfer() {
-        let mut cfg = DpuConfig::paper();
-        cfg.budget = CycleBudget::limited(10);
-        let mut m = DpuMachine::new(&cfg).unwrap();
+        let budget = CycleBudget::limited(10);
+        let mut m =
+            DpuMachine::with_hooks(&DpuConfig::paper(), NullSink, NoFaults, budget).unwrap();
         let err = m.host_push(0, 0, 0, 4).unwrap_err();
         assert!(matches!(err, SimError::BudgetExceeded { .. }));
     }

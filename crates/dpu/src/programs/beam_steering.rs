@@ -12,9 +12,9 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use crate::config::DpuConfig;
 use crate::machine::DpuMachine;
@@ -25,39 +25,21 @@ const INSTRS_PER_OUTPUT: u64 = 9;
 
 /// Runs beam steering on the DPU module.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] when the per-DPU tables/outputs exceed an MRAM
-/// bank or the WRAM scratchpad, or host memory is exhausted.
-pub fn run(cfg: &DpuConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every host/DMA transfer
+/// and its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &DpuConfig,
-    workload: &BeamSteeringWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every
-/// host/DMA transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError`] when the per-DPU tables/outputs exceed an MRAM bank or
+/// the WRAM scratchpad, or host memory is exhausted, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &DpuConfig,
     workload: &BeamSteeringWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let e = workload.elements();
     let dirs = workload.directions();
@@ -86,7 +68,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
         ));
     }
 
-    let mut m = DpuMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = DpuMachine::with_hooks(cfg, sink, faults, budget)?;
     let cal_a: Vec<u32> = workload.cal_coarse().iter().map(|&v| v as u32).collect();
     let cal_b: Vec<u32> = workload.cal_fine().iter().map(|&v| v as u32).collect();
     m.host_mut().write_block_u32(cal_a_base, &cal_a)?;
@@ -170,19 +152,26 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &DpuConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn output_is_bit_exact() {
         let w = BeamSteeringWorkload::new(300, 4, 2, 8).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn paper_shape_is_bit_exact_and_integer_rate() {
         let w = BeamSteeringWorkload::paper(8).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
         // Integer kernel: no FP emulation factor on the pipeline term.
         assert_eq!(run.ops_executed, 51_456 * 6);
@@ -191,14 +180,14 @@ mod tests {
     #[test]
     fn elements_not_divisible_by_dpus_still_verify() {
         let w = BeamSteeringWorkload::new(130, 3, 2, 1).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn host_pull_of_outputs_dominates_transfers() {
         let w = BeamSteeringWorkload::paper(8).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         // Outputs outnumber table words 16:1, and they all cross the
         // host interface.
         assert!(run.breakdown.fraction("host_xfer") > 0.4);
@@ -210,6 +199,6 @@ mod tests {
         cfg.ranks = 1;
         cfg.dpus_per_rank = 1;
         let w = BeamSteeringWorkload::new(60_000, 4, 2, 0).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w), Err(SimError::Capacity { .. })));
     }
 }

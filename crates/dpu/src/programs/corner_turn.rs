@@ -12,48 +12,30 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use crate::config::DpuConfig;
 use crate::machine::DpuMachine;
 
 /// Runs the strip-partitioned corner turn.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] when a strip exceeds an MRAM bank, a row block
-/// exceeds the WRAM scratchpad, or host memory is exhausted.
-pub fn run(cfg: &DpuConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every host/DMA transfer
+/// and its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &DpuConfig,
-    workload: &CornerTurnWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every
-/// host/DMA transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError`] when a strip exceeds an MRAM bank, a row block exceeds
+/// the WRAM scratchpad, or host memory is exhausted, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &DpuConfig,
     workload: &CornerTurnWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
@@ -79,7 +61,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
         ));
     }
 
-    let mut m = DpuMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = DpuMachine::with_hooks(cfg, sink, faults, budget)?;
     m.host_mut().write_block_u32(src_base, workload.source_slice())?;
 
     // Scatter: one bulk push per DPU carries its whole strip.
@@ -159,19 +141,26 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &DpuConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_transpose_is_bit_exact() {
         let w = CornerTurnWorkload::with_dims(48, 40, 3).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn paper_shape_strips_block_through_wram() {
         let w = CornerTurnWorkload::with_dims(256, 256, 5).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
         assert!(run.breakdown.get("mram_dma").get() > 0);
     }
@@ -181,14 +170,14 @@ mod tests {
         let mut cfg = DpuConfig::paper();
         cfg.dpus_per_rank = 4; // 8 DPUs, 6 rows each
         let w = CornerTurnWorkload::with_dims(48, 64, 1).unwrap();
-        let run = run(&cfg, &w).unwrap();
+        let run = plain(&cfg, &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn host_round_trip_dominates() {
         let w = CornerTurnWorkload::with_dims(512, 512, 1).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         // No inter-DPU communication: the transpose pays the host bulk
         // interface in both directions, which dwarfs bank-local DMA.
         let host = run.breakdown.fraction("host_xfer");
@@ -202,6 +191,6 @@ mod tests {
         cfg.dpus_per_rank = 1;
         cfg.ranks = 1; // one DPU must hold the whole matrix
         let w = CornerTurnWorkload::with_dims(512, 512, 0).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w), Err(SimError::Capacity { .. })));
     }
 }

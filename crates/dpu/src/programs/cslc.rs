@@ -14,9 +14,9 @@
 use triarch_fft::{Cf32, Fft};
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError, WordMemory};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError, WordMemory};
 
 use crate::config::DpuConfig;
 use crate::machine::{DpuMachine, WramRange};
@@ -47,40 +47,21 @@ fn wram_write_complex<S: TraceSink, F: FaultHook>(
 
 /// Runs CSLC on the DPU module.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] when a sub-band slot exceeds an MRAM bank, the
-/// working set exceeds WRAM, host memory is exhausted, or the FFT length
-/// is not a power of two.
-pub fn run(cfg: &DpuConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every host/DMA transfer
+/// and its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &DpuConfig,
-    workload: &CslcWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every
-/// host/DMA transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError`] when a sub-band slot exceeds an MRAM bank, the working
+/// set exceeds WRAM, host memory is exhausted, or the FFT length is not a power
+/// of two, plus [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from
+/// the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &DpuConfig,
     workload: &CslcWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let c = *workload.config();
     let n = c.fft_len;
@@ -122,7 +103,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
     let per_fft = c.fft_opcount_radix4();
     let fft_flops = per_fft.total();
 
-    let mut m = DpuMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = DpuMachine::with_hooks(cfg, sink, faults, budget)?;
 
     // Stage resident data in host memory (interleaved complex).
     let stage = |mem: &mut WordMemory, base: usize, data: &[Cf32]| -> Result<(), SimError> {
@@ -239,18 +220,25 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &DpuConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_cslc_verifies() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE), "{:?}", run.verification);
     }
 
     #[test]
     fn emulated_fp_dominates_the_pipeline() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = plain(&DpuConfig::paper(), &w).unwrap();
         assert!(run.breakdown.get("tasklet").get() > 0);
         assert!(run.breakdown.get("mram_dma").get() > 0);
         // Software FP: the pipeline term beats the bank DMA term.
@@ -263,7 +251,7 @@ mod tests {
         cfg.ranks = 1;
         cfg.dpus_per_rank = 2; // 7 sub-bands over 2 DPUs -> 4 slots
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&cfg, &w).unwrap();
+        let run = plain(&cfg, &w).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE));
     }
 
@@ -272,6 +260,6 @@ mod tests {
         let mut cfg = DpuConfig::paper();
         cfg.host_mem_words = 4096;
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w), Err(SimError::Capacity { .. })));
     }
 }

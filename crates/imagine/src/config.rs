@@ -1,8 +1,6 @@
 //! Imagine configuration (paper Section 2.2 and Table 2).
 
-use triarch_simcore::{
-    ClockFrequency, CycleBudget, DramConfig, MachineInfo, SimError, ThroughputModel,
-};
+use triarch_simcore::{ClockFrequency, DramConfig, MachineInfo, SimError, ThroughputModel};
 
 /// Parameters of the simulated Imagine chip.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +41,6 @@ pub struct ImagineConfig {
     /// by 30% because inter-cluster communication is used to perform
     /// parallel FFTs".
     pub comm_exposure: f64,
-    /// Watchdog budget on simulated cycles (default: unlimited).
-    pub budget: CycleBudget,
 }
 
 impl ImagineConfig {
@@ -65,7 +61,6 @@ impl ImagineConfig {
             kernel_startup: 80,
             descriptor_penalty: 0.8,
             comm_exposure: 0.35,
-            budget: CycleBudget::UNLIMITED,
         }
     }
 

@@ -25,13 +25,13 @@
 //! # Example
 //!
 //! ```
-//! use triarch_kernels::{BeamSteeringWorkload, SignalMachine};
+//! use triarch_kernels::{BeamSteeringWorkload, KernelInput, RunCtx, SignalMachine};
 //! use triarch_imagine::Imagine;
 //!
 //! # fn main() -> Result<(), triarch_simcore::SimError> {
 //! let mut machine = Imagine::new()?;
 //! let workload = BeamSteeringWorkload::new(256, 4, 2, 3)?;
-//! let run = machine.beam_steering(&workload)?;
+//! let run = machine.run_with(KernelInput::BeamSteering(&workload), RunCtx::default())?;
 //! assert!(run.verification.is_ok(0.0));
 //! # Ok(())
 //! # }
@@ -47,9 +47,10 @@ pub mod programs;
 pub use config::ImagineConfig;
 pub use machine::{ClusterOps, ImagineMachine};
 
-use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload, CslcWorkload, SignalMachine};
+use programs::beam_steering::TablePlacement;
+use triarch_kernels::{Engine, KernelInput};
 use triarch_simcore::faults::FaultHook;
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
 
 /// The Imagine machine: configuration plus the Table 2 identity.
@@ -88,73 +89,26 @@ impl Imagine {
     }
 }
 
-impl SignalMachine for Imagine {
-    fn info(&self) -> &MachineInfo {
+impl Engine for Imagine {
+    fn machine_info(&self) -> &MachineInfo {
         &self.info
     }
 
-    fn set_cycle_budget(&mut self, budget: CycleBudget) {
-        self.config.budget = budget;
-    }
-
-    fn corner_turn(&mut self, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run(&self.config, workload)
-    }
-
-    fn cslc(&mut self, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-        programs::cslc::run(&self.config, workload)
-    }
-
-    fn beam_steering(&mut self, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run(&self.config, workload)
-    }
-
-    fn corner_turn_traced(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        sink: &mut dyn TraceSink,
+    fn run_program<S: TraceSink, F: FaultHook>(
+        &self,
+        input: KernelInput<'_>,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
     ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_traced(&self.config, workload, sink)
-    }
-
-    fn cslc_traced(
-        &mut self,
-        workload: &CslcWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_traced(&self.config, workload, sink)
-    }
-
-    fn beam_steering_traced(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_traced(&self.config, workload, sink)
-    }
-
-    fn corner_turn_faulted(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_faulted(&self.config, workload, NullSink, faults)
-    }
-
-    fn cslc_faulted(
-        &mut self,
-        workload: &CslcWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_faulted(&self.config, workload, NullSink, faults)
-    }
-
-    fn beam_steering_faulted(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_faulted(&self.config, workload, NullSink, faults)
+        let cfg = &self.config;
+        match input {
+            KernelInput::CornerTurn(w) => programs::corner_turn::run(cfg, w, sink, faults, budget),
+            KernelInput::Cslc(w) => programs::cslc::run(cfg, w, sink, faults, budget),
+            KernelInput::BeamSteering(w) => {
+                programs::beam_steering::run(cfg, w, TablePlacement::Dram, sink, faults, budget)
+            }
+        }
     }
 }
 
@@ -170,7 +124,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triarch_kernels::WorkloadSet;
+    use triarch_kernels::{Kernel, SignalMachine, WorkloadSet};
 
     #[test]
     fn machine_identity_matches_table2() {
@@ -185,11 +139,11 @@ mod tests {
     fn small_workloads_verify() {
         let mut m = Imagine::new().unwrap();
         let w = WorkloadSet::small(2).unwrap();
-        let ct = m.corner_turn(&w.corner_turn).unwrap();
+        let ct = m.run(Kernel::CornerTurn, &w).unwrap();
         assert!(ct.verification.is_ok(0.0));
-        let bs = m.beam_steering(&w.beam_steering).unwrap();
+        let bs = m.run(Kernel::BeamSteering, &w).unwrap();
         assert!(bs.verification.is_ok(0.0));
-        let cs = m.cslc(&w.cslc).unwrap();
+        let cs = m.run(Kernel::Cslc, &w).unwrap();
         assert!(cs.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
     }
 }

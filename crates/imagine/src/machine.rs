@@ -102,34 +102,29 @@ pub struct ImagineMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
 }
 
 impl ImagineMachine<NullSink, NoFaults> {
-    /// Builds an untraced machine from a configuration.
+    /// Builds an untraced, unfaulted machine with an unlimited budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
     pub fn new(cfg: &ImagineConfig) -> Result<Self, SimError> {
-        Self::with_sink(cfg, NullSink)
-    }
-}
-
-impl<S: TraceSink> ImagineMachine<S, NoFaults> {
-    /// Builds a machine that emits cycle-attribution events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_sink(cfg: &ImagineConfig, sink: S) -> Result<Self, SimError> {
-        Self::with_hooks(cfg, sink, NoFaults)
+        Self::with_hooks(cfg, NullSink, NoFaults, CycleBudget::UNLIMITED)
     }
 }
 
 impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
-    /// Builds a machine with both a trace sink and a fault hook.
+    /// Builds a machine with a trace sink, a fault hook and a watchdog
+    /// budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_hooks(cfg: &ImagineConfig, sink: S, faults: F) -> Result<Self, SimError> {
+    pub fn with_hooks(
+        cfg: &ImagineConfig,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
+    ) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(ImagineMachine {
             dram: DramModel::new(cfg.dram)?,
@@ -143,7 +138,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
             ops: 0,
             mem_words: 0,
             overlap: None,
-            budget: cfg.budget,
+            budget,
             spent: 0,
             cfg: cfg.clone(),
             sink,

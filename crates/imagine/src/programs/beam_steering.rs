@@ -10,52 +10,12 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{AccessPattern, KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError};
 
 use crate::config::ImagineConfig;
 use crate::machine::{ClusterOps, ImagineMachine};
-
-/// Runs beam steering on Imagine with tables streamed from DRAM each
-/// batch (the paper's measured configuration).
-///
-/// # Errors
-///
-/// Returns [`SimError`] when tables/outputs exceed off-chip memory or a
-/// batch cannot fit the SRF.
-pub fn run(cfg: &ImagineConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-    run_with_table_placement(cfg, workload, TablePlacement::Dram)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ImagineConfig,
-    workload: &BeamSteeringWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_placed_traced(cfg, workload, TablePlacement::Dram, sink)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
-    cfg: &ImagineConfig,
-    workload: &BeamSteeringWorkload,
-    sink: S,
-    faults: F,
-) -> Result<KernelRun, SimError> {
-    run_placed_faulted(cfg, workload, TablePlacement::Dram, sink, faults)
-}
 
 /// Where the calibration tables live during the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,36 +31,26 @@ pub enum TablePlacement {
     SrfResident,
 }
 
-/// Runs beam steering with an explicit table placement.
+/// Runs beam steering on Imagine with the tables placed per `placement`;
+/// [`TablePlacement::Dram`] is the paper's measured configuration.
+///
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer
+/// and its effects are applied; `budget` is the watchdog on simulated
+/// cycles.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] when tables/outputs exceed off-chip memory, the
 /// tables do not fit the SRF in [`TablePlacement::SrfResident`] mode, or
-/// a batch cannot fit the SRF.
-pub fn run_with_table_placement(
-    cfg: &ImagineConfig,
-    workload: &BeamSteeringWorkload,
-    placement: TablePlacement,
-) -> Result<KernelRun, SimError> {
-    run_placed_traced(cfg, workload, placement, NullSink)
-}
-
-fn run_placed_traced<S: TraceSink>(
-    cfg: &ImagineConfig,
-    workload: &BeamSteeringWorkload,
-    placement: TablePlacement,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_placed_faulted(cfg, workload, placement, sink, NoFaults)
-}
-
-fn run_placed_faulted<S: TraceSink, F: FaultHook>(
+/// a batch cannot fit the SRF, plus [`SimError::DetectedFault`] /
+/// [`SimError::BudgetExceeded`] from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ImagineConfig,
     workload: &BeamSteeringWorkload,
     placement: TablePlacement,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let e = workload.elements();
     let cal_a_base = 0usize;
@@ -111,7 +61,7 @@ fn run_placed_faulted<S: TraceSink, F: FaultHook>(
         return Err(SimError::capacity("imagine off-chip memory", needed, cfg.mem_words));
     }
 
-    let mut m = ImagineMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = ImagineMachine::with_hooks(cfg, sink, faults, budget)?;
     // Two table input streams plus the result output stream.
     m.declare_streams(3)?;
     let cal_a: Vec<u32> = workload.cal_coarse().iter().map(|&v| v as u32).collect();
@@ -197,19 +147,30 @@ fn run_placed_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(
+        cfg: &ImagineConfig,
+        workload: &BeamSteeringWorkload,
+        placement: TablePlacement,
+    ) -> Result<KernelRun, SimError> {
+        run(cfg, workload, placement, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn output_is_bit_exact() {
         let w = BeamSteeringWorkload::new(300, 4, 2, 8).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w, TablePlacement::Dram).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn memory_streams_dominate() {
         let w = BeamSteeringWorkload::paper(8).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w, TablePlacement::Dram).unwrap();
         // Paper: loads/stores take 89% of simulation time.
         let mem = run.breakdown.fraction("memory") + run.breakdown.fraction("precharge");
         assert!(mem > 0.6, "memory fraction {mem}");
@@ -222,7 +183,7 @@ mod tests {
     #[test]
     fn batches_larger_than_elements_are_clamped() {
         let w = BeamSteeringWorkload::new(17, 2, 1, 1).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w, TablePlacement::Dram).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -230,8 +191,8 @@ mod tests {
     fn srf_resident_tables_give_roughly_two_fold() {
         let w = BeamSteeringWorkload::paper(8).unwrap();
         let cfg = ImagineConfig::paper();
-        let dram = run_with_table_placement(&cfg, &w, TablePlacement::Dram).unwrap();
-        let srf = run_with_table_placement(&cfg, &w, TablePlacement::SrfResident).unwrap();
+        let dram = plain(&cfg, &w, TablePlacement::Dram).unwrap();
+        let srf = plain(&cfg, &w, TablePlacement::SrfResident).unwrap();
         assert_eq!(srf.verification, Verification::BitExact);
         let gain = dram.cycles.ratio(srf.cycles);
         // Paper Section 4.4: "a factor of about two".
@@ -242,9 +203,7 @@ mod tests {
     fn srf_resident_rejects_oversized_tables() {
         // 40k elements x 2 tables > the 32k-word SRF.
         let w = BeamSteeringWorkload::new(40_000, 1, 1, 0).unwrap();
-        let err =
-            run_with_table_placement(&ImagineConfig::paper(), &w, TablePlacement::SrfResident)
-                .unwrap_err();
+        let err = plain(&ImagineConfig::paper(), &w, TablePlacement::SrfResident).unwrap_err();
         assert!(matches!(err, SimError::Capacity { .. }));
     }
 }

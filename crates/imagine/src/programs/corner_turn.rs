@@ -10,9 +10,9 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{AccessPattern, KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError};
 
 use crate::config::ImagineConfig;
 use crate::machine::{ClusterOps, ImagineMachine};
@@ -23,39 +23,20 @@ pub const DST_PAD_WORDS: usize = 8;
 
 /// Runs the strip-streamed corner turn.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] if a single matrix row cannot fit in half the SRF
-/// or memory is exhausted.
-pub fn run(cfg: &ImagineConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer and
+/// its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ImagineConfig,
-    workload: &CornerTurnWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
+/// Returns [`SimError`] if a single matrix row cannot fit in half the SRF or
+/// memory is exhausted, plus [`SimError::DetectedFault`] /
 /// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ImagineConfig,
     workload: &CornerTurnWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
@@ -75,7 +56,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
         return Err(SimError::capacity("imagine SRF (one matrix row)", cols, half_srf));
     }
 
-    let mut m = ImagineMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = ImagineMachine::with_hooks(cfg, sink, faults, budget)?;
     // Paper mapping: four input streams plus one output stream.
     m.declare_streams(5)?;
     m.memory_mut().write_block_u32(src_base, workload.source_slice())?;
@@ -124,12 +105,19 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &ImagineConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_transpose_is_bit_exact() {
         let w = CornerTurnWorkload::with_dims(48, 40, 3).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -137,20 +125,20 @@ mod tests {
     fn strip_larger_than_srf_still_works_by_shrinking() {
         // 1024-wide rows: strip of 16 rows fits half the 32K-word SRF.
         let w = CornerTurnWorkload::with_dims(64, 1024, 3).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn row_wider_than_half_srf_is_capacity_error() {
         let w = CornerTurnWorkload::with_dims(2, 20_000, 0).unwrap();
-        assert!(matches!(run(&ImagineConfig::paper(), &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&ImagineConfig::paper(), &w), Err(SimError::Capacity { .. })));
     }
 
     #[test]
     fn memory_dominates_cycles() {
         let w = CornerTurnWorkload::with_dims(128, 256, 1).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w).unwrap();
         // Paper Section 4.2: 87% of Imagine corner-turn cycles are memory.
         let mem = run.breakdown.fraction("memory") + run.breakdown.fraction("precharge");
         assert!(mem > 0.6, "memory fraction {mem}");

@@ -12,9 +12,9 @@ use triarch_fft::ops::OpCount;
 use triarch_fft::{Cf32, Fft};
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{AccessPattern, KernelRun, SimError, WordMemory};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError, WordMemory};
 
 use crate::config::ImagineConfig;
 use crate::machine::SrfRange;
@@ -60,39 +60,21 @@ fn srf_write_complex<S: TraceSink, F: FaultHook>(
 
 /// Runs CSLC on Imagine.
 ///
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer and
+/// its effects are applied; `budget` is the watchdog on simulated cycles.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] when the working set exceeds the SRF or off-chip
-/// memory, or the FFT length is not a power of two.
-pub fn run(cfg: &ImagineConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ImagineConfig,
-    workload: &CslcWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// memory, or the FFT length is not a power of two, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ImagineConfig,
     workload: &CslcWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let c = *workload.config();
     let n = c.fft_len;
@@ -115,7 +97,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
     let inverse = Fft::inverse(n).map_err(|e| SimError::unsupported(e.to_string()))?;
     let per_fft = c.fft_opcount_radix4();
 
-    let mut m = ImagineMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = ImagineMachine::with_hooks(cfg, sink, faults, budget)?;
     // Peak stream concurrency per sub-band: every channel window plus
     // every weight vector in flight at once (the output streams drain
     // after the inputs complete). The paper's 4+4 = 8 exactly fills the
@@ -229,18 +211,25 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &ImagineConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_cslc_verifies() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE), "{:?}", run.verification);
     }
 
     #[test]
     fn kernel_and_comm_cycles_present() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = plain(&ImagineConfig::paper(), &w).unwrap();
         assert!(run.breakdown.get("kernel").get() > 0);
         assert!(run.breakdown.get("comm").get() > 0, "parallel FFTs must pay comm");
         assert!(run.breakdown.get("prologue").get() > 0);
@@ -259,6 +248,6 @@ mod tests {
         let mut cfg = ImagineConfig::paper();
         cfg.mem_words = 4096;
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w), Err(SimError::Capacity { .. })));
     }
 }

@@ -15,7 +15,8 @@
 //! Each module provides the workload type (sized per the paper), a golden
 //! reference implementation, and verification helpers. The
 //! [`machine::SignalMachine`] trait is the interface every simulated
-//! architecture implements.
+//! architecture implements, with one entry:
+//! [`SignalMachine::run_with`] takes a [`KernelInput`] and a [`RunCtx`].
 //!
 //! # Example
 //!
@@ -45,4 +46,4 @@ pub mod verify;
 pub use beam_steering::BeamSteeringWorkload;
 pub use corner_turn::CornerTurnWorkload;
 pub use cslc::CslcWorkload;
-pub use machine::{Kernel, SignalMachine, WorkloadSet};
+pub use machine::{Engine, Kernel, KernelInput, RunCtx, SignalMachine, WorkloadSet};

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use triarch_simcore::faults::FaultHook;
-use triarch_simcore::trace::TraceSink;
+use triarch_simcore::faults::{FaultHook, NoFaults};
+use triarch_simcore::trace::{NullSink, TraceSink};
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
 
 use crate::beam_steering::BeamSteeringWorkload;
@@ -50,181 +50,111 @@ impl fmt::Display for Kernel {
     }
 }
 
+/// One kernel's input, borrowed from a [`WorkloadSet`] (see
+/// [`WorkloadSet::input`]) or from a hand-built workload.
+#[derive(Debug, Clone, Copy)]
+pub enum KernelInput<'a> {
+    /// A corner-turn matrix.
+    CornerTurn(&'a CornerTurnWorkload),
+    /// CSLC channels and weights.
+    Cslc(&'a CslcWorkload),
+    /// Beam-steering tables.
+    BeamSteering(&'a BeamSteeringWorkload),
+}
+
+/// What a run carries besides its input. `RunCtx::default()` is a plain
+/// run: untraced, unfaulted, unlimited budget.
+#[derive(Default)]
+pub struct RunCtx<'a> {
+    /// Receives cycle-attribution trace events whose counted spans tile
+    /// the reported [`KernelRun::breakdown`]; `None` runs untraced.
+    pub sink: Option<&'a mut dyn TraceSink>,
+    /// Consulted wherever simulated state crosses a fault surface (DRAM
+    /// transfers, compute results). Engines apply its effects to real
+    /// simulated data, charge its ECC/retry cycles into the breakdown,
+    /// and turn a transfer failure into [`SimError::DetectedFault`];
+    /// `None` injects nothing.
+    pub faults: Option<&'a mut dyn FaultHook>,
+    /// Watchdog: once the run's simulated activity passes it, the engine
+    /// aborts with [`SimError::BudgetExceeded`] instead of running
+    /// unboundedly.
+    pub budget: CycleBudget,
+}
+
 /// A simulated machine that can run the study's three kernels.
 ///
 /// Implementations must be *data-accurate*: each run computes the actual
 /// kernel output on simulated hardware and reports how it compared with
 /// the workload's reference output in [`KernelRun::verification`].
+///
+/// Engines implement [`Engine`] and get this trait from the blanket impl.
 pub trait SignalMachine {
     /// Static machine description (paper Table 2 row).
     fn info(&self) -> &MachineInfo;
 
-    /// Installs a watchdog cycle budget for subsequent runs: once a run's
-    /// simulated activity passes the budget, the engine aborts with
-    /// [`SimError::BudgetExceeded`] instead of running unboundedly. The
-    /// default budget is [`CycleBudget::UNLIMITED`].
-    fn set_cycle_budget(&mut self, budget: CycleBudget);
-
-    /// Runs the corner-turn kernel.
+    /// Runs one kernel under `ctx`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when the workload shape is unsupported by this
-    /// machine's mapping or exceeds a hardware resource.
-    fn corner_turn(&mut self, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError>;
+    /// machine's mapping or exceeds a hardware resource, plus
+    /// [`SimError::DetectedFault`] from the fault hook and
+    /// [`SimError::BudgetExceeded`] from the watchdog.
+    fn run_with(&mut self, input: KernelInput<'_>, ctx: RunCtx<'_>) -> Result<KernelRun, SimError>;
 
-    /// Runs the CSLC kernel.
+    /// Runs one kernel of `workloads` plainly ([`RunCtx::default`]).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when the workload shape is unsupported by this
-    /// machine's mapping or exceeds a hardware resource.
-    fn cslc(&mut self, workload: &CslcWorkload) -> Result<KernelRun, SimError>;
-
-    /// Runs the beam-steering kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the workload shape is unsupported by this
-    /// machine's mapping or exceeds a hardware resource.
-    fn beam_steering(&mut self, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError>;
-
-    /// Runs the corner-turn kernel while emitting cycle-attribution trace
-    /// events into `sink`.
-    ///
-    /// The default implementation falls back to the untraced
-    /// [`corner_turn`](Self::corner_turn) and emits nothing; machines that
-    /// support tracing override this so the event stream tiles the reported
-    /// [`KernelRun::breakdown`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`corner_turn`](Self::corner_turn).
-    fn corner_turn_traced(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        _sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        self.corner_turn(workload)
-    }
-
-    /// Runs the CSLC kernel while emitting cycle-attribution trace events
-    /// into `sink` (see [`corner_turn_traced`](Self::corner_turn_traced)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`cslc`](Self::cslc).
-    fn cslc_traced(
-        &mut self,
-        workload: &CslcWorkload,
-        _sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        self.cslc(workload)
-    }
-
-    /// Runs the beam-steering kernel while emitting cycle-attribution trace
-    /// events into `sink` (see [`corner_turn_traced`](Self::corner_turn_traced)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`beam_steering`](Self::beam_steering).
-    fn beam_steering_traced(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        _sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        self.beam_steering(workload)
-    }
-
-    /// Runs the corner-turn kernel with a fault hook consulted wherever
-    /// simulated state crosses a fault surface (DRAM transfers, compute
-    /// results). Implementations apply the hook's effects to real
-    /// simulated data, charge its ECC/retry cycle costs into the
-    /// breakdown, and convert a transfer failure into
-    /// [`SimError::DetectedFault`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`corner_turn`](Self::corner_turn), plus
-    /// [`SimError::DetectedFault`] and [`SimError::BudgetExceeded`].
-    fn corner_turn_faulted(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError>;
-
-    /// Runs the CSLC kernel with a fault hook (see
-    /// [`corner_turn_faulted`](Self::corner_turn_faulted)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`cslc`](Self::cslc), plus [`SimError::DetectedFault`] and
-    /// [`SimError::BudgetExceeded`].
-    fn cslc_faulted(
-        &mut self,
-        workload: &CslcWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError>;
-
-    /// Runs the beam-steering kernel with a fault hook (see
-    /// [`corner_turn_faulted`](Self::corner_turn_faulted)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`beam_steering`](Self::beam_steering), plus
-    /// [`SimError::DetectedFault`] and [`SimError::BudgetExceeded`].
-    fn beam_steering_faulted(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError>;
-
-    /// Dispatches a kernel by enum value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the corresponding kernel method's error.
+    /// Same as [`run_with`](Self::run_with).
     fn run(&mut self, kernel: Kernel, workloads: &WorkloadSet) -> Result<KernelRun, SimError> {
-        match kernel {
-            Kernel::CornerTurn => self.corner_turn(&workloads.corner_turn),
-            Kernel::Cslc => self.cslc(&workloads.cslc),
-            Kernel::BeamSteering => self.beam_steering(&workloads.beam_steering),
-        }
+        self.run_with(workloads.input(kernel), RunCtx::default())
     }
+}
 
-    /// Dispatches a kernel by enum value with tracing.
+/// An engine's kernel programs, generic over the trace sink and fault
+/// hook. Every `Engine` is a [`SignalMachine`].
+pub trait Engine {
+    /// Static machine description (paper Table 2 row), returned by
+    /// [`SignalMachine::info`]; named apart from it so both traits can be
+    /// in scope at once.
+    fn machine_info(&self) -> &MachineInfo;
+
+    /// Runs the program for `input`: one `match` arm per kernel.
     ///
     /// # Errors
     ///
-    /// Propagates the corresponding kernel method's error.
-    fn run_traced(
-        &mut self,
-        kernel: Kernel,
-        workloads: &WorkloadSet,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        match kernel {
-            Kernel::CornerTurn => self.corner_turn_traced(&workloads.corner_turn, sink),
-            Kernel::Cslc => self.cslc_traced(&workloads.cslc, sink),
-            Kernel::BeamSteering => self.beam_steering_traced(&workloads.beam_steering, sink),
-        }
+    /// Same as [`SignalMachine::run_with`].
+    fn run_program<S: TraceSink, F: FaultHook>(
+        &self,
+        input: KernelInput<'_>,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
+    ) -> Result<KernelRun, SimError>;
+}
+
+/// Instantiates each engine's programs exactly twice: `<NullSink,
+/// NoFaults>` for a context with neither sink nor hook, so plain runs
+/// keep a statically disabled instrumentation path, and `<&mut dyn
+/// TraceSink, &mut dyn FaultHook>` otherwise, with the missing half
+/// filled by the disabled default.
+impl<E: Engine> SignalMachine for E {
+    fn info(&self) -> &MachineInfo {
+        self.machine_info()
     }
 
-    /// Dispatches a kernel by enum value with a fault hook.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the corresponding kernel method's error.
-    fn run_faulted(
-        &mut self,
-        kernel: Kernel,
-        workloads: &WorkloadSet,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        match kernel {
-            Kernel::CornerTurn => self.corner_turn_faulted(&workloads.corner_turn, faults),
-            Kernel::Cslc => self.cslc_faulted(&workloads.cslc, faults),
-            Kernel::BeamSteering => self.beam_steering_faulted(&workloads.beam_steering, faults),
+    fn run_with(&mut self, input: KernelInput<'_>, ctx: RunCtx<'_>) -> Result<KernelRun, SimError> {
+        match ctx {
+            RunCtx { sink: None, faults: None, budget } => {
+                self.run_program(input, NullSink, NoFaults, budget)
+            }
+            RunCtx { sink, faults, budget } => {
+                let (mut null, mut none) = (NullSink, NoFaults);
+                let sink: &mut dyn TraceSink = sink.unwrap_or(&mut null);
+                let faults: &mut dyn FaultHook = faults.unwrap_or(&mut none);
+                self.run_program(input, sink, faults, budget)
+            }
         }
     }
 }
@@ -267,6 +197,16 @@ impl WorkloadSet {
             cslc: CslcWorkload::new(crate::cslc::CslcConfig::small(), seed.wrapping_add(1))?,
             beam_steering: BeamSteeringWorkload::new(128, 4, 2, seed.wrapping_add(2))?,
         })
+    }
+
+    /// The input `kernel` runs on.
+    #[must_use]
+    pub fn input(&self, kernel: Kernel) -> KernelInput<'_> {
+        match kernel {
+            Kernel::CornerTurn => KernelInput::CornerTurn(&self.corner_turn),
+            Kernel::Cslc => KernelInput::Cslc(&self.cslc),
+            Kernel::BeamSteering => KernelInput::BeamSteering(&self.beam_steering),
+        }
     }
 }
 

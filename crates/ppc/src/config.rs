@@ -1,6 +1,6 @@
 //! PowerPC G4 baseline configuration (paper Section 4.1 / Table 2).
 
-use triarch_simcore::{ClockFrequency, CycleBudget, MachineInfo, SimError, ThroughputModel};
+use triarch_simcore::{ClockFrequency, MachineInfo, SimError, ThroughputModel};
 
 use crate::cache::CacheConfig;
 
@@ -30,8 +30,6 @@ pub struct PpcConfig {
     /// Unified L2 geometry (paper: 256 KB, 64-byte lines, 8-way) — the
     /// knob the design-space driver sweeps for the baseline.
     pub l2: CacheConfig,
-    /// Watchdog budget on simulated cycles (default: unlimited).
-    pub budget: CycleBudget,
 }
 
 impl PpcConfig {
@@ -48,7 +46,6 @@ impl PpcConfig {
             vector_lanes: 4,
             l1: CacheConfig::g4_l1(),
             l2: CacheConfig::g4_l2(),
-            budget: CycleBudget::UNLIMITED,
         }
     }
 

@@ -15,13 +15,13 @@
 //! # Example
 //!
 //! ```
-//! use triarch_kernels::{CornerTurnWorkload, SignalMachine};
+//! use triarch_kernels::{CornerTurnWorkload, KernelInput, RunCtx, SignalMachine};
 //! use triarch_ppc::Ppc;
 //!
 //! # fn main() -> Result<(), triarch_simcore::SimError> {
 //! let mut scalar = Ppc::scalar()?;
 //! let workload = CornerTurnWorkload::with_dims(64, 64, 7)?;
-//! let run = scalar.corner_turn(&workload)?;
+//! let run = scalar.run_with(KernelInput::CornerTurn(&workload), RunCtx::default())?;
 //! assert!(run.verification.is_ok(0.0));
 //! # Ok(())
 //! # }
@@ -39,9 +39,9 @@ pub use config::PpcConfig;
 pub use machine::PpcMachine;
 pub use programs::Variant;
 
-use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload, CslcWorkload, SignalMachine};
+use triarch_kernels::{Engine, KernelInput};
 use triarch_simcore::faults::FaultHook;
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
 
 /// The G4 baseline machine in either scalar or AltiVec form.
@@ -98,73 +98,28 @@ impl Ppc {
     }
 }
 
-impl SignalMachine for Ppc {
-    fn info(&self) -> &MachineInfo {
+impl Engine for Ppc {
+    fn machine_info(&self) -> &MachineInfo {
         &self.info
     }
 
-    fn set_cycle_budget(&mut self, budget: CycleBudget) {
-        self.config.budget = budget;
-    }
-
-    fn corner_turn(&mut self, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run(&self.config, workload, self.variant)
-    }
-
-    fn cslc(&mut self, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-        programs::cslc::run(&self.config, workload, self.variant)
-    }
-
-    fn beam_steering(&mut self, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run(&self.config, workload, self.variant)
-    }
-
-    fn corner_turn_traced(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        sink: &mut dyn TraceSink,
+    fn run_program<S: TraceSink, F: FaultHook>(
+        &self,
+        input: KernelInput<'_>,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
     ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_traced(&self.config, workload, self.variant, sink)
-    }
-
-    fn cslc_traced(
-        &mut self,
-        workload: &CslcWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_traced(&self.config, workload, self.variant, sink)
-    }
-
-    fn beam_steering_traced(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_traced(&self.config, workload, self.variant, sink)
-    }
-
-    fn corner_turn_faulted(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_faulted(&self.config, workload, self.variant, NullSink, faults)
-    }
-
-    fn cslc_faulted(
-        &mut self,
-        workload: &CslcWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_faulted(&self.config, workload, self.variant, NullSink, faults)
-    }
-
-    fn beam_steering_faulted(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_faulted(&self.config, workload, self.variant, NullSink, faults)
+        let cfg = &self.config;
+        match input {
+            KernelInput::CornerTurn(w) => {
+                programs::corner_turn::run(cfg, w, self.variant, sink, faults, budget)
+            }
+            KernelInput::Cslc(w) => programs::cslc::run(cfg, w, self.variant, sink, faults, budget),
+            KernelInput::BeamSteering(w) => {
+                programs::beam_steering::run(cfg, w, self.variant, sink, faults, budget)
+            }
+        }
     }
 }
 
@@ -180,7 +135,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triarch_kernels::WorkloadSet;
+    use triarch_kernels::{Kernel, SignalMachine, WorkloadSet};
 
     #[test]
     fn identities_match_table2() {
@@ -196,10 +151,10 @@ mod tests {
     fn small_workloads_verify_on_both_variants() {
         for mut m in [Ppc::scalar().unwrap(), Ppc::altivec().unwrap()] {
             let w = WorkloadSet::small(4).unwrap();
-            assert!(m.corner_turn(&w.corner_turn).unwrap().verification.is_ok(0.0));
-            assert!(m.beam_steering(&w.beam_steering).unwrap().verification.is_ok(0.0));
+            assert!(m.run(Kernel::CornerTurn, &w).unwrap().verification.is_ok(0.0));
+            assert!(m.run(Kernel::BeamSteering, &w).unwrap().verification.is_ok(0.0));
             assert!(m
-                .cslc(&w.cslc)
+                .run(Kernel::Cslc, &w)
                 .unwrap()
                 .verification
                 .is_ok(triarch_kernels::verify::CSLC_TOLERANCE));

@@ -4,7 +4,7 @@
 use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults};
 use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{CycleLedger, Cycles, KernelRun, SimError, Verification};
+use triarch_simcore::{CycleBudget, CycleLedger, Cycles, KernelRun, SimError, Verification};
 
 use crate::cache::Hierarchy;
 use crate::config::PpcConfig;
@@ -35,37 +35,33 @@ pub struct PpcMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     mem_words: u64,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 }
 
 impl PpcMachine<NullSink, NoFaults> {
-    /// Builds an untraced machine.
+    /// Builds an untraced, unfaulted machine with an unlimited budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
     pub fn new(cfg: &PpcConfig) -> Result<Self, SimError> {
-        Self::with_sink(cfg, NullSink)
-    }
-}
-
-impl<S: TraceSink> PpcMachine<S, NoFaults> {
-    /// Builds a machine that emits cycle-attribution events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_sink(cfg: &PpcConfig, sink: S) -> Result<Self, SimError> {
-        Self::with_hooks(cfg, sink, NoFaults)
+        Self::with_hooks(cfg, NullSink, NoFaults, CycleBudget::UNLIMITED)
     }
 }
 
 impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
-    /// Builds a machine with both a trace sink and a fault hook.
+    /// Builds a machine with a trace sink, a fault hook and a watchdog
+    /// budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_hooks(cfg: &PpcConfig, sink: S, faults: F) -> Result<Self, SimError> {
+    pub fn with_hooks(
+        cfg: &PpcConfig,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
+    ) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(PpcMachine {
             cfg: cfg.clone(),
@@ -81,6 +77,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
             mem_words: 0,
             sink,
             faults,
+            budget,
         })
     }
 
@@ -201,7 +198,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     /// Returns [`SimError::BudgetExceeded`] once the budget is passed.
     #[inline]
     pub fn check_budget(&self) -> Result<(), SimError> {
-        self.cfg.budget.check(self.cycles().get())
+        self.budget.check(self.cycles().get())
     }
 
     /// Consults the fault hook for one memory transfer of `data.len()`
@@ -287,7 +284,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
         breakdown.export_metrics(&mut metrics, "ppc.cycles");
         self.hier.l1.counters().export(&mut metrics, "ppc.l1");
         self.hier.l2.counters().export(&mut metrics, "ppc.l2");
-        self.cfg.budget.export_metrics(&mut metrics, "ppc.budget", total.get());
+        self.budget.export_metrics(&mut metrics, "ppc.budget", total.get());
         metrics.counter("ppc.run.instructions", self.instrs);
         metrics.counter("ppc.run.trig_calls", self.trig_calls);
         metrics.counter("ppc.run.ops", self.ops);

@@ -6,9 +6,9 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use super::Variant;
 use crate::config::PpcConfig;
@@ -16,48 +16,26 @@ use crate::machine::PpcMachine;
 
 /// Runs beam steering on the G4.
 ///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-pub fn run(
-    cfg: &PpcConfig,
-    workload: &BeamSteeringWorkload,
-    variant: Variant,
-) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, variant, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at the memory transfer of
+/// each direction's output block and its effects are applied; `budget` is the
+/// watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &PpcConfig,
-    workload: &BeamSteeringWorkload,
-    variant: Variant,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, variant, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at the memory
-/// transfer of each direction's output block and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError::InvalidConfig`] for degenerate configurations, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &PpcConfig,
     workload: &BeamSteeringWorkload,
     variant: Variant,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let e = workload.elements();
     let out_base = 2 * e;
-    let mut m = PpcMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = PpcMachine::with_hooks(cfg, sink, faults, budget)?;
     let mut out = Vec::with_capacity(workload.outputs());
 
     for dwell in 0..workload.dwells() {
@@ -117,13 +95,24 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(
+        cfg: &PpcConfig,
+        workload: &BeamSteeringWorkload,
+        variant: Variant,
+    ) -> Result<KernelRun, SimError> {
+        run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn both_variants_are_bit_exact() {
         let w = BeamSteeringWorkload::new(123, 3, 2, 5).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = plain(&PpcConfig::paper(), &w, v).unwrap();
             assert_eq!(run.verification, Verification::BitExact, "{v:?}");
         }
     }
@@ -131,8 +120,8 @@ mod tests {
     #[test]
     fn altivec_gains_roughly_two_fold() {
         let w = BeamSteeringWorkload::paper(5).unwrap();
-        let scalar = run(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
-        let altivec = run(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
+        let scalar = plain(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
+        let altivec = plain(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
         let speedup = scalar.cycles.ratio(altivec.cycles);
         // Paper Section 4.5: "about two".
         assert!(speedup > 1.4 && speedup < 3.2, "speedup {speedup}");

@@ -8,9 +8,9 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use super::Variant;
 use crate::config::PpcConfig;
@@ -18,50 +18,28 @@ use crate::machine::PpcMachine;
 
 /// Runs the corner turn on the G4.
 ///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for a degenerate configuration.
-pub fn run(
-    cfg: &PpcConfig,
-    workload: &CornerTurnWorkload,
-    variant: Variant,
-) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, variant, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at the memory transfer of
+/// each output row and its effects are applied; `budget` is the watchdog on
+/// simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &PpcConfig,
-    workload: &CornerTurnWorkload,
-    variant: Variant,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, variant, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at the memory
-/// transfer of each output row and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError::InvalidConfig`] for a degenerate configuration, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &PpcConfig,
     workload: &CornerTurnWorkload,
     variant: Variant,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
     let src = workload.source_slice();
     let mut dst = vec![0u32; rows * cols];
-    let mut m = PpcMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = PpcMachine::with_hooks(cfg, sink, faults, budget)?;
 
     // Virtual layout: src at 0, dst right after.
     let dst_base = rows * cols;
@@ -116,13 +94,24 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(
+        cfg: &PpcConfig,
+        workload: &CornerTurnWorkload,
+        variant: Variant,
+    ) -> Result<KernelRun, SimError> {
+        run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn both_variants_are_bit_exact() {
         let w = CornerTurnWorkload::with_dims(50, 70, 2).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = plain(&PpcConfig::paper(), &w, v).unwrap();
             assert_eq!(run.verification, Verification::BitExact, "{v:?}");
         }
     }
@@ -131,8 +120,8 @@ mod tests {
     fn altivec_barely_helps_the_corner_turn() {
         // Power-of-two dimensions trigger the set-aliasing wall.
         let w = CornerTurnWorkload::with_dims(512, 512, 1).unwrap();
-        let scalar = run(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
-        let altivec = run(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
+        let scalar = plain(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
+        let altivec = plain(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
         let speedup = scalar.cycles.ratio(altivec.cycles);
         assert!(speedup > 1.0 && speedup < 1.6, "speedup {speedup}");
         // Store stalls dominate both.

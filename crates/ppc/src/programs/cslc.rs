@@ -9,9 +9,9 @@
 use triarch_fft::{fft_radix2, ifft_radix2, Cf32};
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use super::Variant;
 use crate::config::PpcConfig;
@@ -69,50 +69,28 @@ fn charge_fft<S: TraceSink, F: FaultHook>(m: &mut PpcMachine<S, F>, n: usize, va
 
 /// Runs CSLC on the G4.
 ///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-pub fn run(
-    cfg: &PpcConfig,
-    workload: &CslcWorkload,
-    variant: Variant,
-) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, variant, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at the memory transfer of
+/// each cancelled sub-band block and its effects are applied; `budget` is the
+/// watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &PpcConfig,
-    workload: &CslcWorkload,
-    variant: Variant,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, variant, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at the memory
-/// transfer of each cancelled sub-band block and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError::InvalidConfig`] for degenerate configurations, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &PpcConfig,
     workload: &CslcWorkload,
     variant: Variant,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let c = *workload.config();
     let n = c.fft_len;
     let hop = c.hop();
     let channels = c.main_channels + c.aux_channels;
-    let mut m = PpcMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = PpcMachine::with_hooks(cfg, sink, faults, budget)?;
 
     let mut out = vec![Cf32::ZERO; c.main_channels * c.subbands * n];
     for s in 0..c.subbands {
@@ -189,12 +167,23 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(
+        cfg: &PpcConfig,
+        workload: &CslcWorkload,
+        variant: Variant,
+    ) -> Result<KernelRun, SimError> {
+        run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn both_variants_verify() {
         let w = CslcWorkload::new(CslcConfig::small(), 9).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = plain(&PpcConfig::paper(), &w, v).unwrap();
             assert!(run.verification.is_ok(CSLC_TOLERANCE), "{v:?}: {:?}", run.verification);
         }
     }
@@ -202,8 +191,8 @@ mod tests {
     #[test]
     fn altivec_gains_roughly_six_fold() {
         let w = CslcWorkload::new(CslcConfig::small(), 9).unwrap();
-        let scalar = run(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
-        let altivec = run(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
+        let scalar = plain(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
+        let altivec = plain(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
         let speedup = scalar.cycles.ratio(altivec.cycles);
         // Paper Section 4.5: "about six".
         assert!(speedup > 3.5 && speedup < 9.0, "speedup {speedup}");
@@ -212,7 +201,7 @@ mod tests {
     #[test]
     fn scalar_time_is_libm_dominated() {
         let w = CslcWorkload::new(CslcConfig::small(), 9).unwrap();
-        let run = run(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
+        let run = plain(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
         assert!(run.breakdown.fraction("libm") > 0.4, "{}", run.breakdown);
     }
 }

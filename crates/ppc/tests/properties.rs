@@ -3,8 +3,18 @@
 use proptest::prelude::*;
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_ppc::{programs, PpcConfig, Variant};
-use triarch_simcore::Verification;
+use triarch_kernels::{KernelInput, RunCtx, SignalMachine};
+use triarch_ppc::{Ppc, PpcConfig, Variant};
+use triarch_simcore::{KernelRun, SimError, Verification};
+
+/// Runs one kernel through the machine's entry, untraced and unfaulted.
+fn simulate(
+    cfg: &PpcConfig,
+    variant: Variant,
+    input: KernelInput<'_>,
+) -> Result<KernelRun, SimError> {
+    Ppc::with_config(cfg.clone(), variant)?.run_with(input, RunCtx::default())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -15,7 +25,7 @@ proptest! {
     fn corner_turn_bit_exact(rows in 1usize..80, cols in 1usize..80, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = programs::corner_turn::run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = simulate(&PpcConfig::paper(), v, KernelInput::CornerTurn(&w)).unwrap();
             prop_assert_eq!(run.verification, Verification::BitExact);
         }
     }
@@ -29,7 +39,7 @@ proptest! {
     ) {
         let w = BeamSteeringWorkload::new(elements, directions, 2, seed).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = programs::beam_steering::run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = simulate(&PpcConfig::paper(), v, KernelInput::BeamSteering(&w)).unwrap();
             prop_assert_eq!(run.verification, Verification::BitExact);
         }
     }
@@ -39,10 +49,10 @@ proptest! {
     #[test]
     fn altivec_never_loses(rows in 8usize..64, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, rows, seed).unwrap();
-        let scalar = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Scalar)
+        let scalar = simulate(&PpcConfig::paper(), Variant::Scalar, KernelInput::CornerTurn(&w))
             .unwrap()
             .cycles;
-        let altivec = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Altivec)
+        let altivec = simulate(&PpcConfig::paper(), Variant::Altivec, KernelInput::CornerTurn(&w))
             .unwrap()
             .cycles;
         prop_assert!(altivec <= scalar);
@@ -53,12 +63,12 @@ proptest! {
     #[test]
     fn larger_miss_penalty_never_helps(penalty in 28u64..100, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(64, 64, seed).unwrap();
-        let base = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Scalar)
+        let base = simulate(&PpcConfig::paper(), Variant::Scalar, KernelInput::CornerTurn(&w))
             .unwrap()
             .cycles;
         let mut cfg = PpcConfig::paper();
         cfg.l2_store_miss_penalty = penalty;
-        let slower = programs::corner_turn::run(&cfg, &w, Variant::Scalar).unwrap().cycles;
+        let slower = simulate(&cfg, Variant::Scalar, KernelInput::CornerTurn(&w)).unwrap().cycles;
         prop_assert!(slower >= base);
     }
 }

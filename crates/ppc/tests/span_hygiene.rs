@@ -6,22 +6,22 @@
 //! The fold totals must also re-add to the reported cycle counts
 //! exactly (the counted-span contract).
 
-use triarch_kernels::{SignalMachine, WorkloadSet};
+use triarch_kernels::{Kernel, RunCtx, SignalMachine, WorkloadSet};
 use triarch_ppc::Ppc;
 use triarch_profile::{is_fold_safe, FoldSink};
 
 fn check(mut machine: Ppc, tag: &str) {
     let workloads = WorkloadSet::small(7).unwrap();
 
-    let mut sink = FoldSink::new();
-    let ct = machine.corner_turn_traced(&workloads.corner_turn, &mut sink).unwrap();
-    let ct_fold = sink.into_fold();
-    let mut sink = FoldSink::new();
-    let cslc = machine.cslc_traced(&workloads.cslc, &mut sink).unwrap();
-    let cslc_fold = sink.into_fold();
-    let mut sink = FoldSink::new();
-    let bs = machine.beam_steering_traced(&workloads.beam_steering, &mut sink).unwrap();
-    let bs_fold = sink.into_fold();
+    let mut traced = |kernel| {
+        let mut sink = FoldSink::new();
+        let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+        let run = machine.run_with(workloads.input(kernel), ctx).unwrap();
+        (run, sink.into_fold())
+    };
+    let (ct, ct_fold) = traced(Kernel::CornerTurn);
+    let (cslc, cslc_fold) = traced(Kernel::Cslc);
+    let (bs, bs_fold) = traced(Kernel::BeamSteering);
 
     for (kernel, run, fold) in [
         ("corner turn", &ct, &ct_fold),

@@ -1,8 +1,6 @@
 //! Raw configuration (paper Section 2.3 and Table 2).
 
-use triarch_simcore::{
-    ClockFrequency, CycleBudget, DramConfig, MachineInfo, SimError, ThroughputModel,
-};
+use triarch_simcore::{ClockFrequency, DramConfig, MachineInfo, SimError, ThroughputModel};
 
 /// Parameters of the simulated Raw chip.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +32,6 @@ pub struct RawConfig {
     /// Peak single-precision GFLOPS (Table 2 reports 4.64 for 16 tiles at
     /// 300 MHz, i.e. slightly under 1 flop/tile/cycle).
     pub peak_gflops: f64,
-    /// Watchdog budget on simulated cycles (default: unlimited).
-    pub budget: CycleBudget,
 }
 
 impl RawConfig {
@@ -54,7 +50,6 @@ impl RawConfig {
             mem_words: 64 * 1024 * 1024 / 4,
             phase_startup: 30,
             peak_gflops: 4.64,
-            budget: CycleBudget::UNLIMITED,
         }
     }
 

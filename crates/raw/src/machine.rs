@@ -73,34 +73,29 @@ pub struct RawMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
 }
 
 impl RawMachine<NullSink, NoFaults> {
-    /// Builds an untraced machine from a configuration.
+    /// Builds an untraced, unfaulted machine with an unlimited budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
     pub fn new(cfg: &RawConfig) -> Result<Self, SimError> {
-        Self::with_sink(cfg, NullSink)
-    }
-}
-
-impl<S: TraceSink> RawMachine<S, NoFaults> {
-    /// Builds a machine that emits cycle-attribution events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_sink(cfg: &RawConfig, sink: S) -> Result<Self, SimError> {
-        Self::with_hooks(cfg, sink, NoFaults)
+        Self::with_hooks(cfg, NullSink, NoFaults, CycleBudget::UNLIMITED)
     }
 }
 
 impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
-    /// Builds a machine with both a trace sink and a fault hook.
+    /// Builds a machine with a trace sink, a fault hook and a watchdog
+    /// budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_hooks(cfg: &RawConfig, sink: S, faults: F) -> Result<Self, SimError> {
+    pub fn with_hooks(
+        cfg: &RawConfig,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
+    ) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(RawMachine {
             dram: DramModel::new(cfg.dram)?,
@@ -118,7 +113,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             ops: 0,
             mem_words: 0,
             in_phase: false,
-            budget: cfg.budget,
+            budget,
             spent: 0,
             phase_activity: 0,
             cfg: cfg.clone(),

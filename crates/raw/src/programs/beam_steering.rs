@@ -9,47 +9,29 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{AccessPattern, KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError};
 
 use crate::config::RawConfig;
 use crate::machine::RawMachine;
 
 /// Runs beam steering on Raw.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] if tables and output exceed off-chip memory.
-pub fn run(cfg: &RawConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer and
+/// its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &RawConfig,
-    workload: &BeamSteeringWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError`] if tables and output exceed off-chip memory, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &RawConfig,
     workload: &BeamSteeringWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let e = workload.elements();
     let cal_a_base = 0usize;
@@ -60,7 +42,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
         return Err(SimError::capacity("raw off-chip memory", needed, cfg.mem_words));
     }
 
-    let mut m = RawMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = RawMachine::with_hooks(cfg, sink, faults, budget)?;
     let cal_a: Vec<u32> = workload.cal_coarse().iter().map(|&v| v as u32).collect();
     let cal_b: Vec<u32> = workload.cal_fine().iter().map(|&v| v as u32).collect();
     m.memory_mut().write_block_u32(cal_a_base, &cal_a)?;
@@ -126,19 +108,26 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &RawConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn output_is_bit_exact() {
         let w = BeamSteeringWorkload::new(321, 4, 3, 11).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = plain(&RawConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn no_load_store_issue_beyond_alu_ops() {
         let w = BeamSteeringWorkload::paper(11).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = plain(&RawConfig::paper(), &w).unwrap();
         // Stream mode: issue is pure ALU work — 6 instructions per output
         // on the busiest tile.
         let per_tile_outputs = (1608usize.div_ceil(16) * 4) as u64; // per dwell
@@ -152,7 +141,7 @@ mod tests {
     #[test]
     fn fewer_elements_than_tiles() {
         let w = BeamSteeringWorkload::new(5, 2, 1, 0).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = plain(&RawConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 }

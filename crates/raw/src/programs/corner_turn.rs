@@ -12,9 +12,9 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{AccessPattern, KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError};
 
 use crate::config::RawConfig;
 use crate::machine::RawMachine;
@@ -25,38 +25,20 @@ pub const ROW_PAD_WORDS: usize = 8;
 
 /// Runs the 16-tile blocked corner turn.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] if the matrices do not fit off-chip memory.
-pub fn run(cfg: &RawConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer and
+/// its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &RawConfig,
-    workload: &CornerTurnWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError`] if the matrices do not fit off-chip memory, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &RawConfig,
     workload: &CornerTurnWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
@@ -73,7 +55,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
     // for smaller local memories or matrices.
     let block = 64usize.min((cfg.local_words as f64).sqrt() as usize).min(rows).min(cols).max(1);
 
-    let mut m = RawMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = RawMachine::with_hooks(cfg, sink, faults, budget)?;
     let data = workload.source_slice();
     for r in 0..rows {
         m.memory_mut()
@@ -140,12 +122,19 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &RawConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_transpose_is_bit_exact() {
         let w = CornerTurnWorkload::with_dims(96, 80, 4).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = plain(&RawConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -153,7 +142,7 @@ mod tests {
     fn odd_sizes_and_partial_blocks() {
         for (r, c) in [(1usize, 1usize), (65, 3), (70, 130)] {
             let w = CornerTurnWorkload::with_dims(r, c, 1).unwrap();
-            let run = run(&RawConfig::paper(), &w).unwrap();
+            let run = plain(&RawConfig::paper(), &w).unwrap();
             assert_eq!(run.verification, Verification::BitExact, "{r}x{c}");
         }
     }
@@ -161,7 +150,7 @@ mod tests {
     #[test]
     fn issue_rate_is_the_bound_not_memory() {
         let w = CornerTurnWorkload::with_dims(256, 256, 1).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = plain(&RawConfig::paper(), &w).unwrap();
         // Paper Section 4.2: load/store issue rates limit performance;
         // the DRAM ports are not a bottleneck.
         assert!(run.breakdown.fraction("issue") > 0.7, "{}", run.breakdown);
@@ -176,6 +165,6 @@ mod tests {
         let mut cfg = RawConfig::paper();
         cfg.mem_words = 512;
         let w = CornerTurnWorkload::with_dims(64, 64, 0).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w), Err(SimError::Capacity { .. })));
     }
 }

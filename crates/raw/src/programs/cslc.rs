@@ -14,9 +14,9 @@ use triarch_fft::ops::radix2_ops;
 use triarch_fft::{fft_radix2, ifft_radix2, Cf32};
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{AccessPattern, KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError};
 
 use crate::config::RawConfig;
 use crate::machine::RawMachine;
@@ -56,74 +56,25 @@ fn fft_issue(n: usize, mode: CslcMode) -> (u64, u64) {
     (butterflies * per_butterfly, flops)
 }
 
-/// Runs CSLC on Raw in the paper's measured cache/MIMD mode.
+/// Runs CSLC on Raw in the data-delivery `mode`;
+/// [`CslcMode::CacheMimd`] is the paper's measured configuration.
+///
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer
+/// and its effects are applied; `budget` is the watchdog on simulated
+/// cycles.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the working set exceeds memory or a sub-band
-/// does not fit the per-tile cache.
-pub fn run(cfg: &RawConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-    run_with_mode(cfg, workload, CslcMode::CacheMimd)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &RawConfig,
-    workload: &CslcWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_mode_traced(cfg, workload, CslcMode::CacheMimd, sink)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
+/// does not fit the per-tile cache, plus [`SimError::DetectedFault`] /
 /// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
-    cfg: &RawConfig,
-    workload: &CslcWorkload,
-    sink: S,
-    faults: F,
-) -> Result<KernelRun, SimError> {
-    run_mode_faulted(cfg, workload, CslcMode::CacheMimd, sink, faults)
-}
-
-/// Runs CSLC on Raw in an explicit data-delivery mode.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the working set exceeds memory or a sub-band
-/// does not fit the per-tile cache.
-pub fn run_with_mode(
-    cfg: &RawConfig,
-    workload: &CslcWorkload,
-    mode: CslcMode,
-) -> Result<KernelRun, SimError> {
-    run_mode_traced(cfg, workload, mode, NullSink)
-}
-
-fn run_mode_traced<S: TraceSink>(
-    cfg: &RawConfig,
-    workload: &CslcWorkload,
-    mode: CslcMode,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_mode_faulted(cfg, workload, mode, sink, NoFaults)
-}
-
-fn run_mode_faulted<S: TraceSink, F: FaultHook>(
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &RawConfig,
     workload: &CslcWorkload,
     mode: CslcMode,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let c = *workload.config();
     let n = c.fft_len;
@@ -148,7 +99,7 @@ fn run_mode_faulted<S: TraceSink, F: FaultHook>(
         return Err(SimError::capacity("raw tile local memory", working, cfg.local_words));
     }
 
-    let mut m = RawMachine::with_hooks(cfg, sink, faults)?;
+    let mut m = RawMachine::with_hooks(cfg, sink, faults, budget)?;
     for ch in 0..channels {
         let data = if ch < c.main_channels {
             workload.main_channel(ch)
@@ -257,11 +208,22 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(
+        cfg: &RawConfig,
+        workload: &CslcWorkload,
+        mode: CslcMode,
+    ) -> Result<KernelRun, SimError> {
+        run(cfg, workload, mode, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_cslc_verifies() {
         let w = CslcWorkload::new(CslcConfig::small(), 7).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = plain(&RawConfig::paper(), &w, CslcMode::CacheMimd).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE), "{:?}", run.verification);
     }
 
@@ -269,8 +231,8 @@ mod tests {
     fn stream_interface_gains_roughly_seventy_percent() {
         let w = CslcWorkload::paper(7).unwrap();
         let cfg = RawConfig::paper();
-        let cache = run_with_mode(&cfg, &w, CslcMode::CacheMimd).unwrap();
-        let stream = run_with_mode(&cfg, &w, CslcMode::StreamInterface).unwrap();
+        let cache = plain(&cfg, &w, CslcMode::CacheMimd).unwrap();
+        let stream = plain(&cfg, &w, CslcMode::StreamInterface).unwrap();
         assert!(stream.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
         let gain = cache.cycles.ratio(stream.cycles);
         // Paper §4.3 projects ~70% improvement on the FFT portion; the
@@ -290,7 +252,7 @@ mod tests {
     #[test]
     fn memory_stalls_stay_minor() {
         let w = CslcWorkload::new(CslcConfig::small(), 7).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = plain(&RawConfig::paper(), &w, CslcMode::CacheMimd).unwrap();
         // Paper: less than 10% of execution time on memory stalls — our
         // stall share is bounded well under issue.
         assert!(run.breakdown.fraction("stall") < 0.2, "{}", run.breakdown);
@@ -302,6 +264,6 @@ mod tests {
         let mut cfg = RawConfig::paper();
         cfg.local_words = 64;
         let w = CslcWorkload::new(CslcConfig::small(), 7).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w, CslcMode::CacheMimd), Err(SimError::Capacity { .. })));
     }
 }

@@ -4,8 +4,14 @@ use proptest::prelude::*;
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::matmul::MatmulWorkload;
-use triarch_raw::{programs, RawConfig, TileId};
-use triarch_simcore::Verification;
+use triarch_kernels::{KernelInput, RunCtx, SignalMachine};
+use triarch_raw::{programs, Raw, RawConfig, TileId};
+use triarch_simcore::{KernelRun, SimError, Verification};
+
+/// Runs one kernel through the machine's entry, untraced and unfaulted.
+fn simulate(cfg: &RawConfig, input: KernelInput<'_>) -> Result<KernelRun, SimError> {
+    Raw::with_config(cfg.clone())?.run_with(input, RunCtx::default())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -15,7 +21,7 @@ proptest! {
     #[test]
     fn corner_turn_bit_exact(rows in 1usize..130, cols in 1usize..130, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
-        let run = programs::corner_turn::run(&RawConfig::paper(), &w).unwrap();
+        let run = simulate(&RawConfig::paper(), KernelInput::CornerTurn(&w)).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -30,7 +36,7 @@ proptest! {
         let w = BeamSteeringWorkload::new(elements, 2, 2, seed).unwrap();
         let mut cfg = RawConfig::paper();
         cfg.mesh_width = width;
-        let run = programs::beam_steering::run(&cfg, &w).unwrap();
+        let run = simulate(&cfg, KernelInput::BeamSteering(&w)).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -50,8 +56,8 @@ proptest! {
         small.mesh_width = 2;
         let mut large = RawConfig::paper();
         large.mesh_width = 4;
-        let few = programs::beam_steering::run(&small, &w).unwrap().cycles;
-        let many = programs::beam_steering::run(&large, &w).unwrap().cycles;
+        let few = simulate(&small, KernelInput::BeamSteering(&w)).unwrap().cycles;
+        let many = simulate(&large, KernelInput::BeamSteering(&w)).unwrap().cycles;
         prop_assert!(many <= few, "16 tiles ({many}) slower than 4 ({few})");
     }
 

@@ -1,8 +1,6 @@
 //! VIRAM configuration (paper Sections 2.1 and Table 2).
 
-use triarch_simcore::{
-    ClockFrequency, CycleBudget, DramConfig, MachineInfo, SimError, ThroughputModel,
-};
+use triarch_simcore::{ClockFrequency, DramConfig, MachineInfo, SimError, ThroughputModel};
 
 /// Parameters of the simulated VIRAM chip.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +42,6 @@ pub struct ViramConfig {
     pub offchip_words_per_cycle: u32,
     /// Per-DMA-transfer startup cycles.
     pub offchip_startup: u64,
-    /// Watchdog budget on simulated cycles (default: unlimited).
-    pub budget: CycleBudget,
 }
 
 impl ViramConfig {
@@ -68,7 +64,6 @@ impl ViramConfig {
             int_visibility: 0.5,
             offchip_words_per_cycle: 2,
             offchip_startup: 50,
-            budget: CycleBudget::UNLIMITED,
         }
     }
 

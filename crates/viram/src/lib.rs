@@ -20,13 +20,13 @@
 //! # Example
 //!
 //! ```
-//! use triarch_kernels::{CornerTurnWorkload, SignalMachine};
+//! use triarch_kernels::{CornerTurnWorkload, KernelInput, RunCtx, SignalMachine};
 //! use triarch_viram::Viram;
 //!
 //! # fn main() -> Result<(), triarch_simcore::SimError> {
 //! let mut machine = Viram::new()?;
 //! let workload = CornerTurnWorkload::with_dims(64, 64, 7)?;
-//! let run = machine.corner_turn(&workload)?;
+//! let run = machine.run_with(KernelInput::CornerTurn(&workload), RunCtx::default())?;
 //! assert!(run.verification.is_ok(0.0)); // transpose is bit-exact
 //! # Ok(())
 //! # }
@@ -43,9 +43,9 @@ pub mod vector;
 pub use config::ViramConfig;
 pub use vector::VectorUnit;
 
-use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload, CslcWorkload, SignalMachine};
+use triarch_kernels::{Engine, KernelInput};
 use triarch_simcore::faults::FaultHook;
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
 
 /// The VIRAM machine: configuration plus the Table 2 identity.
@@ -84,73 +84,26 @@ impl Viram {
     }
 }
 
-impl SignalMachine for Viram {
-    fn info(&self) -> &MachineInfo {
+impl Engine for Viram {
+    fn machine_info(&self) -> &MachineInfo {
         &self.info
     }
 
-    fn set_cycle_budget(&mut self, budget: CycleBudget) {
-        self.config.budget = budget;
-    }
-
-    fn corner_turn(&mut self, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run(&self.config, workload)
-    }
-
-    fn cslc(&mut self, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-        programs::cslc::run(&self.config, workload)
-    }
-
-    fn beam_steering(&mut self, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run(&self.config, workload)
-    }
-
-    fn corner_turn_traced(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        sink: &mut dyn TraceSink,
+    fn run_program<S: TraceSink, F: FaultHook>(
+        &self,
+        input: KernelInput<'_>,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
     ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_traced(&self.config, workload, sink)
-    }
-
-    fn cslc_traced(
-        &mut self,
-        workload: &CslcWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_traced(&self.config, workload, sink)
-    }
-
-    fn beam_steering_traced(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_traced(&self.config, workload, sink)
-    }
-
-    fn corner_turn_faulted(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_faulted(&self.config, workload, NullSink, faults)
-    }
-
-    fn cslc_faulted(
-        &mut self,
-        workload: &CslcWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_faulted(&self.config, workload, NullSink, faults)
-    }
-
-    fn beam_steering_faulted(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_faulted(&self.config, workload, NullSink, faults)
+        let cfg = &self.config;
+        match input {
+            KernelInput::CornerTurn(w) => programs::corner_turn::run(cfg, w, sink, faults, budget),
+            KernelInput::Cslc(w) => programs::cslc::run(cfg, w, sink, faults, budget),
+            KernelInput::BeamSteering(w) => {
+                programs::beam_steering::run(cfg, w, sink, faults, budget)
+            }
+        }
     }
 }
 
@@ -166,7 +119,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triarch_kernels::WorkloadSet;
+    use triarch_kernels::{Kernel, SignalMachine, WorkloadSet};
 
     #[test]
     fn machine_identity_matches_table2() {
@@ -181,11 +134,11 @@ mod tests {
     fn small_workloads_verify() {
         let mut m = Viram::new().unwrap();
         let w = WorkloadSet::small(1).unwrap();
-        let ct = m.corner_turn(&w.corner_turn).unwrap();
+        let ct = m.run(Kernel::CornerTurn, &w).unwrap();
         assert!(ct.verification.is_ok(0.0));
-        let bs = m.beam_steering(&w.beam_steering).unwrap();
+        let bs = m.run(Kernel::BeamSteering, &w).unwrap();
         assert!(bs.verification.is_ok(0.0));
-        let cs = m.cslc(&w.cslc).unwrap();
+        let cs = m.run(Kernel::Cslc, &w).unwrap();
         assert!(cs.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
     }
 }

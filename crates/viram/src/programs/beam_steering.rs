@@ -11,9 +11,9 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use crate::config::ViramConfig;
 use crate::vector::{IntOp, VectorUnit};
@@ -29,38 +29,20 @@ const V_OUT: usize = 6;
 
 /// Runs beam steering on VIRAM.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] if tables and output do not fit in on-chip DRAM.
-pub fn run(cfg: &ViramConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer and
+/// its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ViramConfig,
-    workload: &BeamSteeringWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError`] if tables and output do not fit in on-chip DRAM, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &BeamSteeringWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let e = workload.elements();
     let cal_a_base = 0usize;
@@ -71,7 +53,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
         return Err(SimError::capacity("viram on-chip DRAM", needed, cfg.dram_words));
     }
 
-    let mut unit = VectorUnit::with_hooks(cfg, sink, faults)?;
+    let mut unit = VectorUnit::with_hooks(cfg, sink, faults, budget)?;
     let cal_a: Vec<u32> = workload.cal_coarse().iter().map(|&v| v as u32).collect();
     let cal_b: Vec<u32> = workload.cal_fine().iter().map(|&v| v as u32).collect();
     unit.memory_mut().write_block_u32(cal_a_base, &cal_a)?;
@@ -128,26 +110,33 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &ViramConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn output_is_bit_exact() {
         let w = BeamSteeringWorkload::new(200, 4, 2, 9).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = plain(&ViramConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn non_multiple_of_mvl_elements() {
         let w = BeamSteeringWorkload::new(65, 3, 1, 9).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = plain(&ViramConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn pipeline_bound_is_majority_but_not_all() {
         let w = BeamSteeringWorkload::paper(9).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = plain(&ViramConfig::paper(), &w).unwrap();
         // The slower pipe (memory: 3 words/output at 8 words/cycle)
         // bounds each block; the paper's equivalent statement is that the
         // lower bound is ~56% of simulated time, the rest being startup
@@ -162,6 +151,6 @@ mod tests {
         let mut cfg = ViramConfig::paper();
         cfg.dram_words = 16;
         let w = BeamSteeringWorkload::new(200, 4, 2, 9).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w), Err(SimError::Capacity { .. })));
     }
 }

@@ -22,9 +22,9 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use crate::config::ViramConfig;
 use crate::vector::VectorUnit;
@@ -69,44 +69,26 @@ impl PanelLayout {
 /// come from off-chip memory and VIRAM would lose much of its
 /// advantage").
 ///
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer
+/// and its effects are applied; `budget` is the watchdog on simulated
+/// cycles.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if even a single row band cannot fit on chip or
-/// the configuration is degenerate.
-pub fn run(cfg: &ViramConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ViramConfig,
-    workload: &CornerTurnWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
+/// the configuration is degenerate, plus [`SimError::DetectedFault`] /
 /// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CornerTurnWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     if fits_on_chip(cfg, workload.rows(), workload.cols()) {
-        resident_faulted(cfg, workload, sink, faults)
+        resident(cfg, workload, sink, faults, budget)
     } else {
-        streaming_faulted(cfg, workload, sink, faults)
+        streaming(cfg, workload, sink, faults, budget)
     }
 }
 
@@ -120,22 +102,12 @@ fn fits_on_chip(cfg: &ViramConfig, rows: usize, cols: usize) -> bool {
 }
 
 /// The paper's measured configuration: the matrix is resident on chip.
-///
-/// # Errors
-///
-/// Returns [`SimError::Capacity`] when the padded matrix does not fit.
-pub fn run_resident(
-    cfg: &ViramConfig,
-    workload: &CornerTurnWorkload,
-) -> Result<KernelRun, SimError> {
-    resident_faulted(cfg, workload, NullSink, NoFaults)
-}
-
-fn resident_faulted<S: TraceSink, F: FaultHook>(
+fn resident<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CornerTurnWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
@@ -153,7 +125,7 @@ fn resident_faulted<S: TraceSink, F: FaultHook>(
         return Err(SimError::capacity("viram on-chip DRAM", needed, cfg.dram_words));
     }
 
-    let mut unit = VectorUnit::with_hooks(cfg, sink, faults)?;
+    let mut unit = VectorUnit::with_hooks(cfg, sink, faults, budget)?;
 
     // Workload data is resident in on-chip DRAM (panel layout), as in the
     // paper: the corner turn measures on-chip bandwidth, not ingest.
@@ -199,22 +171,12 @@ fn transpose_on_chip<S: TraceSink, F: FaultHook>(
 
 /// Off-chip streaming fallback: row bands DMA in at the off-chip rate,
 /// transpose on chip, and DMA back out.
-///
-/// # Errors
-///
-/// Returns [`SimError::Capacity`] when even one row band cannot fit.
-pub fn run_streaming(
-    cfg: &ViramConfig,
-    workload: &CornerTurnWorkload,
-) -> Result<KernelRun, SimError> {
-    streaming_faulted(cfg, workload, NullSink, NoFaults)
-}
-
-fn streaming_faulted<S: TraceSink, F: FaultHook>(
+fn streaming<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CornerTurnWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
@@ -230,7 +192,7 @@ fn streaming_faulted<S: TraceSink, F: FaultHook>(
         ));
     }
 
-    let mut unit = VectorUnit::with_hooks(cfg, sink, faults)?;
+    let mut unit = VectorUnit::with_hooks(cfg, sink, faults, budget)?;
     let data = workload.source_slice();
     let mut out = vec![0u32; rows * cols];
     let stripe = cfg.dram.row_words * cfg.dram.banks_per_wing();
@@ -268,12 +230,19 @@ fn streaming_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &ViramConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_transpose_is_bit_exact() {
         let w = CornerTurnWorkload::with_dims(32, 48, 5).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = plain(&ViramConfig::paper(), &w).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
         assert_eq!(run.mem_words, 2 * 32 * 48);
     }
@@ -282,7 +251,7 @@ mod tests {
     fn non_square_and_tiny_matrices() {
         for (r, c) in [(1usize, 1usize), (1, 64), (64, 1), (7, 13), (65, 33)] {
             let w = CornerTurnWorkload::with_dims(r, c, 1).unwrap();
-            let run = run(&ViramConfig::paper(), &w).unwrap();
+            let run = plain(&ViramConfig::paper(), &w).unwrap();
             assert_eq!(run.verification, Verification::BitExact, "{r}x{c}");
         }
     }
@@ -293,13 +262,13 @@ mod tests {
         // falls back to off-chip streaming and pays the 2-words/cycle DMA
         // toll (paper Section 4.6).
         let big = CornerTurnWorkload::with_dims(2048, 2048, 0).unwrap();
-        let run_big = run(&ViramConfig::paper(), &big).unwrap();
+        let run_big = plain(&ViramConfig::paper(), &big).unwrap();
         assert_eq!(run_big.verification, Verification::BitExact);
         assert!(run_big.breakdown.get("dma").get() > 0);
         // 4x the data of the resident 1024 case, but far more than 4x the
         // cycles: the advantage is gone.
         let resident = CornerTurnWorkload::with_dims(1024, 1024, 0).unwrap();
-        let run_res = run(&ViramConfig::paper(), &resident).unwrap();
+        let run_res = plain(&ViramConfig::paper(), &resident).unwrap();
         assert_eq!(run_res.breakdown.get("dma").get(), 0);
         assert!(run_big.cycles.ratio(run_res.cycles) > 6.0);
     }
@@ -307,14 +276,14 @@ mod tests {
     #[test]
     fn row_wider_than_on_chip_memory_is_capacity_error() {
         let w = CornerTurnWorkload::with_dims(2, 2_000_000, 0).unwrap();
-        let err = run(&ViramConfig::paper(), &w).unwrap_err();
+        let err = plain(&ViramConfig::paper(), &w).unwrap_err();
         assert!(matches!(err, SimError::Capacity { .. }));
     }
 
     #[test]
     fn strided_loads_dominate_cycles() {
         let w = CornerTurnWorkload::with_dims(256, 256, 2).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = plain(&ViramConfig::paper(), &w).unwrap();
         // Memory is the only real consumer; compute category is absent.
         assert!(run.breakdown.fraction("memory") > 0.5);
         assert_eq!(run.breakdown.get("compute").get(), 0);

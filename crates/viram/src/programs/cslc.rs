@@ -8,9 +8,9 @@
 use triarch_fft::Cf32;
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{KernelRun, SimError};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
+use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use super::vfft::{regs, VfftPlan};
 use crate::config::ViramConfig;
@@ -18,39 +18,21 @@ use crate::vector::{FpOp, VectorUnit};
 
 /// Runs the CSLC kernel on VIRAM.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] if the working set does not fit in on-chip DRAM or
-/// the FFT length is unsupported by the vector register file.
-pub fn run(cfg: &ViramConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
+/// Trace events go to `sink`; `faults` is consulted at every DRAM transfer and
+/// its effects are applied; `budget` is the watchdog on simulated cycles.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ViramConfig,
-    workload: &CslcWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Returns [`SimError`] if the working set does not fit in on-chip DRAM or the
+/// FFT length is unsupported by the vector register file, plus
+/// [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`] from the hook and
+/// watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CslcWorkload,
     sink: S,
     faults: F,
+    budget: CycleBudget,
 ) -> Result<KernelRun, SimError> {
     let c = *workload.config();
     let n = c.fft_len;
@@ -72,7 +54,7 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
         return Err(SimError::capacity("viram on-chip DRAM", needed, cfg.dram_words));
     }
 
-    let mut unit = VectorUnit::with_hooks(cfg, sink, faults)?;
+    let mut unit = VectorUnit::with_hooks(cfg, sink, faults, budget)?;
 
     // Stage resident data (uncharged: inputs arrive via DMA ahead of the
     // processing interval).
@@ -202,11 +184,18 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
+
+    /// The plain run: untraced, unfaulted, unlimited budget.
+    fn plain(cfg: &ViramConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
+        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+    }
 
     #[test]
     fn small_cslc_verifies() {
         let w = CslcWorkload::new(CslcConfig::small(), 4).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = plain(&ViramConfig::paper(), &w).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE), "{:?}", run.verification);
         assert!(run.breakdown.get("shuffle").get() > 0);
         assert!(run.breakdown.get("compute").get() > 0);
@@ -216,7 +205,7 @@ mod tests {
     fn fp_restriction_shows_in_compute() {
         // FP executes at 8/cycle: at least ops/8 compute cycles.
         let w = CslcWorkload::new(CslcConfig::small(), 4).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = plain(&ViramConfig::paper(), &w).unwrap();
         assert!(run.breakdown.get("compute").get() >= run.ops_executed / 16);
     }
 
@@ -225,6 +214,6 @@ mod tests {
         let mut cfg = ViramConfig::paper();
         cfg.dram_words = 1024;
         let w = CslcWorkload::new(CslcConfig::small(), 4).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(plain(&cfg, &w), Err(SimError::Capacity { .. })));
     }
 }

@@ -94,35 +94,30 @@ pub struct VectorUnit<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
 }
 
 impl VectorUnit<NullSink, NoFaults> {
-    /// Builds an untraced vector unit (register file, DRAM, TLB) from a
-    /// config.
+    /// Builds an untraced, unfaulted vector unit (register file, DRAM,
+    /// TLB) with an unlimited budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
     pub fn new(cfg: &ViramConfig) -> Result<Self, SimError> {
-        Self::with_sink(cfg, NullSink)
-    }
-}
-
-impl<S: TraceSink> VectorUnit<S, NoFaults> {
-    /// Builds a vector unit that emits cycle-attribution events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_sink(cfg: &ViramConfig, sink: S) -> Result<Self, SimError> {
-        Self::with_hooks(cfg, sink, NoFaults)
+        Self::with_hooks(cfg, NullSink, NoFaults, CycleBudget::UNLIMITED)
     }
 }
 
 impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
-    /// Builds a vector unit with both a trace sink and a fault hook.
+    /// Builds a vector unit with a trace sink, a fault hook and a watchdog
+    /// budget.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for degenerate configurations.
-    pub fn with_hooks(cfg: &ViramConfig, sink: S, faults: F) -> Result<Self, SimError> {
+    pub fn with_hooks(
+        cfg: &ViramConfig,
+        sink: S,
+        faults: F,
+        budget: CycleBudget,
+    ) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(VectorUnit {
             regs: vec![vec![0; cfg.mvl]; cfg.vregs],
@@ -135,7 +130,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             mem_words: 0,
             overlap: None,
             mem_hist: Histogram::cycles(),
-            budget: cfg.budget,
+            budget,
             spent: 0,
             cfg: cfg.clone(),
             sink,

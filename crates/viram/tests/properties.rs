@@ -4,8 +4,14 @@
 use proptest::prelude::*;
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_simcore::Verification;
-use triarch_viram::{programs, ViramConfig};
+use triarch_kernels::{KernelInput, RunCtx, SignalMachine};
+use triarch_simcore::{KernelRun, SimError, Verification};
+use triarch_viram::{Viram, ViramConfig};
+
+/// Runs one kernel through the machine's entry, untraced and unfaulted.
+fn simulate(cfg: &ViramConfig, input: KernelInput<'_>) -> Result<KernelRun, SimError> {
+    Viram::with_config(cfg.clone())?.run_with(input, RunCtx::default())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -14,7 +20,7 @@ proptest! {
     #[test]
     fn corner_turn_bit_exact(rows in 1usize..96, cols in 1usize..96, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
-        let run = programs::corner_turn::run(&ViramConfig::paper(), &w).unwrap();
+        let run = simulate(&ViramConfig::paper(), KernelInput::CornerTurn(&w)).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
         prop_assert!(run.cycles.get() > 0);
     }
@@ -29,7 +35,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let w = BeamSteeringWorkload::new(elements, directions, dwells, seed).unwrap();
-        let run = programs::beam_steering::run(&ViramConfig::paper(), &w).unwrap();
+        let run = simulate(&ViramConfig::paper(), KernelInput::BeamSteering(&w)).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -37,10 +43,10 @@ proptest! {
     #[test]
     fn fewer_address_generators_never_help(seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(64, 64, seed).unwrap();
-        let fast = programs::corner_turn::run(&ViramConfig::paper(), &w).unwrap().cycles;
+        let fast = simulate(&ViramConfig::paper(), KernelInput::CornerTurn(&w)).unwrap().cycles;
         let mut cfg = ViramConfig::paper();
         cfg.dram.strided_words_per_cycle = 1;
-        let slow = programs::corner_turn::run(&cfg, &w).unwrap().cycles;
+        let slow = simulate(&cfg, KernelInput::CornerTurn(&w)).unwrap().cycles;
         prop_assert!(slow >= fast);
     }
 }

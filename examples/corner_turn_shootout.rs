@@ -11,7 +11,7 @@
 
 use triarch_core::arch::Architecture;
 use triarch_core::report::TextTable;
-use triarch_kernels::CornerTurnWorkload;
+use triarch_kernels::{CornerTurnWorkload, KernelInput, RunCtx};
 use triarch_simcore::SimError;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let workload = CornerTurnWorkload::with_dims(dim, dim, 7)?;
         let mut cells = vec![format!("{dim}x{dim}")];
         for arch in Architecture::ALL {
-            let cell = match arch.machine()?.corner_turn(&workload) {
+            let input = KernelInput::CornerTurn(&workload);
+            let cell = match arch.machine()?.run_with(input, RunCtx::default()) {
                 Ok(run) => format!("{:.0} kc", run.cycles.to_kilocycles()),
                 Err(SimError::Capacity { .. }) => "doesn't fit".to_string(),
                 Err(e) => return Err(e.into()),

@@ -12,10 +12,12 @@
 //! ```
 
 use triarch_core::report::TextTable;
-use triarch_imagine::{programs as iprog, ImagineConfig};
-use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload};
-use triarch_raw::{programs as rprog, RawConfig};
-use triarch_viram::{programs as vprog, ViramConfig};
+use triarch_imagine::{Imagine, ImagineConfig};
+use triarch_kernels::{
+    BeamSteeringWorkload, CornerTurnWorkload, KernelInput, RunCtx, SignalMachine,
+};
+use triarch_raw::{Raw, RawConfig};
+use triarch_viram::{Viram, ViramConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ct = CornerTurnWorkload::with_dims(512, 512, 9)?;
@@ -26,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for ags in [1u32, 2, 4, 8] {
         let mut cfg = ViramConfig::paper();
         cfg.dram.strided_words_per_cycle = ags;
-        let run = vprog::corner_turn::run(&cfg, &ct)?;
+        let run =
+            Viram::with_config(cfg)?.run_with(KernelInput::CornerTurn(&ct), RunCtx::default())?;
         t.row(vec![ags.to_string(), format!("{:.0}", run.cycles.to_kilocycles())]);
     }
     println!("{t}");
@@ -37,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cfg = ImagineConfig::paper();
         cfg.dram.seq_words_per_cycle = wpc;
         cfg.dram.strided_words_per_cycle = wpc;
-        let run = iprog::corner_turn::run(&cfg, &ct)?;
+        let run =
+            Imagine::with_config(cfg)?.run_with(KernelInput::CornerTurn(&ct), RunCtx::default())?;
         t.row(vec![wpc.to_string(), format!("{:.0}", run.cycles.to_kilocycles())]);
     }
     println!("{t}");
@@ -47,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for width in [2usize, 4, 8] {
         let mut cfg = RawConfig::paper();
         cfg.mesh_width = width;
-        let run = rprog::beam_steering::run(&cfg, &bs)?;
+        let run =
+            Raw::with_config(cfg)?.run_with(KernelInput::BeamSteering(&bs), RunCtx::default())?;
         t.row(vec![(width * width).to_string(), format!("{:.1}", run.cycles.to_kilocycles())]);
     }
     println!("{t}");

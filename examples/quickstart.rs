@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use triarch_kernels::{CornerTurnWorkload, SignalMachine};
+use triarch_kernels::{CornerTurnWorkload, KernelInput, RunCtx, SignalMachine};
 use triarch_viram::Viram;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut machine = Viram::new()?;
     println!("machine: {}", machine.info());
 
-    let run = machine.corner_turn(&workload)?;
+    // Every machine has one entry: the kernel input plus a run context
+    // (trace sink, fault hook, cycle budget). The default context is a
+    // plain run.
+    let run = machine.run_with(KernelInput::CornerTurn(&workload), RunCtx::default())?;
     println!("\ncorner turn on VIRAM:");
     println!("{run}");
 

@@ -5,10 +5,11 @@
 //! 1. **Determinism** — a fault sweep is a pure function of its seed:
 //!    re-running the same sweep yields byte-identical tables, CSVs,
 //!    reports, and plans (property-tested over seeds).
-//! 2. **Zero-cost default** — running every engine through its faulted
-//!    entry point with [`NoFaults`] and an unlimited budget reproduces
-//!    the unfaulted cycle counts and breakdowns bit-for-bit, so the
-//!    instrumentation cannot perturb the paper's numbers.
+//! 2. **Zero-cost default** — running every engine on the dyn path a
+//!    faulted run takes, with [`NoFaults`] and an unlimited budget,
+//!    reproduces the static path's cycle counts, breakdowns and metrics
+//!    bit-for-bit, so the instrumentation cannot perturb the paper's
+//!    numbers.
 //! 3. **Bounded termination** — a deliberately tiny cycle budget makes
 //!    every machine × kernel run abort with
 //!    [`SimError::BudgetExceeded`] instead of running unboundedly.
@@ -16,8 +17,9 @@
 use proptest::prelude::*;
 use triarch_core::arch::Architecture;
 use triarch_core::faultsweep;
-use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_simcore::faults::{FaultInjector, FaultPlan, NoFaults};
+use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
+use triarch_profile::FoldSink;
+use triarch_simcore::faults::{FaultInjector, FaultPlan, FaultWeights, NoFaults};
 use triarch_simcore::{CycleBudget, SimError};
 
 proptest! {
@@ -55,28 +57,70 @@ proptest! {
     }
 }
 
-/// `NoFaults` + unlimited budget must be invisible: the faulted entry
-/// point reproduces the plain run's cycles and breakdown exactly on
-/// every machine × kernel pair.
+/// `NoFaults` + unlimited budget must be invisible: the dyn path a
+/// faulted run takes (`faults: Some(&mut NoFaults)`) reproduces the
+/// static `<NullSink, NoFaults>` path's cycles, breakdown, rendered
+/// metrics and verification exactly on every machine × kernel pair. And
+/// with a live injector, attaching a `FoldSink` to the same run changes
+/// nothing: the cycles match the faulted-only run and the fold re-adds
+/// to them with drift 0.
 #[test]
 fn nofaults_reproduces_unfaulted_cycles_exactly() {
     let workloads = WorkloadSet::small(42).unwrap();
+    // Faults that fire on every cell but never abort: ECC corrects each
+    // single-bit flip and stalls always recover.
+    let plan = FaultPlan {
+        mean_words_between_faults: 256,
+        weights: FaultWeights {
+            single_bit: 1,
+            double_bit: 0,
+            triple_bit: 0,
+            dropped: 0,
+            stalled: 1,
+        },
+        ..FaultPlan::new(7)
+    };
     for arch in Architecture::ALL {
         for kernel in Kernel::ALL {
-            let plain = arch.machine().unwrap().run(kernel, &workloads).unwrap();
-            let mut machine = arch.machine().unwrap();
-            machine.set_cycle_budget(CycleBudget::UNLIMITED);
-            let faulted = machine.run_faulted(kernel, &workloads, &mut NoFaults).unwrap();
+            let input = workloads.input(kernel);
+            let plain = arch.machine().unwrap().run_with(input, RunCtx::default()).unwrap();
+            let ctx = RunCtx {
+                faults: Some(&mut NoFaults),
+                budget: CycleBudget::UNLIMITED,
+                ..RunCtx::default()
+            };
+            let dyn_path = arch.machine().unwrap().run_with(input, ctx).unwrap();
             assert_eq!(
-                plain.cycles, faulted.cycles,
+                plain.cycles, dyn_path.cycles,
                 "{arch}/{kernel}: NoFaults changed the cycle count"
             );
             assert_eq!(
                 plain.breakdown.to_string(),
-                faulted.breakdown.to_string(),
+                dyn_path.breakdown.to_string(),
                 "{arch}/{kernel}: NoFaults changed the breakdown"
             );
-            assert_eq!(format!("{:?}", plain.verification), format!("{:?}", faulted.verification));
+            assert_eq!(
+                plain.metrics.render_prometheus(),
+                dyn_path.metrics.render_prometheus(),
+                "{arch}/{kernel}: NoFaults changed the rendered metrics"
+            );
+            assert_eq!(format!("{:?}", plain.verification), format!("{:?}", dyn_path.verification));
+
+            let mut injector = FaultInjector::new(plan.clone());
+            let ctx = RunCtx { faults: Some(&mut injector), ..RunCtx::default() };
+            let faulted = arch.machine().unwrap().run_with(input, ctx).unwrap();
+            assert!(injector.report().injected > 0, "{arch}/{kernel}: no fault fired");
+            let mut injector = FaultInjector::new(plan.clone());
+            let mut fold = FoldSink::new();
+            let ctx =
+                RunCtx { sink: Some(&mut fold), faults: Some(&mut injector), ..RunCtx::default() };
+            let traced = arch.machine().unwrap().run_with(input, ctx).unwrap();
+            assert_eq!(faulted.cycles, traced.cycles, "{arch}/{kernel}: tracing moved cycles");
+            assert_eq!(
+                fold.into_fold().total(),
+                traced.cycles.get(),
+                "{arch}/{kernel}: fold drift"
+            );
         }
     }
 }
@@ -91,11 +135,9 @@ fn silent_injector_matches_unfaulted_cycles() {
     for arch in Architecture::ALL {
         let plain = arch.machine().unwrap().run(Kernel::CornerTurn, &workloads).unwrap();
         let mut injector = FaultInjector::new(plan.clone());
-        let faulted = arch
-            .machine()
-            .unwrap()
-            .run_faulted(Kernel::CornerTurn, &workloads, &mut injector)
-            .unwrap();
+        let ctx = RunCtx { faults: Some(&mut injector), ..RunCtx::default() };
+        let faulted =
+            arch.machine().unwrap().run_with(workloads.input(Kernel::CornerTurn), ctx).unwrap();
         assert_eq!(injector.report().injected, 0, "{arch}: fault fired unexpectedly");
         assert_eq!(plain.cycles, faulted.cycles, "{arch}");
     }
@@ -109,9 +151,12 @@ fn tiny_budget_terminates_every_engine() {
     let workloads = WorkloadSet::small(42).unwrap();
     for arch in Architecture::ALL {
         for kernel in Kernel::ALL {
-            let mut machine = arch.machine().unwrap();
-            machine.set_cycle_budget(CycleBudget::limited(10));
-            let result = machine.run_faulted(kernel, &workloads, &mut NoFaults);
+            let ctx = RunCtx {
+                faults: Some(&mut NoFaults),
+                budget: CycleBudget::limited(10),
+                ..RunCtx::default()
+            };
+            let result = arch.machine().unwrap().run_with(workloads.input(kernel), ctx);
             match result {
                 Err(SimError::BudgetExceeded { spent, limit }) => {
                     assert_eq!(limit, 10, "{arch}/{kernel}");
@@ -128,27 +173,34 @@ fn tiny_budget_terminates_every_engine() {
 #[test]
 fn oversized_workload_trips_a_realistic_budget() {
     let workloads = WorkloadSet::paper(42).unwrap();
-    let mut machine = Architecture::Viram.machine().unwrap();
-    machine.set_cycle_budget(CycleBudget::limited(1_000));
-    let err = machine
-        .run_faulted(Kernel::CornerTurn, &workloads, &mut NoFaults)
+    let ctx = RunCtx {
+        faults: Some(&mut NoFaults),
+        budget: CycleBudget::limited(1_000),
+        ..RunCtx::default()
+    };
+    let err = Architecture::Viram
+        .machine()
+        .unwrap()
+        .run_with(workloads.input(Kernel::CornerTurn), ctx)
         .expect_err("a 1024x1024 corner turn cannot fit in 1000 cycles");
     assert!(err.is_detected_abort(), "{err:?}");
     assert!(err.to_string().contains("budget"), "{err}");
 }
 
-/// Budgets also bound the *unfaulted* paths: `set_cycle_budget` applies
-/// to the plain `run` entry points, not just the faulted ones.
+/// Budgets also bound the *unfaulted* paths: a context carrying only a
+/// budget takes the static `<NullSink, NoFaults>` instantiation, and the
+/// watchdog still fires on every machine × kernel pair.
 #[test]
 fn budget_applies_to_plain_runs_too() {
     let workloads = WorkloadSet::small(42).unwrap();
     for arch in Architecture::ALL {
-        let mut machine = arch.machine().unwrap();
-        machine.set_cycle_budget(CycleBudget::limited(10));
-        let result = machine.run(Kernel::CornerTurn, &workloads);
-        assert!(
-            matches!(result, Err(SimError::BudgetExceeded { .. })),
-            "{arch}: plain run ignored the budget: {result:?}"
-        );
+        for kernel in Kernel::ALL {
+            let ctx = RunCtx { budget: CycleBudget::limited(10), ..RunCtx::default() };
+            let result = arch.machine().unwrap().run_with(workloads.input(kernel), ctx);
+            assert!(
+                matches!(result, Err(SimError::BudgetExceeded { .. })),
+                "{arch}/{kernel}: plain run ignored the budget: {result:?}"
+            );
+        }
     }
 }

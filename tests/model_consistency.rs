@@ -5,7 +5,9 @@
 use triarch_core::arch::Architecture;
 use triarch_core::paper;
 use triarch_imagine::{Imagine, ImagineConfig};
-use triarch_kernels::{CornerTurnWorkload, SignalMachine as _, WorkloadSet};
+use triarch_kernels::{
+    CornerTurnWorkload, Kernel, KernelInput, RunCtx, SignalMachine as _, WorkloadSet,
+};
 use triarch_raw::{Raw, RawConfig};
 use triarch_simcore::SimError;
 use triarch_viram::{Viram, ViramConfig};
@@ -47,13 +49,21 @@ fn oversized_workloads_surface_capacity_errors() {
     // 8192x8192 = 256 MB exceeds the configured off-chip memories.
     let w = CornerTurnWorkload::with_dims(8192, 8192, 0).unwrap();
     for arch in [Architecture::Imagine, Architecture::Raw] {
-        let err = arch.machine().unwrap().corner_turn(&w).unwrap_err();
+        let err = arch
+            .machine()
+            .unwrap()
+            .run_with(KernelInput::CornerTurn(&w), RunCtx::default())
+            .unwrap_err();
         assert!(matches!(err, SimError::Capacity { .. }), "{arch}: {err}");
     }
     // VIRAM streams oversized matrices from off chip (Section 4.6), but a
     // single row wider than the on-chip DRAM still cannot be processed.
     let w = CornerTurnWorkload::with_dims(2, 2_000_000, 0).unwrap();
-    let err = Architecture::Viram.machine().unwrap().corner_turn(&w).unwrap_err();
+    let err = Architecture::Viram
+        .machine()
+        .unwrap()
+        .run_with(KernelInput::CornerTurn(&w), RunCtx::default())
+        .unwrap_err();
     assert!(matches!(err, SimError::Capacity { .. }), "viram: {err}");
 }
 
@@ -63,8 +73,18 @@ fn viram_loses_its_advantage_off_chip() {
     // DRAM, VIRAM's corner turn degrades to the off-chip interface and
     // Imagine-class performance.
     let w = CornerTurnWorkload::with_dims(2048, 2048, 0).unwrap();
-    let viram = Architecture::Viram.machine().unwrap().corner_turn(&w).unwrap().cycles;
-    let imagine = Architecture::Imagine.machine().unwrap().corner_turn(&w).unwrap().cycles;
+    let viram = Architecture::Viram
+        .machine()
+        .unwrap()
+        .run_with(KernelInput::CornerTurn(&w), RunCtx::default())
+        .unwrap()
+        .cycles;
+    let imagine = Architecture::Imagine
+        .machine()
+        .unwrap()
+        .run_with(KernelInput::CornerTurn(&w), RunCtx::default())
+        .unwrap()
+        .cycles;
     let ratio = viram.ratio(imagine);
     assert!(ratio > 0.5 && ratio < 2.0, "off-chip VIRAM should be Imagine-class, ratio {ratio:.2}");
 }
@@ -78,8 +98,8 @@ fn workload_scaling_is_monotone() {
         let small = CornerTurnWorkload::with_dims(256, 256, 1).unwrap();
         let large = CornerTurnWorkload::with_dims(512, 512, 1).unwrap();
         let mut m = arch.machine().unwrap();
-        let a = m.corner_turn(&small).unwrap().cycles;
-        let b = m.corner_turn(&large).unwrap().cycles;
+        let a = m.run_with(KernelInput::CornerTurn(&small), RunCtx::default()).unwrap().cycles;
+        let b = m.run_with(KernelInput::CornerTurn(&large), RunCtx::default()).unwrap().cycles;
         let ratio = b.ratio(a);
         assert!(ratio > 2.0, "{arch}: scaling ratio {ratio:.2} too small");
     }
@@ -92,8 +112,8 @@ fn faster_clocks_do_not_change_cycle_counts() {
     let w = WorkloadSet::small(8).unwrap();
     let mut cfg_a = ViramConfig::paper();
     let baseline =
-        Viram::with_config(cfg_a.clone()).unwrap().corner_turn(&w.corner_turn).unwrap().cycles;
+        Viram::with_config(cfg_a.clone()).unwrap().run(Kernel::CornerTurn, &w).unwrap().cycles;
     cfg_a.clock_mhz = 400.0;
-    let faster = Viram::with_config(cfg_a).unwrap().corner_turn(&w.corner_turn).unwrap().cycles;
+    let faster = Viram::with_config(cfg_a).unwrap().run(Kernel::CornerTurn, &w).unwrap().cycles;
     assert_eq!(baseline, faster);
 }
