@@ -129,6 +129,19 @@ test -s target/ci-flame/viram-corner-turn.folded || {
   exit 1
 }
 
+echo "== trace smoke (trace-vs-breakdown drift 0 on all 18 cells) =="
+tr="$(cargo run --release -q -p triarch-bench --bin repro -- trace target/ci-trace --small --quiet)"
+trd="$(echo "$tr" | grep -c "trace-vs-breakdown drift 0$" || true)"
+if [ "$trd" != "18" ]; then
+  echo "expected 18 cells with trace-vs-breakdown drift 0, saw $trd" >&2
+  echo "$tr" >&2
+  exit 1
+fi
+test -s target/ci-trace/viram-corner-turn.trace.json || {
+  echo "Chrome trace files were not written" >&2
+  exit 1
+}
+
 echo "== HTML report smoke (all 18 cells, byte-identical regeneration) =="
 cargo run --release -q -p triarch-bench --bin repro -- \
   report target/ci-report --small --campaigns 2 --jobs 2 --quiet >/dev/null
@@ -200,7 +213,7 @@ serve_fail() {
   exit 1
 }
 cargo run --release -q -p triarch-bench --bin servectl -- \
-  --addr "unix:$serve_sock" --quiet --connect-retries 50 ping \
+  --addr "unix:$serve_sock" --quiet --retries 7 ping \
   || serve_fail "serve daemon never became reachable"
 one_shot="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 2 table3 2>/dev/null)"
 cold="$(servectl submit table3)" || serve_fail "cold table3 submit failed"
@@ -225,7 +238,7 @@ durctl() {
 dur_start() {
   ./target/release/repro serve --addr "unix:$dur_sock" --cache-dir "$dur_cache" --jobs 2 --quiet &
   dur_pid=$!
-  ./target/release/servectl --addr "unix:$dur_sock" --quiet --connect-retries 50 ping \
+  ./target/release/servectl --addr "unix:$dur_sock" --quiet --retries 7 ping \
     || dur_fail "durable daemon never became reachable"
 }
 dur_fail() {
@@ -273,7 +286,7 @@ obs_fail() {
   kill -9 "$obs_pid" 2>/dev/null || true
   exit 1
 }
-./target/release/servectl --addr "unix:$obs_sock" --quiet --connect-retries 50 ping \
+./target/release/servectl --addr "unix:$obs_sock" --quiet --retries 7 ping \
   || obs_fail "observability daemon never became reachable"
 cold="$(obsctl submit table3)" || obs_fail "cold table3 submit failed"
 warm="$(obsctl submit table3)" || obs_fail "warm table3 submit failed"

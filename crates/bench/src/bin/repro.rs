@@ -120,15 +120,15 @@ use std::time::{Duration, Instant};
 
 use triarch_bench::benchjson::{self, BenchCell, BenchReport, SCHEMA_VERSION};
 use triarch_core::arch::Architecture;
-use triarch_core::driver::{self, cell_slug};
+use triarch_core::driver::{self, cell_slug, table_from_folds};
 use triarch_core::experiments::Table3;
 use triarch_core::htmlreport::{self, FoldedCell};
 use triarch_core::roofline::Scorecard;
 use triarch_core::{ablations, chart, dse, experiments, faultsweep, timelinedoc};
 use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
-use triarch_profile::{flamegraph_svg, HostProf, ProfileDiff, WindowDiff, WindowDoc};
-use triarch_simcore::metrics::MetricsReport;
-use triarch_simcore::trace::{export, AggregateSink, RingSink, TeeSink};
+use triarch_profile::{flamegraph_svg, FoldSink, HostProf, ProfileDiff, WindowDiff, WindowDoc};
+use triarch_simcore::metrics::{Metric, MetricsReport};
+use triarch_simcore::trace::{export, RingSink, TeeSink};
 
 /// Events retained per trace file; older events are counted as dropped.
 const RING_CAPACITY: usize = 1 << 18;
@@ -500,27 +500,22 @@ fn collect_folds(
     Ok((folds, workloads, kind))
 }
 
-/// Rebuilds a [`Table3`] from already-simulated folded cells.
-fn table_from_folds(folds: &[FoldedCell]) -> Table3 {
-    Table3::from_runs(folds.iter().map(|c| ((c.arch, c.kernel), c.run.clone())).collect())
-}
-
 /// Runs every machine × kernel pair traced and writes JSON + CSV files.
 fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let dir = Path::new(&opts.trace_dir);
     ensure_dir(dir)?;
-    let workloads = triarch_bench::paper_workloads();
+    let (workloads, _) = select_workloads(opts);
     println!("== Cycle-attribution traces ({}) ==", dir.display());
     for arch in Architecture::ALL {
         let mut machine = arch.machine()?;
         for kernel in Kernel::ALL {
-            let mut sink = TeeSink::new(RingSink::new(RING_CAPACITY), AggregateSink::new());
+            let mut sink = TeeSink::new(RingSink::new(RING_CAPACITY), FoldSink::new());
             let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
             let run = machine.run_with(workloads.input(kernel), ctx)?;
-            let TeeSink { a: ring, b: agg } = sink;
+            let TeeSink { a: ring, b: fold } = sink;
             let dropped = ring.dropped();
             let events = ring.into_events();
-            let trace = agg.into_breakdown();
+            let fold = fold.into_fold();
 
             let base = cell_slug(arch, kernel);
             write_file(
@@ -531,15 +526,12 @@ fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
             // Trace-vs-breakdown agreement: counted spans must reproduce
             // the engine's own tally.
-            let mut max_drift = 0u64;
-            for (category, cycles) in run.breakdown.iter() {
-                max_drift = max_drift.max(cycles.get().abs_diff(trace.get(category)));
-            }
-            max_drift = max_drift.max(run.cycles.get().abs_diff(trace.total()));
+            let drift =
+                run.breakdown_drift(fold.iter().map(|(category, _, cycles)| (category, cycles)));
             println!(
                 "  {base}: {} events ({dropped} dropped from ring), \
-                 {} cycles, trace-vs-breakdown drift {max_drift}",
-                trace.events_observed(),
+                 {} cycles, trace-vs-breakdown drift {drift}",
+                fold.events_observed(),
                 run.cycles.get(),
             );
         }
@@ -637,9 +629,12 @@ fn run_metrics(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             combined.set(&format!("{base}.{name}"), metric.clone());
         }
         // Conservation law: the exported cycle-category counters must
-        // re-add to the engine's total cycle count exactly.
-        let counted = report.counter_sum(cycles_prefix(cell.arch));
-        let drift = counted.abs_diff(run.cycles.get());
+        // re-add to the engine's breakdown and total cycle count exactly.
+        let prefix = cycles_prefix(cell.arch);
+        let drift = run.breakdown_drift(report.iter().filter_map(|(name, metric)| match metric {
+            Metric::Counter(cycles) => Some((name.strip_prefix(prefix)?, *cycles)),
+            _ => None,
+        }));
         println!("  {base}: {} metrics, cycle conservation drift {drift}", report.len());
         prof.record_cell(&base, cell.wall, run.cycles.get());
         cells += 1;

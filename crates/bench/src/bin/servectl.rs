@@ -1,8 +1,7 @@
 //! `servectl` — the command-line client for the `repro -- serve` daemon.
 //!
 //! ```text
-//! servectl [--addr A] [--quiet] [--connect-retries N]
-//!          [--retries N] [--backoff-ms B] <command>
+//! servectl [--addr A] [--quiet] [--retries N] [--backoff-ms B] <command>
 //!
 //! commands:
 //!   submit <driver> [--workload paper|small] [--seed S] [--campaigns N]
@@ -16,11 +15,10 @@
 //!   shutdown   ask the daemon to drain and exit
 //! ```
 //!
-//! `--connect-retries N` keeps its historical fixed-delay behaviour
-//! (N retries, 100 ms apart). `--retries N` switches to the shared
-//! seeded exponential-backoff-with-jitter policy scaled by
-//! `--backoff-ms` (default 100), which also retries typed `queue-full`
-//! rejections — the schedule is deterministic (seed 42), so campaign
+//! `--retries N` retries refused connections and typed `queue-full`
+//! rejections up to N times on the shared seeded
+//! exponential-backoff-with-jitter policy scaled by `--backoff-ms`
+//! (default 100) — the schedule is deterministic (seed 42), so campaign
 //! scripts behave identically run to run.
 //!
 //! `submit` writes the artifact bytes to stdout *verbatim* — byte-for-byte
@@ -63,8 +61,7 @@ struct Options {
     addr: String,
     /// Suppress the stderr hit/miss note.
     quiet: bool,
-    /// The retry policy (from `--connect-retries`, or `--retries` +
-    /// `--backoff-ms`).
+    /// The retry policy (from `--retries` + `--backoff-ms`).
     backoff: Backoff,
     /// The command and its arguments.
     command: Command,
@@ -100,7 +97,6 @@ impl Options {
     fn parse(args: &[String]) -> Result<Options, String> {
         let mut addr = String::from("127.0.0.1:7444");
         let mut quiet = triarch_pool::quiet_from_env();
-        let mut connect_retries = 0u32;
         let mut retries = 0u32;
         let mut backoff_ms = 100u64;
         let mut i = 0;
@@ -117,15 +113,6 @@ impl Options {
                 "--quiet" => {
                     quiet = true;
                     i += 1;
-                }
-                "--connect-retries" => {
-                    let value = args
-                        .get(i + 1)
-                        .ok_or_else(|| String::from("--connect-retries requires a count"))?;
-                    connect_retries = value
-                        .parse()
-                        .map_err(|_| format!("invalid --connect-retries '{value}'"))?;
-                    i += 2;
                 }
                 "--retries" => {
                     let value = args
@@ -148,22 +135,11 @@ impl Options {
                 _ => break,
             }
         }
-        if retries > 0 && connect_retries > 0 {
-            return Err(String::from(
-                "--retries and --connect-retries are alternative policies; give one",
-            ));
-        }
-        let backoff = if retries > 0 {
-            Backoff::exponential(
-                retries,
-                std::time::Duration::from_millis(backoff_ms),
-                BACKOFF_SEED,
-            )
-        } else if connect_retries > 0 {
-            Backoff::fixed(connect_retries, std::time::Duration::from_millis(100))
-        } else {
-            Backoff::none()
-        };
+        let backoff = Backoff::exponential(
+            retries,
+            std::time::Duration::from_millis(backoff_ms),
+            BACKOFF_SEED,
+        );
         let command = args.get(i).map(String::as_str).ok_or_else(|| {
             String::from("expected a command (submit, stats, top, tail, ping, shutdown)")
         })?;
@@ -586,8 +562,7 @@ fn main() {
         Err(msg) => {
             eprintln!("servectl: {msg}");
             eprintln!(
-                "usage: servectl [--addr A] [--quiet] [--connect-retries N] \
-                 [--retries N] [--backoff-ms B] \
+                "usage: servectl [--addr A] [--quiet] [--retries N] [--backoff-ms B] \
                  <submit <driver> [--workload paper|small] [--seed S] [--campaigns N] \
                  [--arch A --kernel K] [--a FILE --b FILE] | stats \
                  | top [--interval MS] [--count N] | tail FILE [--follow] \

@@ -6,7 +6,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use triarch_bench::benchjson::BenchReport;
+use triarch_bench::benchjson::{parse_json, BenchReport};
 
 /// The committed CI baseline artifact at the workspace root.
 fn baseline_path() -> PathBuf {
@@ -133,6 +133,56 @@ fn unwritable_output_paths_fail_fast_with_a_named_path() {
             "selector {selector}: {stderr}"
         );
     }
+}
+
+#[test]
+fn trace_small_traces_the_small_workloads_with_drift_zero() {
+    let dir = tmp("trace-small");
+    let out = repro(&["trace", dir.to_str().unwrap(), "--small", "--quiet"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let ppc = stdout.lines().find(|l| l.trim_start().starts_with("ppc-corner-turn:"));
+    assert!(ppc.is_some_and(|l| l.contains(" 27392 cycles,")), "{stdout}");
+    let clean = stdout.lines().filter(|l| l.ends_with("trace-vs-breakdown drift 0")).count();
+    assert_eq!(clean, 18, "{stdout}");
+}
+
+#[test]
+fn trace_small_writes_a_parseable_chrome_trace_and_csv_per_cell() {
+    let dir = tmp("trace-artifacts");
+    let out = repro(&["trace", dir.to_str().unwrap(), "--small", "--quiet"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let traces: Vec<PathBuf> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.to_string_lossy().ends_with(".trace.json"))
+        .collect();
+    assert_eq!(traces.len(), 18, "{traces:?}");
+    for path in &traces {
+        let json = fs::read_to_string(path).unwrap();
+        let doc = parse_json(&json).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(doc.as_arr().is_some_and(|events| !events.is_empty()), "{}", path.display());
+        let csv_path = path.to_string_lossy().replace(".trace.json", ".csv");
+        let csv = fs::read_to_string(&csv_path).unwrap();
+        assert!(
+            csv.starts_with("kind,track,category,name,start,dur,counted,value\n"),
+            "{csv_path}"
+        );
+        assert!(csv.lines().count() > 1, "{csv_path}");
+    }
+}
+
+#[test]
+fn metrics_small_conserves_cycle_counters_on_every_cell() {
+    let dir = tmp("metrics-small");
+    let out = repro(&["metrics", dir.to_str().unwrap(), "--small", "--quiet"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let clean = stdout.lines().filter(|l| l.ends_with("cycle conservation drift 0")).count();
+    assert_eq!(clean, 18, "{stdout}");
+    let json = fs::read_to_string(dir.join("viram-corner-turn.metrics.json")).unwrap();
+    assert!(json.contains("\"viram.cycles."), "{json}");
+    assert!(dir.join("metrics.prom").is_file());
 }
 
 #[test]
@@ -396,10 +446,11 @@ fn servectl_retry_flags_are_validated() {
         let out = servectl(&args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}: {}", stderr_of(&out));
     }
-    // The two retry policies are alternatives, not composable.
-    let out = servectl(&["--retries", "2", "--connect-retries", "2", "ping"]);
+    // There is one retry policy: `--connect-retries` is not a flag, so it
+    // parses as an unknown command.
+    let out = servectl(&["--connect-retries", "2", "ping"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    assert!(stderr_of(&out).contains("alternative policies"), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("usage: servectl"), "{}", stderr_of(&out));
 }
 
 #[test]
@@ -493,7 +544,7 @@ fn serve_daemon_and_servectl_round_trip_over_a_unix_socket() {
         .unwrap();
 
     let run = || -> Result<(), String> {
-        let ping = servectl(&["--addr", &socket, "--connect-retries", "50", "ping"]);
+        let ping = servectl(&["--addr", &socket, "--retries", "7", "ping"]);
         if !ping.status.success() {
             return Err(format!("ping failed: {}", stderr_of(&ping)));
         }

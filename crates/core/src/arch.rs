@@ -1,13 +1,13 @@
 //! The study's machine registry and the shared cell-dispatch helpers.
 //!
 //! Every driver in this crate — [`crate::experiments`] (Table 3 cells),
-//! [`crate::faultsweep`] (campaign grids), [`crate::tracecheck`]
-//! (breakdown validation), and [`crate::dse`] (design-space sweeps) —
-//! runs the same shape of job: *build a machine, run one kernel on it,
-//! hand back the result*. The [`MachineSpec`] type and its `run_cell`
-//! method are the single source of truth for that dispatch, so the
-//! four drivers construct pool jobs the same way instead of each
-//! repeating the architecture match.
+//! [`crate::faultsweep`] (campaign grids), [`crate::htmlreport`]
+//! (traced cells for folds, timelines and breakdown validation), and
+//! [`crate::dse`] (design-space sweeps) — runs the same shape of job:
+//! *build a machine, run one kernel on it, hand back the result*. The
+//! [`MachineSpec`] type and its `run_cell` method are the single source
+//! of truth for that dispatch, so the four drivers construct pool jobs
+//! the same way instead of each repeating the architecture match.
 //!
 //! All machines here are **`Send`-clean**: engines are plain data
 //! (configuration plus identity; run state is rebuilt inside each
@@ -235,7 +235,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triarch_simcore::trace::AggregateSink;
 
     #[test]
     fn registry_builds_all_machines() {
@@ -321,13 +320,24 @@ mod tests {
 
     #[test]
     fn traced_cell_agrees_with_breakdown() {
+        // Tracing observes a run without perturbing it: the traced run
+        // equals the untraced one, and the counted spans it emitted
+        // re-add to that breakdown with drift 0.
+        use triarch_simcore::trace::{RingSink, TraceEvent};
         let workloads = WorkloadSet::small(42).unwrap();
-        let mut sink = AggregateSink::new();
-        let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
-        let run = MachineSpec::Paper(Architecture::Raw)
-            .run_cell(Kernel::CornerTurn, &workloads, ctx)
-            .unwrap();
-        assert_eq!(run.cycles.get(), sink.into_breakdown().total());
+        let spec = MachineSpec::Paper(Architecture::Raw);
+        let untraced = spec.run_cell(Kernel::CornerTurn, &workloads, RunCtx::default()).unwrap();
+        let mut ring = RingSink::new(1 << 20);
+        let ctx = RunCtx { sink: Some(&mut ring), ..RunCtx::default() };
+        let traced = spec.run_cell(Kernel::CornerTurn, &workloads, ctx).unwrap();
+        assert_eq!(traced.cycles, untraced.cycles);
+        assert_eq!(traced.breakdown, untraced.breakdown);
+        assert_eq!(ring.dropped(), 0);
+        let spans = ring.events().filter_map(|event| match *event {
+            TraceEvent::Span { category, dur, counted: true, .. } => Some((category, dur)),
+            _ => None,
+        });
+        assert_eq!(untraced.breakdown_drift(spans), 0);
     }
 
     #[test]

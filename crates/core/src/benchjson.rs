@@ -320,24 +320,9 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| String::from("unknown"))
 }
 
-/// Escapes a string for JSON embedding (used by every hand-rolled JSON
-/// writer in the workspace, e.g. the serve job encoder).
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for JSON embedding (the bench and timeline artifact
+/// writers and the serve job encoder call it under this name).
+pub use triarch_simcore::metrics::escape_json as escape;
 
 /// A parsed JSON value (the minimal subset the artifact needs).
 #[derive(Debug, Clone, PartialEq)]
@@ -782,6 +767,17 @@ mod tests {
         fresh.jobs = 16;
         fresh.git_rev = String::from("deadbee");
         assert!(compare(&baseline, &fresh, 0.0).is_empty());
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse_json() {
+        // The shared escaper writes tab and CR as `\t` and `\r`; the
+        // parser must read every form it writes back to the same string.
+        let every_control: String = (0u8..0x20).chain([0x7f]).map(char::from).collect();
+        for s in ["plain", "q\"b\\s/", "n\nt\tr\r", "µ-arch ✓", "", &every_control] {
+            let doc = format!("\"{}\"", escape(s));
+            assert_eq!(parse_json(&doc).unwrap(), Json::Str(String::from(s)), "{doc}");
+        }
     }
 
     #[test]

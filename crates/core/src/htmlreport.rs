@@ -55,31 +55,18 @@ pub struct FoldedCell {
 }
 
 impl FoldedCell {
-    /// `|fold total - reported cycles|` — exactly 0 under the
-    /// counted-span contract.
+    /// [`KernelRun::breakdown_drift`] of the fold's per-category totals
+    /// — exactly 0 under the counted-span contract.
     #[must_use]
     pub fn fold_drift(&self) -> u64 {
-        self.fold.total().abs_diff(self.run.cycles.get())
+        self.run.breakdown_drift(self.fold.iter().map(|(category, _, cycles)| (category, cycles)))
     }
 
-    /// Worst per-category disagreement between the windowed occupancy
-    /// sums and the engine's `CycleBreakdown`, including the total —
+    /// [`KernelRun::breakdown_drift`] of the windowed occupancy sums —
     /// exactly 0 under the counted-span contract.
     #[must_use]
     pub fn timeline_drift(&self) -> u64 {
-        let totals = self.timeline.category_totals();
-        let mut drift = self.timeline.total().abs_diff(self.run.cycles.get());
-        let mut categories = 0usize;
-        for (category, cycles) in self.run.breakdown.iter() {
-            if cycles.get() == 0 {
-                continue;
-            }
-            categories += 1;
-            let windowed = totals.get(category).copied().unwrap_or(0);
-            drift = drift.max(windowed.abs_diff(cycles.get()));
-        }
-        // A windowed category the breakdown does not know is also drift.
-        drift.max(totals.len().abs_diff(categories) as u64)
+        self.run.breakdown_drift(self.timeline.category_totals())
     }
 
     /// The cell's `Arch / Kernel` display label.
@@ -355,6 +342,7 @@ mod tests {
     use super::*;
     use crate::experiments::table3;
     use crate::faultsweep;
+    use triarch_simcore::{CycleBreakdown, Cycles};
 
     fn build_inputs() -> (Table3, Scorecard, SweepTable, Vec<FoldedCell>, WorkloadSet) {
         let workloads = WorkloadSet::small(42).unwrap();
@@ -411,6 +399,50 @@ mod tests {
         for (id, _) in SECTIONS {
             assert!(html.contains(&format!("href=\"#{id}\"")), "toc link {id}");
             assert!(html.contains(&format!("<h2 id=\"{id}\"")), "heading {id}");
+        }
+    }
+
+    /// A copy of `cell` whose breakdown charges its first category's
+    /// cycles to its second: the total is unchanged, so only a
+    /// per-category check sees the move. Also returns the cycles moved.
+    fn with_first_category_moved(cell: &FoldedCell) -> (FoldedCell, u64) {
+        let entries: Vec<(String, u64)> =
+            cell.run.breakdown.iter().map(|(c, v)| (c.to_string(), v.get())).collect();
+        let moved = entries[0].1;
+        let mut breakdown = CycleBreakdown::new();
+        breakdown.charge(entries[1].0.clone(), Cycles::new(moved));
+        for (category, cycles) in &entries[1..] {
+            breakdown.charge(category.clone(), Cycles::new(*cycles));
+        }
+        let mut tampered = cell.clone();
+        tampered.run.breakdown = breakdown;
+        (tampered, moved)
+    }
+
+    #[test]
+    fn drifts_see_cycles_moved_between_categories() {
+        let workloads = WorkloadSet::small(42).unwrap();
+        let (folds, _) = collect_folds_jobs(&workloads, 1).unwrap();
+        let mut seen = 0;
+        for cell in folds.iter().filter(|c| c.run.breakdown.len() >= 2) {
+            let (tampered, moved) = with_first_category_moved(cell);
+            assert_eq!(tampered.run.breakdown.total(), cell.run.cycles, "{}", cell.label());
+            assert_eq!(tampered.fold_drift(), moved, "{}", cell.label());
+            assert_eq!(tampered.timeline_drift(), moved, "{}", cell.label());
+            seen += usize::from(moved > 0);
+        }
+        assert!(seen > 0, "no cell had two non-empty categories to move between");
+    }
+
+    #[test]
+    fn drifts_see_a_total_mismatch_alone() {
+        let workloads = WorkloadSet::small(42).unwrap();
+        let (folds, _) = collect_folds_jobs(&workloads, 1).unwrap();
+        for cell in &folds {
+            let mut tampered = cell.clone();
+            tampered.run.cycles = Cycles::new(cell.run.cycles.get() + 7);
+            assert_eq!(tampered.fold_drift(), 7, "{}", cell.label());
+            assert_eq!(tampered.timeline_drift(), 7, "{}", cell.label());
         }
     }
 

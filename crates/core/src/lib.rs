@@ -50,7 +50,6 @@ pub mod parallel;
 pub mod report;
 pub mod roofline;
 pub mod timelinedoc;
-pub mod tracecheck;
 
 pub use arch::Architecture;
 pub use experiments::{figure8, figure9, table1, table2, table3, table4, Table3};

@@ -654,7 +654,12 @@ fn promname(name: &str) -> String {
 }
 
 /// Escapes a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
+///
+/// The workspace's one JSON string escaper: every hand-rolled JSON
+/// writer (metrics, Chrome traces, bench and timeline artifacts, serve
+/// job keys and access-log records) calls it.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -938,5 +943,11 @@ mod tests {
         assert_eq!(fmt_f64(2.0), "2.0");
         assert_eq!(fmt_f64(0.25), "0.25");
         assert_eq!(fmt_f64(0.0), "0.0");
+    }
+
+    #[test]
+    fn json_escapes_special_characters() {
+        assert_eq!(escape_json("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(escape_json("\t\r"), "\\t\\r");
     }
 }

@@ -12,7 +12,9 @@
 //!
 //! * Only **counted** spans contribute (see `TraceEvent::Span`);
 //!   uncounted visualization detail and instant/counter events are
-//!   skipped, exactly as `triarch_trace::aggregate` does.
+//!   skipped. [`Fold`] is the one code path that re-derives per-category
+//!   totals from a trace; `KernelRun::breakdown_drift` checks them
+//!   against the engine's breakdown.
 //! * Leaves are keyed `(category, name)`; weights are summed cycle
 //!   durations.
 //! * Frames are sanitized through [`sanitize_frame`]: any character

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use triarch_profile::{
     flamegraph_svg, is_fold_safe, sanitize_frame, CellProfile, Fold, FoldSink, ProfileDiff,
 };
-use triarch_trace::{aggregate, TraceEvent, TraceSink};
+use triarch_trace::{RingSink, TeeSink, TraceEvent, TraceSink};
 
 /// Label tables used to build arbitrary events from indices (labels
 /// are `&'static str` by design).
@@ -40,12 +40,24 @@ fn cells_of(raw: &[RawCell]) -> Vec<CellProfile> {
         .collect()
 }
 
+/// Hand-sums the durations of counted spans that pass `keep`.
+fn counted_sum(events: &[TraceEvent], keep: impl Fn(&str) -> bool) -> u64 {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Span { category, dur, counted: true, .. } if keep(category) => Some(dur),
+            _ => None,
+        })
+        .sum()
+}
+
 proptest! {
-    /// The fold total equals the aggregate total (both count exactly
-    /// the counted spans), and per-category sums agree too — so the
-    /// collapsed stacks re-add to the engine's `CycleBreakdown`.
+    /// Folding is lossless: the fold total equals the hand-summed
+    /// durations of the counted spans, and each category total equals
+    /// its own counted sum — so the collapsed stacks re-add to the
+    /// engine's `CycleBreakdown`.
     #[test]
-    fn fold_total_matches_aggregate(
+    fn fold_equals_hand_summed_counted_spans(
         raw in proptest::collection::vec(
             (0usize..4, 0usize..5, 0u64..1_000_000, 0u64..10_000, any::<bool>()),
             0..200,
@@ -53,11 +65,11 @@ proptest! {
     ) {
         let events: Vec<TraceEvent> = raw.iter().copied().map(span_of).collect();
         let fold = Fold::from_events(&events);
-        let agg = aggregate(&events);
-        prop_assert_eq!(fold.total(), agg.total());
+        prop_assert_eq!(fold.total(), counted_sum(&events, |_| true));
         for category in CATEGORIES {
-            prop_assert_eq!(fold.category_total(category), agg.get(category));
+            prop_assert_eq!(fold.category_total(category), counted_sum(&events, |c| c == category));
         }
+        prop_assert_eq!(fold.events_observed(), events.len() as u64);
     }
 
     /// Folding is order-independent and the streaming sink matches the
@@ -83,6 +95,29 @@ proptest! {
             sink.record(*e);
         }
         prop_assert_eq!(sink.into_fold(), Fold::from_events(&events));
+    }
+
+    /// A ring teed with a fold — the shape `repro trace` records with —
+    /// folds the whole stream even when the ring evicts: the fold equals
+    /// the batch fold, and its event count equals the ring's retained
+    /// plus dropped events.
+    #[test]
+    fn a_fold_teed_with_a_bounded_ring_sees_the_whole_stream(
+        raw in proptest::collection::vec(
+            (0usize..4, 0usize..5, 0u64..1_000_000, 1u64..10_000, any::<bool>()),
+            0..150,
+        ),
+        capacity in 1usize..64,
+    ) {
+        let events: Vec<TraceEvent> = raw.iter().copied().map(span_of).collect();
+        let mut tee = TeeSink::new(RingSink::new(capacity), FoldSink::new());
+        for e in &events {
+            tee.record(*e);
+        }
+        let TeeSink { a: ring, b: fold } = tee;
+        let fold = fold.into_fold();
+        prop_assert_eq!(fold.events_observed(), ring.len() as u64 + ring.dropped());
+        prop_assert_eq!(fold, Fold::from_events(&events));
     }
 
     /// Sanitization is idempotent, always yields a fold-safe frame,

@@ -28,8 +28,8 @@ pub struct Backoff {
     pub base: Duration,
     /// The exponential growth ceiling.
     pub cap: Duration,
-    /// `Some(seed)` for jittered schedules; `None` for fixed delays.
-    pub seed: Option<u64>,
+    /// The jitter seed.
+    pub seed: u64,
 }
 
 /// splitmix64: a tiny, high-quality 64-bit mixer.
@@ -44,21 +44,14 @@ impl Backoff {
     /// A policy that never retries.
     #[must_use]
     pub fn none() -> Backoff {
-        Backoff { retries: 0, base: Duration::ZERO, cap: Duration::ZERO, seed: None }
-    }
-
-    /// A fixed-delay policy: every retry waits exactly `delay`
-    /// (the historical `--connect-retries` behaviour).
-    #[must_use]
-    pub fn fixed(retries: u32, delay: Duration) -> Backoff {
-        Backoff { retries, base: delay, cap: delay, seed: None }
+        Backoff::exponential(0, Duration::ZERO, 0)
     }
 
     /// A seeded exponential policy with equal jitter, capped at
     /// `base * 64`.
     #[must_use]
     pub fn exponential(retries: u32, base: Duration, seed: u64) -> Backoff {
-        Backoff { retries, base, cap: base.saturating_mul(64), seed: Some(seed) }
+        Backoff { retries, base, cap: base.saturating_mul(64), seed }
     }
 
     /// The wait before retry `attempt` (0-based). Deterministic: the
@@ -67,16 +60,11 @@ impl Backoff {
     pub fn delay(&self, attempt: u32) -> Duration {
         let exp =
             self.base.saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX)).min(self.cap);
-        match self.seed {
-            None => exp,
-            Some(seed) => {
-                // Equal jitter: draw uniformly from [exp/2, exp].
-                let span = exp.as_nanos() as u64 / 2;
-                let draw = splitmix64(seed ^ u64::from(attempt).wrapping_mul(0x1000_0000_01b3));
-                let jitter = if span == 0 { 0 } else { draw % (span + 1) };
-                exp / 2 + Duration::from_nanos(jitter)
-            }
-        }
+        // Equal jitter: draw uniformly from [exp/2, exp].
+        let span = exp.as_nanos() as u64 / 2;
+        let draw = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0x1000_0000_01b3));
+        let jitter = if span == 0 { 0 } else { draw % (span + 1) };
+        exp / 2 + Duration::from_nanos(jitter)
     }
 
     /// The full schedule, one entry per allowed retry. Tests pin this
@@ -90,12 +78,6 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_policy_reproduces_the_historical_connect_retry_loop() {
-        let b = Backoff::fixed(3, Duration::from_millis(100));
-        assert_eq!(b.schedule(), vec![Duration::from_millis(100); 3]);
-    }
 
     #[test]
     fn none_policy_has_an_empty_schedule() {
@@ -129,6 +111,22 @@ mod tests {
         // And differ (somewhere) for a different seed — jitter is real.
         let c = Backoff::exponential(5, Duration::from_millis(100), 43).schedule();
         assert_ne!(a, c);
+    }
+
+    /// The connect budget scripts use (`--retries 7` at the default
+    /// 100 ms base) waits 6.35–12.7 s in total whatever the seed: half
+    /// and all of 100 + 200 + … + 6400 ms, the last step at the cap.
+    #[test]
+    fn seven_retries_at_the_default_base_wait_between_6_35_and_12_7_seconds() {
+        for seed in 0..64 {
+            let schedule = Backoff::exponential(7, Duration::from_millis(100), seed).schedule();
+            assert_eq!(schedule.len(), 7);
+            let total: Duration = schedule.iter().sum();
+            assert!(
+                total >= Duration::from_millis(6_350) && total <= Duration::from_millis(12_700),
+                "seed {seed}: {total:?}"
+            );
+        }
     }
 
     /// The canonical servectl policy (`--retries 5 --backoff-ms 100`,

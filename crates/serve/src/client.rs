@@ -16,16 +16,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-use std::time::Duration;
 
 use crate::backoff::Backoff;
 use crate::protocol::{self, FrameKind};
 use crate::server::{connect, Addr, IO_TIMEOUT};
 use crate::{JobSpec, ServeError};
-
-/// Delay between fixed-policy connection retries (daemon startup races
-/// in CI).
-const RETRY_DELAY: Duration = Duration::from_millis(100);
 
 /// A successfully served job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,14 +60,6 @@ impl Client {
     pub fn with_request_ids(mut self) -> Client {
         self.trace_ids = true;
         self
-    }
-
-    /// Retries refused connections `retries` times (100 ms apart)
-    /// before giving up — tolerates a daemon that is still binding.
-    /// Shorthand for [`Client::with_backoff`] with a fixed policy.
-    #[must_use]
-    pub fn with_connect_retries(self, retries: u32) -> Client {
-        self.with_backoff(Backoff::fixed(retries, RETRY_DELAY))
     }
 
     /// Installs a retry policy. Connect failures and typed `queue-full`

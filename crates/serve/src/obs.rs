@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use triarch_core::benchjson::{parse_json, Json};
 use triarch_profile::fnv1a64;
-use triarch_simcore::metrics::MetricsReport;
+use triarch_simcore::metrics::{escape_json, MetricsReport};
 
 use crate::lock;
 
@@ -238,22 +238,6 @@ pub struct AccessRecord {
     pub phases: PhaseTimes,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl AccessRecord {
     /// Renders the record as one flat JSON object (no trailing newline).
     #[must_use]
@@ -263,8 +247,8 @@ impl AccessRecord {
             "{{\"schema\":{ACCESS_SCHEMA},\"id\":\"{}\",\"driver\":\"{}\",\"key\":\"{:016x}\",\
              \"outcome\":\"{}\",\"bytes_out\":{},\"accept_us\":{},\"queue_us\":{},\
              \"lookup_us\":{},\"build_us\":{},\"persist_us\":{},\"respond_us\":{}}}",
-            escape(&self.id),
-            escape(&self.driver),
+            escape_json(&self.id),
+            escape_json(&self.driver),
             self.key,
             self.outcome,
             self.bytes_out,
@@ -538,6 +522,17 @@ mod tests {
         assert!(AccessRecord::parse(&foreign).unwrap_err().contains("schema 9"));
         let bad_outcome = line.replacen("\"outcome\":\"miss\"", "\"outcome\":\"maybe\"", 1);
         assert!(AccessRecord::parse(&bad_outcome).unwrap_err().contains("maybe"));
+    }
+
+    #[test]
+    fn hostile_strings_stay_on_one_escaped_line() {
+        let mut rec = record();
+        rec.id = String::from("req-\"quoted\"\\");
+        rec.driver = String::from("tab\tcr\rnl\nbell\u{7}");
+        let line = rec.to_json();
+        assert!(!line.chars().any(char::is_control), "{line}");
+        assert!(line.contains("\"driver\":\"tab\\tcr\\rnl\\nbell\\u0007\""), "{line}");
+        assert_eq!(AccessRecord::parse(&line).unwrap(), rec);
     }
 
     #[test]

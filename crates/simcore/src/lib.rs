@@ -18,10 +18,10 @@
 //! - [`MachineInfo`] and [`KernelRun`] — the common result vocabulary
 //!   shared by all machine simulators.
 //!
-//! Tracing support lives in the dependency-free `triarch-trace` crate
-//! (re-exported here as [`trace`]); this crate adds the glue between the
-//! two vocabularies: [`CycleBreakdown::from_trace`] converts trace-derived
-//! totals back into a breakdown, and
+//! Tracing support lives in the `triarch-trace` crate (re-exported here
+//! as [`trace`]); this crate adds the glue between the two vocabularies:
+//! [`KernelRun::breakdown_drift`] checks trace-derived category totals
+//! against a run's breakdown, and
 //! [`DramModel::transfer_observed`](dram::DramModel::transfer_observed)
 //! emits the DRAM model's cost decomposition as uncounted trace spans.
 //!

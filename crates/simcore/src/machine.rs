@@ -1,5 +1,6 @@
 //! Common vocabulary for machine simulators: identity and run results.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use triarch_metrics::MetricsReport;
@@ -95,6 +96,49 @@ impl KernelRun {
         }
         self.ops_per_cycle() / peak_ops_per_cycle
     }
+
+    /// The workspace's one attribution conservation check: the largest
+    /// absolute disagreement, in cycles, between this run and
+    /// independently observed per-category totals.
+    ///
+    /// `observed` may repeat a category (a fold's `(category, name)`
+    /// leaves pass straight in); repeats are summed. The result is the
+    /// maximum of `|cycles - Σ observed|` and, for every category on
+    /// either side, `|breakdown[c] - Σ observed[c]|` — so an observed
+    /// category the breakdown lacks counts as drift too. Exactly 0 under
+    /// the counted-span contract.
+    ///
+    /// ```
+    /// use triarch_simcore::metrics::MetricsReport;
+    /// use triarch_simcore::{CycleBreakdown, Cycles, KernelRun, Verification};
+    ///
+    /// let mut breakdown = CycleBreakdown::new();
+    /// breakdown.charge("memory", Cycles::new(90));
+    /// breakdown.charge("compute", Cycles::new(10));
+    /// let run = KernelRun {
+    ///     cycles: breakdown.total(),
+    ///     breakdown,
+    ///     ops_executed: 0,
+    ///     mem_words: 0,
+    ///     verification: Verification::Unchecked,
+    ///     metrics: MetricsReport::new(),
+    /// };
+    /// assert_eq!(run.breakdown_drift([("memory", 60), ("compute", 10), ("memory", 30)]), 0);
+    /// // Cycles moved between categories keep the total but still drift.
+    /// assert_eq!(run.breakdown_drift([("memory", 80), ("compute", 20)]), 10);
+    /// ```
+    #[must_use]
+    pub fn breakdown_drift<'a>(&self, observed: impl IntoIterator<Item = (&'a str, u64)>) -> u64 {
+        let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
+        for (category, cycles) in observed {
+            *sums.entry(category).or_insert(0) += cycles;
+        }
+        let mut drift = self.cycles.get().abs_diff(sums.values().sum());
+        for (category, cycles) in self.breakdown.iter() {
+            drift = drift.max(cycles.get().abs_diff(sums.remove(category).unwrap_or(0)));
+        }
+        sums.into_values().fold(drift, u64::max)
+    }
 }
 
 impl fmt::Display for KernelRun {
@@ -130,6 +174,28 @@ mod tests {
         assert_eq!(run.ops_per_cycle(), 4.8);
         assert!((run.utilization(48.0) - 0.1).abs() < 1e-12);
         assert_eq!(run.utilization(0.0), 0.0);
+    }
+
+    #[test]
+    fn breakdown_drift_detects_each_kind_of_tampering() {
+        let run = sample_run();
+        let faithful = [("memory", 800), ("compute", 130), ("memory", 70)];
+        assert_eq!(run.breakdown_drift(faithful), 0);
+
+        // A category tampered by k cycles drifts by at least k.
+        let mut tampered = run.clone();
+        tampered.breakdown.charge("compute", Cycles::new(25));
+        assert!(tampered.breakdown_drift(faithful) >= 25);
+
+        // An observed category the breakdown lacks is drift, even when
+        // the totals still agree.
+        let renamed = [("memory", 870), ("dma", 130)];
+        assert_eq!(run.breakdown_drift(renamed), 130);
+
+        // A mismatch in the total alone is drift.
+        let mut short = run.clone();
+        short.cycles = Cycles::new(1_007);
+        assert_eq!(short.breakdown_drift(faithful), 7);
     }
 
     #[test]

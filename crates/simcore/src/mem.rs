@@ -160,25 +160,6 @@ impl WordMemory {
     pub fn as_words(&self) -> &[u32] {
         &self.words
     }
-
-    /// An order-independent FNV-1a digest of the full contents.
-    ///
-    /// Used to compare machine outputs that must be bit-identical
-    /// (e.g. the corner-turn destination matrix).
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        fnv1a(self.words.iter().flat_map(|w| w.to_le_bytes()))
-    }
-}
-
-/// FNV-1a over a byte stream; deterministic across platforms.
-pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -217,15 +198,6 @@ mod tests {
         assert_eq!(m.read_f32(1).unwrap(), -0.5);
         assert_eq!(m.len(), 2);
         assert_eq!(m.size_bytes(), 8);
-    }
-
-    #[test]
-    fn digest_distinguishes_contents() {
-        let a = WordMemory::from_f32(&[1.0, 2.0]);
-        let b = WordMemory::from_f32(&[2.0, 1.0]);
-        assert_ne!(a.digest(), b.digest());
-        let c = WordMemory::from_f32(&[1.0, 2.0]);
-        assert_eq!(a.digest(), c.digest());
     }
 
     #[test]

@@ -81,31 +81,6 @@ impl CycleBreakdown {
         }
     }
 
-    /// Rebuilds a breakdown from per-category totals recovered out of a
-    /// trace (see `triarch-trace`).
-    ///
-    /// This is the bridge used by the trace-vs-breakdown validation: an
-    /// engine's reported breakdown and `CycleBreakdown::from_trace` of its
-    /// own event stream must agree.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use triarch_simcore::trace::{aggregate, RingSink, TraceSink};
-    /// use triarch_simcore::{CycleBreakdown, Cycles};
-    ///
-    /// let mut sink = RingSink::new(16);
-    /// sink.span("m", "memory", "vld", 0, 870);
-    /// sink.span("m", "compute", "vadd", 870, 130);
-    /// let rebuilt = CycleBreakdown::from_trace(&aggregate(sink.events()));
-    /// assert_eq!(rebuilt.get("memory"), Cycles::new(870));
-    /// assert_eq!(rebuilt.total(), Cycles::new(1_000));
-    /// ```
-    #[must_use]
-    pub fn from_trace(trace: &triarch_trace::TraceBreakdown) -> Self {
-        trace.iter().map(|(category, cycles)| (category, Cycles::new(cycles))).collect()
-    }
-
     /// Registers every category as a counter under
     /// `{prefix}.{category}` in `report`.
     ///

@@ -1,9 +1,10 @@
 //! Property-based tests for the shared simulation substrate.
 
 use proptest::prelude::*;
+use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::{
-    AccessPattern, CycleBreakdown, Cycles, DramConfig, DramModel, KernelDemands, ThroughputModel,
-    WordMemory,
+    AccessPattern, CycleBreakdown, Cycles, DramConfig, DramModel, KernelDemands, KernelRun,
+    ThroughputModel, Verification, WordMemory,
 };
 
 proptest! {
@@ -109,27 +110,79 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
-    /// Round trip: a breakdown emitted as counted spans and folded back
-    /// through the trace aggregator reproduces itself exactly.
+    /// Spans that mirror a breakdown charge for charge re-add to it with
+    /// drift 0, whatever the order and repetition of the charges.
     #[test]
-    fn breakdown_survives_the_trace_round_trip(
+    fn mirrored_spans_have_zero_breakdown_drift(
         entries in proptest::collection::vec((0usize..4, 1u64..1000), 0..20),
     ) {
-        use triarch_simcore::trace::{aggregate, TraceEvent};
         let cats = ["memory", "compute", "startup", "stall"];
         let mut bd = CycleBreakdown::new();
-        let mut events = Vec::new();
-        let mut t = 0u64;
+        let mut spans = Vec::new();
         for (cat, v) in &entries {
             bd.charge(cats[*cat], Cycles::new(*v));
-            events.push(TraceEvent::Span {
-                track: "m", category: cats[*cat], name: "n",
-                start: t, dur: *v, counted: true,
-            });
-            t += *v;
+            spans.push((cats[*cat], *v));
         }
-        let recovered = CycleBreakdown::from_trace(&aggregate(&events));
-        prop_assert_eq!(&recovered, &bd);
-        prop_assert_eq!(recovered.total(), Cycles::new(t));
+        let run = run_of(bd);
+        prop_assert_eq!(run.breakdown_drift(spans), 0);
+    }
+
+    /// Tampering one breakdown category by `k` cycles after mirroring it
+    /// drifts by exactly `k`: the category disagrees by `k` while the
+    /// run's total still matches the spans.
+    #[test]
+    fn tampering_one_category_by_k_drifts_by_exactly_k(
+        entries in proptest::collection::vec((0usize..4, 1u64..1000), 1..20),
+        victim in 0usize..4,
+        k in 1u64..10_000,
+    ) {
+        let cats = ["memory", "compute", "startup", "stall"];
+        let mut bd = CycleBreakdown::new();
+        let mut spans = Vec::new();
+        for (cat, v) in &entries {
+            bd.charge(cats[*cat], Cycles::new(*v));
+            spans.push((cats[*cat], *v));
+        }
+        let mut run = run_of(bd);
+        run.breakdown.charge(cats[victim], Cycles::new(k));
+        prop_assert_eq!(run.breakdown_drift(spans), k);
+    }
+
+    /// The drift equals an independent model of its definition: the
+    /// largest of the total's disagreement and every single category's,
+    /// counting categories present on only one side.
+    #[test]
+    fn breakdown_drift_is_the_largest_single_disagreement(
+        charged in proptest::collection::vec(0u64..1000, 4),
+        observed in proptest::collection::vec(0u64..1000, 5),
+        skew in 0u64..2000,
+    ) {
+        // "dma" is observed but never charged.
+        let cats = ["memory", "compute", "startup", "stall", "dma"];
+        let mut bd = CycleBreakdown::new();
+        for (cat, v) in cats.iter().zip(&charged) {
+            bd.charge(*cat, Cycles::new(*v));
+        }
+        let mut run = run_of(bd);
+        run.cycles = Cycles::new(run.cycles.get() + skew);
+
+        let mut expected = run.cycles.get().abs_diff(observed.iter().sum());
+        for (i, seen) in observed.iter().enumerate() {
+            expected = expected.max(charged.get(i).copied().unwrap_or(0).abs_diff(*seen));
+        }
+        let pairs = cats.iter().copied().zip(observed.iter().copied());
+        prop_assert_eq!(run.breakdown_drift(pairs), expected);
+    }
+}
+
+/// A run whose cycle count is its breakdown's total.
+fn run_of(breakdown: CycleBreakdown) -> KernelRun {
+    KernelRun {
+        cycles: breakdown.total(),
+        breakdown,
+        ops_executed: 0,
+        mem_words: 0,
+        verification: Verification::Unchecked,
+        metrics: MetricsReport::new(),
     }
 }

@@ -1,8 +1,8 @@
 //! `triarch-timeline` — cycle-windowed occupancy telemetry.
 //!
-//! Every observability layer before this one (trace aggregation, metrics,
-//! folded profiles) sums time *away*: it can say a run spent 40% of its
-//! cycles on `memory`, but not *when*. This crate adds the time axis back
+//! Every observability layer before this one (metrics, folded profiles)
+//! sums time *away*: it can say a run spent 40% of its cycles on
+//! `memory`, but not *when*. This crate adds the time axis back
 //! while keeping the workspace's conservation discipline: a
 //! [`TimelineSink`] implements [`triarch_trace::TraceSink`] and buckets
 //! every **counted** span into fixed-size cycle windows, producing a
@@ -23,7 +23,8 @@
 //!
 //! **Conservation.** Summing a category's series over all windows (and
 //! tracks) reproduces the engine's `CycleBreakdown` entry for that
-//! category exactly — drift 0, the same law the trace aggregator pins.
+//! category exactly — drift 0 under `KernelRun::breakdown_drift`, the
+//! same check a trace fold passes.
 //!
 //! Uncounted spans (overlap-hidden work, the DRAM transfer decomposition
 //! emitted by `triarch-simcore`) are kept in a separate *detail* plane:

@@ -26,7 +26,7 @@ pub enum TraceEvent {
         /// per-category sums of counted spans reproduce the engine's
         /// `CycleBreakdown`. Uncounted spans are visualization-only detail
         /// (overlap-hidden work, DRAM transfer decomposition) and are
-        /// skipped by [`crate::aggregate`].
+        /// skipped by every per-category fold.
         counted: bool,
     },
     /// A zero-duration marker, e.g. a phase boundary or TLB miss.

@@ -11,24 +11,9 @@
 
 use std::fmt::Write as _;
 
-use crate::event::TraceEvent;
+use triarch_metrics::escape_json;
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+use crate::event::TraceEvent;
 
 /// Stable first-seen ordering of track names -> Chrome `tid`s.
 fn track_table<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Vec<&'static str> {
@@ -71,7 +56,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         out.push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":");
         let _ = write!(out, "{tid}");
         out.push_str(",\"args\":{\"name\":\"");
-        push_json_escaped(&mut out, track);
+        out.push_str(&escape_json(track));
         out.push_str("\"}}");
     }
 
@@ -81,9 +66,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         match *event {
             TraceEvent::Span { category, name, start, dur, counted, .. } => {
                 out.push_str("{\"ph\":\"X\",\"name\":\"");
-                push_json_escaped(&mut out, name);
+                out.push_str(&escape_json(name));
                 out.push_str("\",\"cat\":\"");
-                push_json_escaped(&mut out, category);
+                out.push_str(&escape_json(category));
                 let _ = write!(
                     out,
                     "\",\"pid\":0,\"tid\":{tid},\"ts\":{start},\"dur\":{dur},\
@@ -92,14 +77,14 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             }
             TraceEvent::Instant { name, at, .. } => {
                 out.push_str("{\"ph\":\"i\",\"name\":\"");
-                push_json_escaped(&mut out, name);
+                out.push_str(&escape_json(name));
                 let _ = write!(out, "\",\"pid\":0,\"tid\":{tid},\"ts\":{at},\"s\":\"t\"}}");
             }
             TraceEvent::Counter { name, at, value, .. } => {
                 out.push_str("{\"ph\":\"C\",\"name\":\"");
-                push_json_escaped(&mut out, name);
+                out.push_str(&escape_json(name));
                 let _ = write!(out, "\",\"pid\":0,\"tid\":{tid},\"ts\":{at},\"args\":{{\"");
-                push_json_escaped(&mut out, name);
+                out.push_str(&escape_json(name));
                 let _ = write!(out, "\":{value}}}}}");
             }
         }
@@ -229,9 +214,29 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        let mut s = String::new();
-        push_json_escaped(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        // Every label position — thread name, span name and category,
+        // instant name, counter name and its args key — is escaped.
+        let events = [
+            TraceEvent::Span {
+                track: "t\"rk",
+                category: "c\\at",
+                name: "a\nb",
+                start: 0,
+                dur: 1,
+                counted: true,
+            },
+            TraceEvent::Instant { track: "t\"rk", name: "i\u{1}", at: 1 },
+            TraceEvent::Counter { track: "t\"rk", name: "k\tv", at: 2, value: 1.0 },
+        ];
+        let json = chrome_trace_json(&events);
+        assert!(json.contains("\"args\":{\"name\":\"t\\\"rk\"}"), "{json}");
+        assert!(json.contains("\"name\":\"a\\nb\",\"cat\":\"c\\\\at\""), "{json}");
+        assert!(json.contains("\"name\":\"i\\u0001\""), "{json}");
+        assert!(json.contains("\"name\":\"k\\tv\""), "{json}");
+        assert!(json.contains("\"args\":{\"k\\tv\":1}"), "{json}");
+        // No raw control character survives: one record per line.
+        assert!(!json.chars().any(|c| c != '\n' && c.is_control()), "{json}");
+        assert_eq!(json.lines().filter(|l| l.starts_with('{')).count(), 1 + events.len());
     }
 
     #[test]

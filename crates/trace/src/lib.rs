@@ -9,9 +9,10 @@
 //! simulators report those attributions as [`CycleBreakdown`]-style tallies
 //! maintained by hand inside each engine. This crate provides the
 //! *independent* evidence stream: engines emit cycle-stamped events into a
-//! [`TraceSink`], and an [`aggregate`] pass folds the event stream back into
-//! per-category totals that must reproduce each machine's reported
-//! breakdown. Tallies become checkable artifacts instead of trusted
+//! [`TraceSink`]. Folding the counted spans (`triarch-profile`'s
+//! `FoldSink`) yields per-category totals that must reproduce each
+//! machine's reported breakdown, which `KernelRun::breakdown_drift`
+//! checks. Tallies become checkable artifacts instead of trusted
 //! constants.
 //!
 //! [`CycleBreakdown`]: https://docs.rs/triarch-simcore
@@ -31,7 +32,7 @@
 //!   equal the engine's breakdown exactly. Uncounted spans carry extra
 //!   detail — work hidden under an overlap region, or the DRAM model's
 //!   decomposition of a transfer it already charged — and are excluded from
-//!   aggregation so nothing is double counted.
+//!   the per-category totals so nothing is double counted.
 //! * **Exporters** are hand-rolled (no serde, per the workspace dependency
 //!   policy): [`export::chrome_trace_json`] emits Chrome `trace_event` JSON
 //!   loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev),
@@ -40,28 +41,31 @@
 //! ## Quick example
 //!
 //! ```
-//! use triarch_trace::{aggregate, RingSink, TraceSink};
+//! use triarch_trace::{RingSink, TraceEvent, TraceSink};
 //!
 //! let mut sink = RingSink::new(1024);
 //! sink.span("viram.mem", "memory", "vld.strided", 0, 120);
 //! sink.span("viram.mem", "precharge", "row-overhead", 120, 30);
 //! sink.span_uncounted("viram.detail", "memory", "dram-data", 0, 100);
-//! let agg = aggregate(sink.events());
-//! assert_eq!(agg.get("memory"), 120); // uncounted detail not double counted
-//! assert_eq!(agg.get("precharge"), 30);
-//! assert_eq!(agg.total(), 150);
+//! let counted: u64 = sink
+//!     .events()
+//!     .filter_map(|e| match *e {
+//!         TraceEvent::Span { dur, counted: true, .. } => Some(dur),
+//!         _ => None,
+//!     })
+//!     .sum();
+//! assert_eq!(counted, 150); // uncounted detail not double counted
+//! assert_eq!(sink.len(), 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod agg;
 mod event;
 pub mod export;
 mod ring;
 mod sink;
 
-pub use agg::{aggregate, AggregateSink, TraceBreakdown};
 pub use event::TraceEvent;
 pub use ring::RingSink;
 pub use sink::{NullSink, TeeSink, TraceSink};

@@ -9,8 +9,8 @@ use crate::sink::TraceSink;
 /// counting (rather than storing) anything older.
 ///
 /// Paper-scale kernels emit hundreds of thousands of events; the ring bounds
-/// memory for export while [`crate::AggregateSink`] handles unbounded exact
-/// aggregation separately.
+/// memory for export, while a streaming fold (tee'd alongside with
+/// [`crate::TeeSink`]) keeps exact per-category totals.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     buf: VecDeque<TraceEvent>,

@@ -92,7 +92,7 @@ impl TraceSink for NullSink {
 }
 
 /// Forwards every event to two sinks, e.g. a bounded [`crate::RingSink`]
-/// for export plus an [`crate::AggregateSink`] for validation.
+/// for export plus a folding sink for validation.
 #[derive(Debug, Clone, Default)]
 pub struct TeeSink<A, B> {
     /// First receiver.

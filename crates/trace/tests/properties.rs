@@ -1,7 +1,7 @@
-//! Property-based tests: trace aggregation must be lossless.
+//! Property-based tests: sinks must account for every event.
 
 use proptest::prelude::*;
-use triarch_trace::{aggregate, AggregateSink, RingSink, TeeSink, TraceEvent, TraceSink};
+use triarch_trace::{RingSink, TeeSink, TraceEvent, TraceSink};
 
 /// Category label table used to build arbitrary events from indices
 /// (event labels are `&'static str` by design).
@@ -21,62 +21,10 @@ fn span_of((t, c, start, dur, counted): (usize, usize, u64, u64, bool)) -> Trace
 }
 
 proptest! {
-    /// Aggregation is lossless: the total equals the sum of counted span
-    /// durations, and each category total equals its own counted sum.
-    #[test]
-    fn aggregation_is_lossless(
-        raw in proptest::collection::vec(
-            (0usize..3, 0usize..4, 0u64..1_000_000, 0u64..10_000, any::<bool>()),
-            0..200,
-        )
-    ) {
-        let events: Vec<TraceEvent> = raw.iter().copied().map(span_of).collect();
-        let agg = aggregate(&events);
-        let counted_sum: u64 = events
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEvent::Span { dur, counted: true, .. } => Some(dur),
-                _ => None,
-            })
-            .sum();
-        prop_assert_eq!(agg.total(), counted_sum);
-        for category in CATEGORIES {
-            let per_cat: u64 = events
-                .iter()
-                .filter_map(|e| match *e {
-                    TraceEvent::Span { category: c, dur, counted: true, .. }
-                        if c == category => Some(dur),
-                    _ => None,
-                })
-                .sum();
-            prop_assert_eq!(agg.get(category), per_cat);
-        }
-    }
-
-    /// Aggregation is order-independent: any rotation of the event stream
-    /// produces the same per-category totals.
-    #[test]
-    fn aggregation_is_order_independent(
-        raw in proptest::collection::vec(
-            (0usize..3, 0usize..4, 0u64..1_000_000, 0u64..10_000, any::<bool>()),
-            1..100,
-        ),
-        rot in 0usize..100,
-    ) {
-        let events: Vec<TraceEvent> = raw.iter().copied().map(span_of).collect();
-        let mut rotated = events.clone();
-        rotated.rotate_left(rot % events.len());
-        let a = aggregate(&events);
-        let b = aggregate(&rotated);
-        prop_assert_eq!(a.total(), b.total());
-        for category in CATEGORIES {
-            prop_assert_eq!(a.get(category), b.get(category));
-        }
-    }
-
-    /// The streaming aggregator sees exactly what the batch aggregator
-    /// sees, and a tee delivers every event to both arms: retained ring
-    /// events plus dropped count account for the full stream.
+    /// A tee delivers every event to both arms: a bounded ring's
+    /// retained events plus its dropped count account for the full
+    /// stream and it keeps the most recent ones, while an arm large
+    /// enough for the whole stream holds it verbatim.
     #[test]
     fn streaming_tee_and_ring_account_for_every_event(
         raw in proptest::collection::vec(
@@ -85,15 +33,16 @@ proptest! {
         ),
         capacity in 1usize..64,
     ) {
-        let mut tee = TeeSink::new(RingSink::new(capacity), AggregateSink::new());
-        for &tuple in &raw {
-            tee.record(span_of(tuple));
-        }
-        let TeeSink { a: ring, b: agg } = tee;
-        prop_assert_eq!(ring.len() as u64 + ring.dropped(), raw.len() as u64);
-        let streaming = agg.into_breakdown();
         let events: Vec<TraceEvent> = raw.iter().copied().map(span_of).collect();
-        let batch = aggregate(&events);
-        prop_assert_eq!(streaming, batch);
+        let mut tee = TeeSink::new(RingSink::new(capacity), RingSink::new(events.len()));
+        for &event in &events {
+            tee.record(event);
+        }
+        let TeeSink { a: ring, b: full } = tee;
+        prop_assert_eq!(ring.len() as u64 + ring.dropped(), raw.len() as u64);
+        let kept = events.len().min(capacity);
+        prop_assert_eq!(ring.into_events(), events[events.len() - kept..].to_vec());
+        prop_assert_eq!(full.dropped(), 0);
+        prop_assert_eq!(full.into_events(), events);
     }
 }

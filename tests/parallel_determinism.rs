@@ -4,11 +4,11 @@
 //! in submission order regardless of worker count, so every report the
 //! drivers render must be *byte-identical* at `jobs = 1` (which bypasses
 //! the pool entirely) and at any higher worker count. These tests pin
-//! that contract for Table 3, the trace checker, the fault sweep, the
-//! ablation report, and the design-space sweep, plus the pool's own
-//! bookkeeping invariants as seen through the drivers.
+//! that contract for Table 3, the traced grid (folds and timelines), the
+//! fault sweep, the ablation report, and the design-space sweep, plus
+//! the pool's own bookkeeping invariants as seen through the drivers.
 
-use triarch_core::{ablations, dse, experiments, faultsweep, tracecheck};
+use triarch_core::{ablations, dse, experiments, faultsweep, htmlreport};
 use triarch_kernels::{Kernel, WorkloadSet};
 
 const SEED: u64 = 42;
@@ -49,17 +49,22 @@ fn table3_is_byte_identical_at_every_worker_count() {
 }
 
 #[test]
-fn tracecheck_is_byte_identical_at_every_worker_count() {
+fn traced_grid_is_byte_identical_at_every_worker_count() {
     let workloads = WorkloadSet::small(SEED).unwrap();
-    let serial = tracecheck::check_all(&workloads).unwrap();
+    let (serial, _) = htmlreport::collect_folds_jobs(&workloads, 1).unwrap();
     for jobs in WORKER_COUNTS {
-        let (parallel, _) = tracecheck::check_all_jobs(&workloads, jobs).unwrap();
+        let (parallel, stats) = htmlreport::collect_folds_jobs(&workloads, jobs).unwrap();
+        assert_eq!(stats.jobs, 18, "6 machines x 3 kernels");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.arch, p.arch);
-            assert_eq!(s.kernel, p.kernel);
-            assert_eq!(s.run.cycles, p.run.cycles, "{} / {}", s.arch, s.kernel);
-            assert_eq!(s.max_drift(), p.max_drift(), "{} / {}", s.arch, s.kernel);
+            let label = s.label();
+            assert_eq!(label, p.label(), "cell order diverged at jobs={jobs}");
+            assert_eq!(s.run.cycles, p.run.cycles, "{label} at jobs={jobs}");
+            assert_eq!(s.run.breakdown, p.run.breakdown, "{label} at jobs={jobs}");
+            assert_eq!(s.fold, p.fold, "{label} at jobs={jobs}");
+            assert_eq!(s.timeline.render_csv(), p.timeline.render_csv(), "{label} at jobs={jobs}");
+            assert_eq!(s.fold_drift(), p.fold_drift(), "{label} at jobs={jobs}");
+            assert_eq!(s.timeline_drift(), p.timeline_drift(), "{label} at jobs={jobs}");
         }
     }
 }

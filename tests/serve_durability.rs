@@ -300,11 +300,6 @@ fn retry_schedules_are_deterministic_and_pinned() {
     let schedule = Backoff::exponential(3, Duration::from_millis(100), 42).schedule();
     let nanos: Vec<u128> = schedule.iter().map(Duration::as_nanos).collect();
     assert_eq!(nanos, vec![66_130_230, 189_038_237, 381_112_060]);
-    // The fixed policy reproduces the historical --connect-retries loop.
-    assert_eq!(
-        Backoff::fixed(2, Duration::from_millis(100)).schedule(),
-        vec![Duration::from_millis(100); 2],
-    );
 }
 
 #[test]
@@ -376,10 +371,21 @@ fn spawn_daemon(args: &[&str]) -> Child {
         .unwrap()
 }
 
+/// A client for a daemon subprocess that may still be binding its
+/// socket: it retries on servectl's `--retries 7` schedule (6.35–12.7 s
+/// in total).
+fn dial(addr: &str) -> Client {
+    Client::new(parse_addr(addr).unwrap()).with_backoff(Backoff::exponential(
+        7,
+        Duration::from_millis(100),
+        42,
+    ))
+}
+
 /// Sends the daemon subprocess a shutdown via the client and reaps it,
 /// returning its captured stderr.
 fn shutdown_daemon(child: Child, addr: &str) -> String {
-    let client = Client::new(parse_addr(addr).unwrap()).with_connect_retries(50);
+    let client = dial(addr);
     client.shutdown().unwrap();
     let output = child.wait_with_output().unwrap();
     String::from_utf8_lossy(&output.stderr).into_owned()
@@ -396,7 +402,7 @@ fn sigkilled_daemon_restarts_with_byte_identical_warm_responses() {
     // First life: compute one cell cold, then SIGKILL mid-campaign
     // while a second (background) job may still be inflight.
     let child = spawn_daemon(&["--addr", &sock, "--cache-dir", cache.to_str().unwrap()]);
-    let client = Client::new(parse_addr(&sock).unwrap()).with_connect_retries(100);
+    let client = dial(&sock);
     let cold = client.submit(&spec).unwrap();
     assert!(!cold.hit);
     let background = {
@@ -413,7 +419,7 @@ fn sigkilled_daemon_restarts_with_byte_identical_warm_responses() {
     // loads whatever had finished (the table3 cell for sure, the
     // background flame job only if it landed before the kill).
     let child = spawn_daemon(&["--addr", &sock, "--cache-dir", cache.to_str().unwrap()]);
-    let client = Client::new(parse_addr(&sock).unwrap()).with_connect_retries(100);
+    let client = dial(&sock);
     let stats = client.stats().unwrap();
     assert_stats_line(&stats, "triarch_serve_persist_skipped_corrupt 0");
     let loaded = stats
@@ -442,7 +448,7 @@ fn shutdown_flushes_and_fsyncs_the_access_log() {
     let log = dir.join("access.jsonl");
     let sock = format!("unix:{}", dir.join("daemon.sock").display());
     let mut child = spawn_daemon(&["--addr", &sock, "--access-log", log.to_str().unwrap()]);
-    let client = Client::new(parse_addr(&sock).unwrap()).with_connect_retries(100);
+    let client = dial(&sock);
     let cold = client.submit(&flame_job(Kernel::CornerTurn)).unwrap();
     assert!(!cold.hit);
     let warm = client.submit(&flame_job(Kernel::CornerTurn)).unwrap();
@@ -520,7 +526,7 @@ fn quiet_silences_recovery_and_degraded_logging() {
     let sock = format!("unix:{}", dir.join("recover.sock").display());
     let child =
         spawn_daemon(&["--addr", &sock, "--cache-dir", good_cache.to_str().unwrap(), "--quiet"]);
-    let client = Client::new(parse_addr(&sock).unwrap()).with_connect_retries(100);
+    let client = dial(&sock);
     client.submit(&flame_job(Kernel::CornerTurn)).unwrap();
     let stderr = shutdown_daemon(child, &sock);
     assert!(stderr.is_empty(), "--quiet must cover recovery logging, got:\n{stderr}");

@@ -1,45 +1,60 @@
 //! Trace-driven breakdown validation at paper scale.
 //!
-//! Every machine × kernel pair runs on the paper-sized workloads with an
-//! aggregating trace sink attached. The counted spans each engine emits
-//! must reproduce its hand-tallied `CycleBreakdown` within 1% of total
-//! cycles (in practice: exactly), and the §4.2–4.4 attribution
+//! Every machine × kernel pair runs on the paper-sized workloads through
+//! the same traced grid the HTML report ships
+//! (`htmlreport::collect_folds_jobs`). The counted spans each engine
+//! emits must reproduce its hand-tallied `CycleBreakdown` within 1% of
+//! total cycles (in practice: exactly), and the §4.2–4.4 attribution
 //! percentages the paper's narrative rests on must be recoverable from
-//! the event stream alone.
+//! the folded event stream alone.
 
-use triarch_core::tracecheck::{self, TraceCheck};
+use std::sync::OnceLock;
+
+use triarch_core::htmlreport::{self, FoldedCell};
 use triarch_core::Architecture;
 use triarch_kernels::{Kernel, WorkloadSet};
 
 const SEED: u64 = 42;
 
+/// The paper-scale traced grid, simulated once and shared by every test
+/// in this file.
+fn grid() -> &'static [FoldedCell] {
+    static GRID: OnceLock<Vec<FoldedCell>> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let workloads = WorkloadSet::paper(SEED).unwrap();
+        htmlreport::collect_folds_jobs(&workloads, 1).unwrap().0
+    })
+}
+
+fn traced(arch: Architecture, kernel: Kernel) -> &'static FoldedCell {
+    grid().iter().find(|c| c.arch == arch && c.kernel == kernel).unwrap()
+}
+
+/// Fraction of the cell's folded cycles charged to `category`.
+fn fraction(cell: &FoldedCell, category: &str) -> f64 {
+    cell.fold.category_total(category) as f64 / cell.fold.total() as f64
+}
+
 #[test]
 fn trace_totals_match_breakdowns_within_one_percent() {
-    let workloads = WorkloadSet::paper(SEED).unwrap();
-    let checks = tracecheck::check_all(&workloads).unwrap();
-    assert_eq!(checks.len(), 18, "6 machines x 3 kernels");
-    for check in &checks {
+    let cells = grid();
+    assert_eq!(cells.len(), 18, "6 machines x 3 kernels");
+    for cell in cells {
+        let drift = cell.fold_drift();
         assert!(
-            check.agrees_within(0.01),
-            "{} / {}: drift {} of {} cycles\nbreakdown: {}\ntrace:     {}",
-            check.arch,
-            check.kernel,
-            check.max_drift(),
-            check.run.cycles.get(),
-            check.run.breakdown,
-            check.trace,
+            drift as f64 <= 0.01 * cell.run.cycles.get() as f64,
+            "{}: drift {drift} of {} cycles\nbreakdown: {}\nfold:\n{}",
+            cell.label(),
+            cell.run.cycles.get(),
+            cell.run.breakdown,
+            cell.fold.render_collapsed(cell.arch.name(), cell.kernel.name()),
         );
         // The engines mirror every charge as a counted span, so in
         // practice agreement is exact, not merely within tolerance.
-        assert_eq!(check.max_drift(), 0, "{} / {}", check.arch, check.kernel);
+        assert_eq!(drift, 0, "{}", cell.label());
         // Tracing must not perturb the simulated result.
-        assert!(check.run.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
+        assert!(cell.run.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
     }
-}
-
-fn traced(arch: Architecture, kernel: Kernel) -> TraceCheck {
-    let workloads = WorkloadSet::paper(SEED).unwrap();
-    tracecheck::check(arch, kernel, &workloads).unwrap()
 }
 
 #[test]
@@ -47,8 +62,8 @@ fn section_4_2_imagine_corner_turn_is_memory_dominated() {
     // Paper §4.2: "about 87% of execution time is spent transferring data
     // between memory and the SRF". Our model lands at ~93% including the
     // precharge/activate share (EXPERIMENTS.md).
-    let check = traced(Architecture::Imagine, Kernel::CornerTurn);
-    let mem = check.trace.fraction("memory") + check.trace.fraction("precharge");
+    let cell = traced(Architecture::Imagine, Kernel::CornerTurn);
+    let mem = fraction(cell, "memory") + fraction(cell, "precharge");
     assert!((0.75..=1.0).contains(&mem), "memory+precharge fraction {mem:.3}");
 }
 
@@ -56,18 +71,22 @@ fn section_4_2_imagine_corner_turn_is_memory_dominated() {
 fn section_4_2_raw_corner_turn_is_issue_bound() {
     // Paper §4.2: "16 instructions per cycle are executed on the Raw
     // tiles, and the static network and DRAM ports are not a bottleneck".
-    let check = traced(Architecture::Raw, Kernel::CornerTurn);
-    let issue = check.trace.fraction("issue");
+    let cell = traced(Architecture::Raw, Kernel::CornerTurn);
+    let issue = fraction(cell, "issue");
     assert!(issue > 0.9, "issue fraction {issue:.3}");
-    assert_eq!(check.trace.get("memory"), 0, "DRAM ports must not surface as a bottleneck");
+    assert_eq!(
+        cell.fold.category_total("memory"),
+        0,
+        "DRAM ports must not surface as a bottleneck"
+    );
 }
 
 #[test]
 fn section_4_3_raw_cslc_memory_stalls_stay_minor() {
     // Paper §4.3: "less than 10% of the execution time is spent on
     // memory stalls".
-    let check = traced(Architecture::Raw, Kernel::Cslc);
-    let stall = check.trace.fraction("stall");
+    let cell = traced(Architecture::Raw, Kernel::Cslc);
+    let stall = fraction(cell, "stall");
     assert!(stall < 0.1, "stall fraction {stall:.3}");
 }
 
@@ -75,7 +94,7 @@ fn section_4_3_raw_cslc_memory_stalls_stay_minor() {
 fn section_4_4_imagine_beam_steering_is_load_store_time() {
     // Paper §4.4: "loads and stores take about 89% of execution time" on
     // Imagine's beam steering.
-    let check = traced(Architecture::Imagine, Kernel::BeamSteering);
-    let mem = check.trace.fraction("memory") + check.trace.fraction("precharge");
+    let cell = traced(Architecture::Imagine, Kernel::BeamSteering);
+    let mem = fraction(cell, "memory") + fraction(cell, "precharge");
     assert!(mem > 0.7, "memory fraction {mem:.3}");
 }
