@@ -58,15 +58,19 @@ cargo test -q --workspace
 
 # The host-time benchmark is its own cargo workspace compiled against the
 # crates' public API, so the workspace steps above never build it.
-echo "== benchmark harness (tests, grid-small smoke) =="
+echo "== benchmark harness (tests, grid-small and serve-mixed smokes) =="
 CARGO_TARGET_DIR=benchmark/target cargo test --offline --manifest-path benchmark/Cargo.toml
-hb="$(CARGO_TARGET_DIR=benchmark/target cargo run --release --offline -q \
-  --manifest-path benchmark/Cargo.toml --bin hostbench -- grid-small --seed 1 --seconds 1)"
-echo "$hb" | tail -n 1 | grep -q '"failed": 0' || {
-  echo "hostbench grid-small reported failed operations" >&2
-  echo "$hb" >&2
-  exit 1
-}
+# serve-mixed drives the daemon's wire frames through the benchmark's
+# own client.
+for workload in grid-small serve-mixed; do
+  hb="$(CARGO_TARGET_DIR=benchmark/target cargo run --release --offline -q \
+    --manifest-path benchmark/Cargo.toml --bin hostbench -- "$workload" --seed 1 --seconds 1)"
+  echo "$hb" | tail -n 1 | grep -q '"failed": 0' || {
+    echo "hostbench $workload reported failed operations" >&2
+    echo "$hb" >&2
+    exit 1
+  }
+done
 
 echo "== repro faultsweep smoke (deterministic, 2 campaigns) =="
 out1="$(cargo run --release -q -p triarch-bench --bin repro -- faultsweep --campaigns 2)"
@@ -288,7 +292,9 @@ obs_fail() {
 }
 ./target/release/servectl --addr "unix:$obs_sock" --quiet --retries 7 ping \
   || obs_fail "observability daemon never became reachable"
-cold="$(obsctl submit table3)" || obs_fail "cold table3 submit failed"
+# Not --quiet: the submit note on stderr ends with the request id.
+cold="$(./target/release/servectl --addr "unix:$obs_sock" submit table3 2> target/ci-obs-note.txt)" \
+  || obs_fail "cold table3 submit failed"
 warm="$(obsctl submit table3)" || obs_fail "warm table3 submit failed"
 # A/B determinism at zero tolerance: with the access log on, the served
 # artifacts are byte-identical to the unlogged one-shot run —
@@ -300,6 +306,11 @@ obsctl shutdown || obs_fail "observability daemon shutdown failed"
 wait "$obs_pid" || obs_fail "observability daemon exited non-zero"
 [ "$(wc -l < "$obs_log")" -eq 2 ] || obs_fail "expected exactly two access-log records"
 sed -n 1p "$obs_log" | grep -q '"outcome":"miss"' || obs_fail "first record is not a miss"
+# The id servectl printed is the id of the request's access-log record.
+note_id="$(sed -n 's/^servectl: cache miss (.*) \(req-[0-9a-f]*-[0-9a-f]*\)$/\1/p' target/ci-obs-note.txt)"
+log_id="$(sed -n '1s/.*"id":"\([^"]*\)".*/\1/p' "$obs_log")"
+[ -n "$note_id" ] && [ "$note_id" = "$log_id" ] \
+  || obs_fail "servectl's request id '$note_id' is not the first access-log record's '$log_id'"
 sed -n 2p "$obs_log" | grep -q '"outcome":"hit"' || obs_fail "second record is not a hit"
 for phase in accept_us queue_us lookup_us build_us persist_us respond_us; do
   [ "$(grep -c "\"$phase\":[0-9]" "$obs_log")" -eq 2 ] \

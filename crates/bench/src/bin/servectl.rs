@@ -23,9 +23,11 @@
 //!
 //! `submit` writes the artifact bytes to stdout *verbatim* — byte-for-byte
 //! what the matching one-shot `repro` selector prints — and notes the
-//! cache disposition (hit or miss) on stderr unless `--quiet` /
-//! `TRIARCH_QUIET=1`. Flame jobs need `--arch` + `--kernel`; profdiff
-//! jobs need `--a` + `--b` (two bench JSON artifacts, sent inline).
+//! cache disposition (hit or miss) and the request id the daemon minted
+//! (the `"id"` of the request's access-log record) on stderr unless
+//! `--quiet` / `TRIARCH_QUIET=1`. Flame jobs need `--arch` + `--kernel`;
+//! profdiff jobs need `--a` + `--b` (two bench JSON artifacts, sent
+//! inline).
 //!
 //! `stats` appends two derived-ratio lines on stderr (suppressed by
 //! `--quiet`): the cache hit ratio (hits + coalesced over all lookups)
@@ -502,10 +504,11 @@ fn run(opts: &Options) -> Result<(), String> {
                     eprintln!("servectl: succeeded after {retries} retries");
                 }
                 eprintln!(
-                    "servectl: cache {} ({} bytes, {})",
+                    "servectl: cache {} ({} bytes, {}) {}",
                     if response.hit { "hit" } else { "miss" },
                     response.body.len(),
                     response.content_type,
+                    response.request_id.as_deref().unwrap_or("-"),
                 );
             }
             print!("{}", response.body);

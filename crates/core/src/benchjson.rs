@@ -206,16 +206,9 @@ fn get_breakdown(obj: &[(String, Json)]) -> Result<BTreeMap<String, u64>, String
     let fields = get(obj, "breakdown")?.as_obj().ok_or("field 'breakdown' must be an object")?;
     let mut out = BTreeMap::new();
     for (category, value) in fields {
-        match value {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {
-                out.insert(category.clone(), *n as u64);
-            }
-            _ => {
-                return Err(format!(
-                    "breakdown category '{category}' must be a non-negative integer"
-                ));
-            }
-        }
+        let cycles =
+            value.as_u64().map_err(|why| format!("breakdown category '{category}' {why}"))?;
+        out.insert(category.clone(), cycles);
     }
     Ok(out)
 }
@@ -341,7 +334,29 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The largest integer a JSON number — an IEEE-754 double — carries
+/// exactly: 2^53 - 1. The text 2^53 + 1 parses to the same double as
+/// 2^53, so a reader that accepted 2^53 could not tell which was sent.
+pub const JSON_EXACT_MAX: u64 = (1 << 53) - 1;
+
 impl Json {
+    /// The value as an exact non-negative integer — the one integer
+    /// reader every JSON decoder in the workspace goes through.
+    ///
+    /// # Errors
+    ///
+    /// A reason worded to follow a field name, for anything but a whole
+    /// number in `0..=`[`JSON_EXACT_MAX`].
+    pub fn as_u64(&self) -> Result<u64, &'static str> {
+        match *self {
+            Json::Num(n) if n > JSON_EXACT_MAX as f64 => {
+                Err("exceeds 2^53 - 1, the largest integer a JSON number carries exactly")
+            }
+            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
+            _ => Err("must be a non-negative integer"),
+        }
+    }
+
     /// The value as an object's field list, or `None` for other kinds.
     #[must_use]
     pub fn as_obj(&self) -> Option<&[(String, Json)]> {
@@ -361,18 +376,43 @@ impl Json {
     }
 }
 
-pub(crate) fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
+/// Looks up a required field of a decoded JSON object — the one field
+/// lookup the typed readers below and [`get_opt`] build on.
+///
+/// # Errors
+///
+/// `missing field '{key}'`.
+pub fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
         .ok_or_else(|| format!("missing field '{key}'"))
 }
 
-pub(crate) fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match get(obj, key)? {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(format!("field '{key}' must be a non-negative integer")),
+/// Reads an optional field with one of the typed readers
+/// ([`get_u64`], [`get_str`]): `Ok(None)` when the object has no `key`.
+///
+/// # Errors
+///
+/// The reader's error when the field is present but mistyped.
+pub fn get_opt<T>(
+    obj: &[(String, Json)],
+    key: &str,
+    read: impl FnOnce(&[(String, Json)], &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match get(obj, key) {
+        Ok(_) => read(obj, key).map(Some),
+        Err(_) => Ok(None),
     }
+}
+
+/// Reads a required integer field through [`Json::as_u64`].
+///
+/// # Errors
+///
+/// A missing field, or `field '{key}'` and [`Json::as_u64`]'s reason.
+pub fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
+    get(obj, key)?.as_u64().map_err(|why| format!("field '{key}' {why}"))
 }
 
 pub(crate) fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
@@ -382,7 +422,12 @@ pub(crate) fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64, String> 
     }
 }
 
-pub(crate) fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
+/// Reads a required string field.
+///
+/// # Errors
+///
+/// A missing field, or `field '{key}' must be a string`.
+pub fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
     match get(obj, key)? {
         Json::Str(s) => Ok(s.clone()),
         _ => Err(format!("field '{key}' must be a string")),
@@ -616,6 +661,11 @@ mod tests {
         let empty_cells = r#"{"schema_version": 1, "git_rev": "x", "workload": "paper",
             "jobs": 1, "wall_seconds": 0.1, "cells": []}"#;
         assert!(BenchReport::parse(empty_cells).unwrap_err().contains("empty"));
+        // A count no JSON number carries exactly is refused, not
+        // saturated to u64::MAX.
+        let huge = sample().render().replace("\"cycles\": 1000,", "\"cycles\": 1e300,");
+        let err = BenchReport::parse(&huge).unwrap_err();
+        assert!(err.contains("cells[1]: field 'cycles' exceeds 2^53 - 1"), "{err}");
     }
 
     /// A reader must refuse artifacts written by a *newer* schema rather
@@ -696,6 +746,20 @@ mod tests {
             violations[0].contains("biggest category drop: dram-port -100 (-16.67%)"),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn json_integers_are_exact_below_2_pow_53() {
+        let read = |text: &str| parse_json(text).unwrap().as_u64();
+        assert_eq!(read("9007199254740991"), Ok(JSON_EXACT_MAX));
+        assert_eq!(read("0"), Ok(0));
+        let exceeds = "exceeds 2^53 - 1, the largest integer a JSON number carries exactly";
+        for text in ["9007199254740992", "9007199254740993", "1e300"] {
+            assert_eq!(read(text), Err(exceeds), "{text}");
+        }
+        for text in ["-1", "1.5", "\"7\"", "true", "null"] {
+            assert_eq!(read(text), Err("must be a non-negative integer"), "{text}");
+        }
     }
 
     #[test]

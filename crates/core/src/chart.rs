@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use triarch_profile::frame_color;
+use triarch_profile::{frame_color, xml_escape};
 use triarch_timeline::Timeline;
 
 /// One bar: a label and a positive value.
@@ -106,21 +106,6 @@ const BAR_H: f64 = 20.0;
 const BAR_GAP: f64 = 6.0;
 /// Vertical space reserved for the chart title.
 const TITLE_H: f64 = 26.0;
-
-fn xml_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders normalized horizontal stacked bars as a self-contained SVG.
 ///

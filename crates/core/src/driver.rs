@@ -31,7 +31,7 @@ use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::SimError;
 
 use crate::arch::{Architecture, MachineSpec};
-use crate::benchjson::{self, escape, parse_json, BenchReport, Json};
+use crate::benchjson::{self, escape, parse_json, BenchReport, JSON_EXACT_MAX};
 use crate::experiments::{self, Table3};
 use crate::htmlreport::{self, FoldedCell};
 use crate::roofline::Scorecard;
@@ -49,11 +49,6 @@ pub const DEFAULT_SEED: u64 = 42;
 
 /// Default fault-injection campaigns per grid cell (`repro --campaigns`).
 pub const DEFAULT_CAMPAIGNS: u64 = 8;
-
-/// The largest integer a JSON number — an IEEE-754 double — carries
-/// exactly. A job's seed and campaign count travel as JSON numbers, so
-/// anything above this would reach the daemon rounded: a different job.
-const JSON_EXACT_MAX: u64 = 1 << 53;
 
 /// The batch drivers a job can request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,8 +210,10 @@ impl JobSpec {
     /// [`SimError::Protocol`] when a required argument is missing
     /// (`flame` without a cell, `profdiff` without artifacts), when an
     /// argument is supplied to a driver that does not take it, when
-    /// `campaigns` is zero, or when `seed` or `campaigns` exceeds 2^53
-    /// and so cannot cross the wire exactly.
+    /// `campaigns` is zero, or when `seed` or `campaigns` exceeds
+    /// [`JSON_EXACT_MAX`] (2^53 - 1) and so cannot cross the wire
+    /// exactly: a seed and a campaign count travel as JSON numbers, so a
+    /// larger one would reach the daemon rounded — a different job.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.campaigns == 0 {
             return Err(SimError::protocol("campaigns must be at least 1"));
@@ -224,7 +221,8 @@ impl JobSpec {
         for (name, value) in [("seed", self.seed), ("campaigns", self.campaigns)] {
             if value > JSON_EXACT_MAX {
                 return Err(SimError::protocol(format!(
-                    "{name} {value} exceeds 2^53, the largest integer a JSON number carries exactly"
+                    "{name} {value} exceeds 2^53 - 1, the largest integer a JSON number carries \
+                     exactly"
                 )));
             }
         }
@@ -336,25 +334,28 @@ impl JobSpec {
     /// `schema`, an unknown driver / workload / arch / kernel name, or a
     /// spec that fails [`validate`](JobSpec::validate).
     pub fn from_json(text: &str) -> Result<JobSpec, SimError> {
-        let root = parse_json(text).map_err(|e| SimError::protocol(format!("job body: {e}")))?;
+        let job_body = |e: String| SimError::protocol(format!("job body: {e}"));
+        let root = parse_json(text).map_err(job_body)?;
         let obj =
             root.as_obj().ok_or_else(|| SimError::protocol("job body must be a JSON object"))?;
-        let schema = field_u64(obj, "schema")?
-            .ok_or_else(|| SimError::protocol("job body: missing field 'schema'"))?;
+        let text_field =
+            |key: &str| benchjson::get_opt(obj, key, benchjson::get_str).map_err(job_body);
+        let int_field =
+            |key: &str| benchjson::get_opt(obj, key, benchjson::get_u64).map_err(job_body);
+        let schema = benchjson::get_u64(obj, "schema").map_err(job_body)?;
         if schema != JOB_SCHEMA_VERSION {
             return Err(SimError::protocol(format!(
                 "unsupported job schema version {schema} (this build speaks {JOB_SCHEMA_VERSION})"
             )));
         }
-        let driver_name = field_str(obj, "driver")?
-            .ok_or_else(|| SimError::protocol("job body: missing field 'driver'"))?;
+        let driver_name = benchjson::get_str(obj, "driver").map_err(job_body)?;
         let driver = DriverKind::from_name(&driver_name).ok_or_else(|| {
             SimError::protocol(format!(
                 "unknown driver '{driver_name}' (expected one of: {})",
                 DriverKind::ALL.map(DriverKind::name).join(" ")
             ))
         })?;
-        let workload = match field_str(obj, "workload")? {
+        let workload = match text_field("workload")? {
             Some(name) => WorkloadKind::from_name(&name).ok_or_else(|| {
                 SimError::protocol(format!(
                     "unknown workload '{name}' (expected 'paper' or 'small')"
@@ -362,7 +363,7 @@ impl JobSpec {
             })?,
             None => WorkloadKind::Paper,
         };
-        let cell = match (field_str(obj, "arch")?, field_str(obj, "kernel")?) {
+        let cell = match (text_field("arch")?, text_field("kernel")?) {
             (Some(a), Some(k)) => {
                 let arch = Architecture::from_name(&a).ok_or_else(|| {
                     SimError::protocol(format!(
@@ -385,7 +386,7 @@ impl JobSpec {
                 ));
             }
         };
-        let artifacts = match (field_str(obj, "artifact_a")?, field_str(obj, "artifact_b")?) {
+        let artifacts = match (text_field("artifact_a")?, text_field("artifact_b")?) {
             (Some(a), Some(b)) => Some((a, b)),
             (None, None) => None,
             _ => {
@@ -397,38 +398,13 @@ impl JobSpec {
         let spec = JobSpec {
             driver,
             workload,
-            seed: field_u64(obj, "seed")?.unwrap_or(DEFAULT_SEED),
-            campaigns: field_u64(obj, "campaigns")?.unwrap_or(DEFAULT_CAMPAIGNS),
+            seed: int_field("seed")?.unwrap_or(DEFAULT_SEED),
+            campaigns: int_field("campaigns")?.unwrap_or(DEFAULT_CAMPAIGNS),
             cell,
             artifacts,
         };
         spec.validate()?;
         Ok(spec)
-    }
-}
-
-/// Reads an optional string field off a decoded JSON object.
-fn field_str(obj: &[(String, Json)], key: &str) -> Result<Option<String>, SimError> {
-    match obj.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-        None => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(SimError::protocol(format!("job body: field '{key}' must be a string"))),
-    }
-}
-
-/// Reads an optional non-negative-integer field off a decoded JSON
-/// object. Numbers above 2^53 are refused rather than cast: the parsed
-/// double no longer names the integer the sender wrote.
-fn field_u64(obj: &[(String, Json)], key: &str) -> Result<Option<u64>, SimError> {
-    match obj.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-        None => Ok(None),
-        Some(Json::Num(n)) if *n > JSON_EXACT_MAX as f64 => Err(SimError::protocol(format!(
-            "job body: field '{key}' exceeds 2^53, the largest integer a JSON number carries exactly"
-        ))),
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
-        Some(_) => Err(SimError::protocol(format!(
-            "job body: field '{key}' must be a non-negative integer"
-        ))),
     }
 }
 
@@ -697,6 +673,13 @@ mod tests {
         let err = JobSpec::from_json(&body).unwrap_err();
         assert!(matches!(err, SimError::Protocol { .. }), "{err}");
         assert!(err.to_string().contains("field 'seed' exceeds 2^53"), "{err}");
+
+        // 2^53 + 1 parses to the double 2^53: refused, not run as a job
+        // with seed 2^53.
+        let body = max.to_json().replace(&JSON_EXACT_MAX.to_string(), "9007199254740993");
+        let err = JobSpec::from_json(&body).unwrap_err();
+        assert!(matches!(err, SimError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("field 'seed' exceeds 2^53 - 1"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_profile::{flamegraph_svg, Fold};
+use triarch_profile::{flamegraph_svg, xml_escape, Fold};
 use triarch_simcore::{KernelRun, SimError};
 use triarch_timeline::{Timeline, DEFAULT_WINDOW};
 
@@ -127,22 +127,8 @@ pub struct ReportInputs<'a> {
     pub workload_kind: &'a str,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 fn pre(out: &mut String, text: &str) {
-    let _ = writeln!(out, "<pre>{}</pre>", escape(text.trim_end()));
+    let _ = writeln!(out, "<pre>{}</pre>", xml_escape(text.trim_end()));
 }
 
 /// Section registry: `(anchor id, heading)` in document order — the
@@ -164,14 +150,14 @@ const SECTIONS: [(&str, &str); 11] = [
 
 fn section(out: &mut String, id: &str) {
     let title = SECTIONS.iter().find(|(i, _)| *i == id).map_or(id, |(_, t)| *t);
-    let _ = writeln!(out, "<h2 id=\"{id}\">{}</h2>", escape(title));
+    let _ = writeln!(out, "<h2 id=\"{id}\">{}</h2>", xml_escape(title));
 }
 
 /// The anchored table of contents (plain deterministic HTML, no JS).
 fn toc(out: &mut String) {
     out.push_str("<nav>\n<ol>\n");
     for (id, title) in SECTIONS {
-        let _ = writeln!(out, "<li><a href=\"#{id}\">{}</a></li>", escape(title));
+        let _ = writeln!(out, "<li><a href=\"#{id}\">{}</a></li>", xml_escape(title));
     }
     out.push_str("</ol>\n</nav>\n");
 }
@@ -202,7 +188,7 @@ pub fn render(inputs: &ReportInputs<'_>) -> Result<String, SimError> {
         "<p>Reproduction of <em>A Performance Analysis of PIM, Stream Processing, \
          and Tiled Processing on Memory-Intensive Signal Processing Kernels</em> \
          (ISCA 2003) &mdash; {} workload set, {} cells.</p>",
-        escape(inputs.workload_kind),
+        xml_escape(inputs.workload_kind),
         inputs.folds.len(),
     );
     out.push_str(
@@ -303,7 +289,7 @@ pub fn render(inputs: &ReportInputs<'_>) -> Result<String, SimError> {
         let _ = writeln!(
             out,
             "<details open><summary>{} &mdash; {} windows, occupancy drift {}</summary>",
-            escape(&cell.label()),
+            xml_escape(&cell.label()),
             cell.timeline.windows(),
             cell.timeline_drift(),
         );
@@ -325,7 +311,7 @@ pub fn render(inputs: &ReportInputs<'_>) -> Result<String, SimError> {
         let _ = writeln!(
             out,
             "<details open><summary>{} &mdash; {} cycles, fold drift {}</summary>",
-            escape(&cell.label()),
+            xml_escape(&cell.label()),
             cell.run.cycles.get(),
             cell.fold_drift(),
         );

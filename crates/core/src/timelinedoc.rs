@@ -114,10 +114,7 @@ pub fn parse_timeline_doc(text: &str) -> Result<WindowDoc, String> {
                 .ok_or("series field 'cycles' must be an array")?;
             let mut windows = Vec::with_capacity(per_window.len());
             for value in per_window {
-                match value {
-                    Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => windows.push(*n as u64),
-                    _ => return Err(String::from("series cycles must be non-negative integers")),
-                }
+                windows.push(value.as_u64().map_err(|why| format!("series cycles {why}"))?);
             }
             series.push(WindowSeries {
                 track: benchjson::get_str(entry, "track")?,

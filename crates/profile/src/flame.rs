@@ -40,8 +40,10 @@ pub fn frame_color(label: &str) -> (u8, u8, u8) {
     (r, g, b)
 }
 
-/// Escapes text for XML attribute and element content.
-fn xml_escape(s: &str) -> String {
+/// Escapes text for XML attribute and element content — the one
+/// escaper behind every SVG and HTML artifact in the workspace.
+#[must_use]
+pub fn xml_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -50,7 +50,7 @@ pub mod hostprof;
 pub mod windowdiff;
 
 pub use diff::{CategoryDelta, CellDelta, CellProfile, ProfileDiff};
-pub use flame::{flamegraph_svg, frame_color};
+pub use flame::{flamegraph_svg, frame_color, xml_escape};
 pub use fold::{is_fold_safe, sanitize_frame, Fold, FoldSink};
 pub use hash::fnv1a64;
 pub use hostprof::{metric_slug, HostProf};

@@ -108,48 +108,17 @@ impl ResultCache {
     }
 
     /// Returns the artifact for `key`, computing it with `build` on a
-    /// miss. The boolean is `true` when the artifact came from the cache
-    /// (stored, or coalesced onto a concurrent computation) and `false`
-    /// when this call computed it.
+    /// miss, with how the lookup was satisfied ([`Lookup`]: the access
+    /// log keeps hits, misses and coalesced waits apart) and the keys the
+    /// LRU bound evicted while publishing this entry (the persistence
+    /// layer drops their segment files so a restart cannot resurrect
+    /// more than `capacity` entries).
     ///
     /// # Errors
     ///
     /// Propagates `build`'s error to this caller and every coalesced
     /// waiter; errors are never stored.
     pub fn get_or_build(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> Result<Artifact, SimError>,
-    ) -> Result<(Arc<Artifact>, bool), SimError> {
-        self.get_or_build_traced(key, build).map(|(artifact, hit, _)| (artifact, hit))
-    }
-
-    /// [`ResultCache::get_or_build`] plus the keys the LRU bound evicted
-    /// while publishing this entry — the persistence layer drops their
-    /// segment files so a restart cannot resurrect more than `capacity`
-    /// entries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error like [`ResultCache::get_or_build`].
-    pub fn get_or_build_traced(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> Result<Artifact, SimError>,
-    ) -> Result<(Arc<Artifact>, bool, Vec<String>), SimError> {
-        self.get_or_build_full(key, build)
-            .map(|(artifact, lookup, evicted)| (artifact, lookup.is_hit(), evicted))
-    }
-
-    /// [`ResultCache::get_or_build_traced`] with the full [`Lookup`]
-    /// disposition instead of the collapsed hit/miss boolean — the
-    /// observability layer records hits, misses, and coalesced waits as
-    /// three distinct outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error like [`ResultCache::get_or_build`].
-    pub fn get_or_build_full(
         &self,
         key: &str,
         build: impl FnOnce() -> Result<Artifact, SimError>,
@@ -311,10 +280,10 @@ mod tests {
             builds.fetch_add(1, Ordering::Relaxed);
             Ok(artifact("table"))
         };
-        let (cold, hit) = cache.get_or_build("k", build).unwrap();
-        assert!(!hit);
-        let (warm, hit) = cache.get_or_build("k", || panic!("must not rebuild")).unwrap();
-        assert!(hit);
+        let (cold, lookup, _) = cache.get_or_build("k", build).unwrap();
+        assert_eq!(lookup, Lookup::Miss);
+        let (warm, lookup, _) = cache.get_or_build("k", || panic!("must not rebuild")).unwrap();
+        assert_eq!(lookup, Lookup::Hit);
         assert_eq!(cold.body, warm.body);
         assert_eq!(builds.load(Ordering::Relaxed), 1);
         let stats = cache.stats();
@@ -328,8 +297,8 @@ mod tests {
         assert_eq!(err, SimError::unsupported("boom"));
         assert_eq!(cache.stats().entries, 0);
         // The next request retries from scratch and can succeed.
-        let (a, hit) = cache.get_or_build("k", || Ok(artifact("ok"))).unwrap();
-        assert!(!hit);
+        let (a, lookup, _) = cache.get_or_build("k", || Ok(artifact("ok"))).unwrap();
+        assert_eq!(lookup, Lookup::Miss);
         assert_eq!(a.body, "ok");
         assert_eq!(cache.stats().misses, 2);
     }
@@ -346,11 +315,12 @@ mod tests {
         assert_eq!((stats.entries, stats.evictions), (2, 1));
         // "b" was evicted: rebuilding it is a miss (which in turn evicts
         // "a", now the least recently used).
-        let (_, hit) = cache.get_or_build("b", || Ok(artifact("b"))).unwrap();
-        assert!(!hit);
+        let (_, lookup, evicted) = cache.get_or_build("b", || Ok(artifact("b"))).unwrap();
+        assert_eq!(lookup, Lookup::Miss);
+        assert_eq!(evicted, vec![String::from("a")]);
         // "c" survived both evictions.
-        let (_, hit) = cache.get_or_build("c", || panic!("cached")).unwrap();
-        assert!(hit);
+        let (_, lookup, _) = cache.get_or_build("c", || panic!("cached")).unwrap();
+        assert_eq!(lookup, Lookup::Hit);
     }
 
     #[test]
@@ -366,23 +336,23 @@ mod tests {
         assert_eq!(overflow, vec![String::from("c")]);
         assert_eq!(cache.stats().entries, 2);
         // Preloaded entries are real hits.
-        let (a, hit) = cache.get_or_build("a", || panic!("preloaded")).unwrap();
-        assert!(hit);
+        let (a, lookup, _) = cache.get_or_build("a", || panic!("preloaded")).unwrap();
+        assert_eq!(lookup, Lookup::Hit);
         assert_eq!(a.body, "a");
         // A duplicate key in a later preload is skipped, not replaced.
         let (installed, overflow) = cache.preload(vec![(String::from("a"), artifact("other"))]);
         assert_eq!((installed, overflow.len()), (0, 0));
-        let (a, _) = cache.get_or_build("a", || panic!("preloaded")).unwrap();
+        let (a, _, _) = cache.get_or_build("a", || panic!("preloaded")).unwrap();
         assert_eq!(a.body, "a");
     }
 
     #[test]
     fn the_full_lookup_distinguishes_hit_miss_and_collapses_correctly() {
         let cache = ResultCache::new(4);
-        let (_, lookup, _) = cache.get_or_build_full("k", || Ok(artifact("x"))).unwrap();
+        let (_, lookup, _) = cache.get_or_build("k", || Ok(artifact("x"))).unwrap();
         assert_eq!(lookup, Lookup::Miss);
         assert!(!lookup.is_hit());
-        let (_, lookup, _) = cache.get_or_build_full("k", || panic!("cached")).unwrap();
+        let (_, lookup, _) = cache.get_or_build("k", || panic!("cached")).unwrap();
         assert_eq!(lookup, Lookup::Hit);
         assert!(lookup.is_hit());
         assert!(Lookup::Coalesced.is_hit(), "coalesced answers as a hit on the wire");
@@ -391,9 +361,9 @@ mod tests {
     #[test]
     fn traced_builds_report_the_keys_the_lru_bound_evicted() {
         let cache = ResultCache::new(1);
-        let (_, _, evicted) = cache.get_or_build_traced("a", || Ok(artifact("a"))).unwrap();
+        let (_, _, evicted) = cache.get_or_build("a", || Ok(artifact("a"))).unwrap();
         assert!(evicted.is_empty());
-        let (_, _, evicted) = cache.get_or_build_traced("b", || Ok(artifact("b"))).unwrap();
+        let (_, _, evicted) = cache.get_or_build("b", || Ok(artifact("b"))).unwrap();
         assert_eq!(evicted, vec![String::from("a")]);
         // The snapshot sees exactly the surviving entry.
         let entries = cache.entries();
@@ -441,10 +411,10 @@ mod tests {
             *held.lock().unwrap() = true;
             cv.notify_all();
         }
-        let (a, owner_hit) = owner.join().unwrap();
-        let (b, waiter_hit) = waiter.join().unwrap();
-        assert!(!owner_hit);
-        assert!(waiter_hit, "coalesced waiter counts as a cache hit");
+        let (a, owner_lookup, _) = owner.join().unwrap();
+        let (b, waiter_lookup, _) = waiter.join().unwrap();
+        assert_eq!(owner_lookup, Lookup::Miss);
+        assert_eq!(waiter_lookup, Lookup::Coalesced, "the waiter parked on the owner's build");
         assert_eq!(a.body, b.body);
         assert_eq!(builds.load(Ordering::Relaxed), 1);
         let stats = cache.stats();

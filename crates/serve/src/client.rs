@@ -3,8 +3,8 @@
 //! One request per connection: each call dials the server, writes one
 //! frame, reads one frame, and closes. Error frames come back as
 //! [`ServeError::Remote`] carrying the server's stable error code, so
-//! callers can distinguish an overloaded daemon (retry later) from a
-//! rejected request (fix the request).
+//! callers can distinguish a saturated daemon (`queue-full`: retry
+//! later) from a rejected request (fix the request).
 //!
 //! Retries run through the one shared [`Backoff`] policy: connect
 //! failures (the daemon has not bound yet) and typed `queue-full`
@@ -31,9 +31,8 @@ pub struct SubmitResponse {
     pub content_type: String,
     /// The artifact bytes, verbatim.
     pub body: String,
-    /// The request id the server minted, echoed only when the client
-    /// opted into the version-2 protocol
-    /// ([`Client::with_request_ids`]); `None` on the default v1 path.
+    /// The request id the server minted for this request — the id its
+    /// access-log record carries.
     pub request_id: Option<String>,
 }
 
@@ -42,24 +41,13 @@ pub struct Client {
     addr: Addr,
     backoff: Backoff,
     attempts: AtomicU64,
-    trace_ids: bool,
 }
 
 impl Client {
     /// A client for `addr` that fails fast on connection errors.
     #[must_use]
     pub fn new(addr: Addr) -> Client {
-        Client { addr, backoff: Backoff::none(), attempts: AtomicU64::new(0), trace_ids: false }
-    }
-
-    /// Opts into the version-2 protocol: requests go out as v2 frames
-    /// and the server echoes its minted request id back in the reply.
-    /// Off by default — the default client emits the exact version-1
-    /// bytes every pre-v2 build emitted.
-    #[must_use]
-    pub fn with_request_ids(mut self) -> Client {
-        self.trace_ids = true;
-        self
+        Client { addr, backoff: Backoff::none(), attempts: AtomicU64::new(0) }
     }
 
     /// Installs a retry policy. Connect failures and typed `queue-full`
@@ -148,11 +136,7 @@ impl Client {
     fn round_trip(&self, kind: FrameKind, body: &[u8]) -> Result<protocol::Frame, ServeError> {
         let mut stream = self.dial()?;
         stream.set_timeouts(IO_TIMEOUT).map_err(|e| ServeError::io(&e))?;
-        if self.trace_ids {
-            protocol::write_frame_v2(&mut stream, kind, None, body)?;
-        } else {
-            protocol::write_frame(&mut stream, kind, body)?;
-        }
+        protocol::write_frame(&mut stream, kind, None, body)?;
         let reply = protocol::read_frame(&mut stream)?;
         if reply.kind == FrameKind::Error {
             return Err(protocol::decode_error(&reply.body));

@@ -32,8 +32,8 @@
 //! * [`backoff`] — the single deterministic seeded
 //!   exponential-backoff-with-jitter retry policy shared by every
 //!   client retry site;
-//! * [`obs`] — request-level observability: minted trace ids echoed on
-//!   the version-2 protocol, the phase-timed JSONL access log
+//! * [`obs`] — request-level observability: minted request ids that
+//!   every reply frame carries, the phase-timed JSONL access log
 //!   (`--access-log`), and the `serve.latency.*` / `serve.phase.*`
 //!   histograms — wall-clock side channels that never touch a
 //!   deterministic artifact.
@@ -73,12 +73,6 @@ pub use triarch_core::driver::{Artifact, DriverKind, JobSpec, WorkloadKind};
 /// decoding, transport, or the simulation itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission refused the request: every worker was busy and the
-    /// request could not (or should not) wait.
-    Overloaded {
-        /// Which resource was exhausted.
-        what: String,
-    },
     /// The bounded admission queue was full; the request was rejected
     /// before any simulation work started, so retrying later is safe.
     QueueFull {
@@ -155,7 +149,6 @@ impl ServeError {
     #[must_use]
     pub fn code(&self) -> &str {
         match self {
-            ServeError::Overloaded { .. } => "overloaded",
             ServeError::QueueFull { .. } => "queue-full",
             ServeError::BadFrame { .. } => "bad-frame",
             ServeError::UnsupportedVersion { .. } => "unsupported-version",
@@ -167,35 +160,11 @@ impl ServeError {
             ServeError::Remote { code, .. } => code,
         }
     }
-
-    /// Maps the serving-layer error onto the workspace's shared
-    /// [`SimError`] vocabulary: admission failures become
-    /// [`SimError::Overloaded`], protocol failures become
-    /// [`SimError::Protocol`], and simulation failures pass through.
-    #[must_use]
-    pub fn into_sim(self) -> SimError {
-        match self {
-            ServeError::Overloaded { .. }
-            | ServeError::QueueFull { .. }
-            | ServeError::ShuttingDown => SimError::overloaded(self.to_string()),
-            ServeError::DeadlineExceeded { millis } => SimError::deadline_exceeded(millis),
-            ServeError::Sim(e) => e,
-            ServeError::Remote { ref code, .. } if code == "overloaded" || code == "queue-full" => {
-                SimError::overloaded(self.to_string())
-            }
-            ServeError::BadFrame { .. }
-            | ServeError::UnsupportedVersion { .. }
-            | ServeError::BadRequest { .. }
-            | ServeError::Io { .. }
-            | ServeError::Remote { .. } => SimError::protocol(self.to_string()),
-        }
-    }
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Overloaded { what } => write!(f, "server overloaded: {what}"),
             ServeError::QueueFull { depth, capacity } => {
                 write!(f, "admission queue full: {depth} waiting of capacity {capacity}")
             }
@@ -235,13 +204,12 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
-    /// Every variant renders a message, exposes a stable code, and maps
-    /// onto the shared `SimError` vocabulary. The match is wildcard-free
-    /// so a new variant breaks this test at compile time.
+    /// Every variant renders a message and exposes a stable code. The
+    /// match is wildcard-free so a new variant breaks this test at
+    /// compile time.
     #[test]
-    fn codes_and_sim_mapping_cover_every_variant() {
+    fn codes_and_messages_cover_every_variant() {
         let samples = [
-            ServeError::Overloaded { what: String::from("x") },
             ServeError::QueueFull { depth: 1, capacity: 1 },
             ServeError::bad_frame("x"),
             ServeError::UnsupportedVersion { got: 9, want: 1 },
@@ -253,29 +221,19 @@ mod tests {
             ServeError::Remote { code: String::from("queue-full"), message: String::from("x") },
         ];
         for e in samples {
-            let (code, overloaded) = match &e {
-                ServeError::Overloaded { .. } => ("overloaded", true),
-                ServeError::QueueFull { .. } => ("queue-full", true),
-                ServeError::BadFrame { .. } => ("bad-frame", false),
-                ServeError::UnsupportedVersion { .. } => ("unsupported-version", false),
-                ServeError::BadRequest { .. } => ("bad-request", false),
-                ServeError::DeadlineExceeded { .. } => ("deadline-exceeded", false),
-                ServeError::ShuttingDown => ("shutting-down", true),
-                ServeError::Io { .. } => ("io", false),
-                ServeError::Sim(_) => ("sim", false),
-                ServeError::Remote { .. } => ("queue-full", true),
+            let code = match &e {
+                ServeError::QueueFull { .. } => "queue-full",
+                ServeError::BadFrame { .. } => "bad-frame",
+                ServeError::UnsupportedVersion { .. } => "unsupported-version",
+                ServeError::BadRequest { .. } => "bad-request",
+                ServeError::DeadlineExceeded { .. } => "deadline-exceeded",
+                ServeError::ShuttingDown => "shutting-down",
+                ServeError::Io { .. } => "io",
+                ServeError::Sim(_) => "sim",
+                ServeError::Remote { .. } => "queue-full",
             };
             assert_eq!(e.code(), code, "{e:?}");
             assert!(!e.to_string().is_empty());
-            let sim = e.clone().into_sim();
-            match (&e, overloaded) {
-                (ServeError::Sim(inner), _) => assert_eq!(&sim, inner),
-                (ServeError::DeadlineExceeded { millis }, _) => {
-                    assert_eq!(sim, SimError::deadline_exceeded(*millis));
-                }
-                (_, true) => assert!(matches!(sim, SimError::Overloaded { .. }), "{e:?} -> {sim}"),
-                (_, false) => assert!(matches!(sim, SimError::Protocol { .. }), "{e:?} -> {sim}"),
-            }
         }
     }
 

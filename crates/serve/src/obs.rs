@@ -24,9 +24,9 @@
 //! Determinism stance: everything here is wall-clock, so it follows the
 //! `HostProf` precedent — an informational side channel only. Nothing
 //! observability-related is ever written into a deterministic artifact;
-//! response *bodies* stay byte-identical with the layer on or off, and
-//! the request-id echo only exists on the version-2 protocol frames a
-//! client explicitly opts into.
+//! response *bodies* stay byte-identical with the layer on or off. The
+//! request id travels outside the body, in every reply frame's id block
+//! ([`crate::protocol`]).
 //!
 //! Failure stance: an access log that cannot be opened or written
 //! degrades the daemon to logging-off with a one-time warning and a
@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use triarch_core::benchjson::{parse_json, Json};
+use triarch_core::benchjson::{get_str, get_u64, parse_json};
 use triarch_profile::fnv1a64;
 use triarch_simcore::metrics::{escape_json, MetricsReport};
 
@@ -125,7 +125,7 @@ pub enum Outcome {
     Miss,
     /// Coalesced onto a concurrent identical computation.
     Coalesced,
-    /// Refused by admission (queue full / overloaded / shutting down).
+    /// Refused by admission (queue full / shutting down).
     Rejected,
     /// The job deadline expired before a result landed.
     Deadline,
@@ -272,43 +272,29 @@ impl AccessRecord {
         let Some(obj) = doc.as_obj() else {
             return Err(String::from("access record is not a JSON object"));
         };
-        let field = |name: &str| {
-            obj.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{name}'"))
-        };
-        let str_field = |name: &str| match field(name)? {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("field '{name}' must be a string")),
-        };
-        let u64_field = |name: &str| match field(name)? {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-            _ => Err(format!("field '{name}' must be a non-negative integer")),
-        };
-        let schema = u64_field("schema")?;
+        let schema = get_u64(obj, "schema")?;
         if schema != u64::from(ACCESS_SCHEMA) {
             return Err(format!("unsupported access-record schema {schema}"));
         }
-        let outcome_text = str_field("outcome")?;
+        let outcome_text = get_str(obj, "outcome")?;
         let outcome = Outcome::parse(&outcome_text)
             .ok_or_else(|| format!("unknown outcome '{outcome_text}'"))?;
-        let key_text = str_field("key")?;
+        let key_text = get_str(obj, "key")?;
         let key = u64::from_str_radix(&key_text, 16)
             .map_err(|_| format!("field 'key' is not 16 hex digits: '{key_text}'"))?;
         Ok(AccessRecord {
-            id: str_field("id")?,
-            driver: str_field("driver")?,
+            id: get_str(obj, "id")?,
+            driver: get_str(obj, "driver")?,
             key,
             outcome,
-            bytes_out: u64_field("bytes_out")?,
+            bytes_out: get_u64(obj, "bytes_out")?,
             phases: PhaseTimes {
-                accept_us: u64_field("accept_us")?,
-                queue_us: u64_field("queue_us")?,
-                lookup_us: u64_field("lookup_us")?,
-                build_us: u64_field("build_us")?,
-                persist_us: u64_field("persist_us")?,
-                respond_us: u64_field("respond_us")?,
+                accept_us: get_u64(obj, "accept_us")?,
+                queue_us: get_u64(obj, "queue_us")?,
+                lookup_us: get_u64(obj, "lookup_us")?,
+                build_us: get_u64(obj, "build_us")?,
+                persist_us: get_u64(obj, "persist_us")?,
+                respond_us: get_u64(obj, "respond_us")?,
             },
         })
     }
@@ -522,6 +508,14 @@ mod tests {
         assert!(AccessRecord::parse(&foreign).unwrap_err().contains("schema 9"));
         let bad_outcome = line.replacen("\"outcome\":\"miss\"", "\"outcome\":\"maybe\"", 1);
         assert!(AccessRecord::parse(&bad_outcome).unwrap_err().contains("maybe"));
+        // A count no JSON number carries exactly is refused, not
+        // saturated to u64::MAX.
+        let huge = line.replacen("\"bytes_out\":4096", "\"bytes_out\":1e300", 1);
+        let err = AccessRecord::parse(&huge).unwrap_err();
+        assert_eq!(
+            err,
+            "field 'bytes_out' exceeds 2^53 - 1, the largest integer a JSON number carries exactly"
+        );
     }
 
     #[test]

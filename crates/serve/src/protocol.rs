@@ -5,23 +5,18 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "TRSV"
-//! 4       1     protocol version (PROTOCOL_V1 or PROTOCOL_VERSION)
+//! 4       1     protocol version (PROTOCOL_VERSION)
 //! 5       1     frame kind (FrameKind)
 //! 6       4     body length, big-endian u32 (<= MAX_FRAME_LEN)
-//! --- version 2 only -------------------------------------------
-//! 10      1     request-id length (0 = no id)
+//! 10      1     request-id length n (0 = no id)
 //! 11      n     request id, UTF-8
-//! --------------------------------------------------------------
-//! 10+e    len   body bytes (e = 0 for v1, 1 + id length for v2)
+//! 11+n    len   body bytes
 //! ```
 //!
-//! Version 2 is a compatible extension of version 1: the ten-byte
-//! header layout is unchanged, and the only addition is a request-id
-//! block between the header and the body. A version-1 frame is exactly
-//! the version-1 bytes it always was — [`write_frame`] still emits
-//! them — so clients that never opt into request IDs see byte-identical
-//! traffic. Servers answer in the version the request arrived in
-//! (a request too broken to carry a version gets a v1 error reply).
+//! Requests carry no id (`n` = 0). Every reply, error replies included,
+//! carries the id the server minted for the request — the id its
+//! access-log record and the daemon's stderr lines carry — so a client
+//! can find its own request in the daemon's logs.
 //!
 //! A connection carries exactly one request frame and one response
 //! frame; the transport is closed afterwards. Bodies are UTF-8:
@@ -34,26 +29,27 @@
 //! * [`FrameKind::Error`] — the error's stable code, a newline, then
 //!   the rendered message.
 //!
-//! Version checks happen before body reads: a frame with a bad magic is
-//! [`ServeError::BadFrame`], a known magic with a version byte this
-//! build does not speak is [`ServeError::UnsupportedVersion`], and both
-//! are answered with a version-1 error frame (which every client can at
-//! least partially decode because the header layout is fixed across
-//! versions).
+//! Frame I/O cost: [`write_frame`] assembles header, id block and body
+//! in one buffer and hands it to the transport in one write, and
+//! [`read_frame`] reads through a `BufReader`, so a small frame costs
+//! one read call on each end.
+//!
+//! Header checks happen before any further read: a bad magic is
+//! [`ServeError::BadFrame`]; any version byte other than
+//! [`PROTOCOL_VERSION`] — version 1, which had no id block, included —
+//! is [`ServeError::UnsupportedVersion`]; an unknown kind byte is
+//! `BadFrame`; and a declared length above [`MAX_FRAME_LEN`] is refused
+//! before anything is allocated. The server answers each with an error
+//! frame.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
 use crate::ServeError;
 
 /// Frame magic: the first four bytes of every triarch-serve message.
 pub const MAGIC: [u8; 4] = *b"TRSV";
 
-/// The original protocol revision: no request-id block.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// The newest protocol revision this build speaks (adds the optional
-/// request-id block). Both [`PROTOCOL_V1`] and this are accepted on
-/// read.
+/// The one protocol revision this build speaks.
 pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Fixed header size in bytes (magic + version + kind + body length).
@@ -118,63 +114,32 @@ impl FrameKind {
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The protocol revision the frame arrived in. Replies mirror it.
-    pub version: u8,
     /// What the frame means.
     pub kind: FrameKind,
-    /// The request id carried by a version-2 frame (request: the id the
-    /// client proposes echoing; response: the id the server minted).
-    /// Always `None` for version 1.
+    /// The request id: `None` on a request, the id the server minted on
+    /// a reply.
     pub request_id: Option<String>,
     /// The frame body (UTF-8 by convention, not enforced here).
     pub body: Vec<u8>,
 }
 
-fn checked_len(body: &[u8]) -> Result<u32, ServeError> {
-    u32::try_from(body.len())
-        .ok()
-        .filter(|len| *len <= MAX_FRAME_LEN)
-        .ok_or_else(|| ServeError::bad_frame(format!("body of {} bytes exceeds limit", body.len())))
-}
-
-fn header_bytes(version: u8, kind: FrameKind, len: u32) -> [u8; HEADER_LEN] {
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = version;
-    header[5] = kind.byte();
-    header[6..].copy_from_slice(&len.to_be_bytes());
-    header
-}
-
-/// Writes one version-1 frame — the exact bytes every pre-v2 build
-/// emitted, so clients that never opt into request IDs stay
-/// byte-identical on the wire.
-///
-/// # Errors
-///
-/// [`ServeError::BadFrame`] when `body` exceeds [`MAX_FRAME_LEN`],
-/// [`ServeError::Io`] on transport failure.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> Result<(), ServeError> {
-    let len = checked_len(body)?;
-    w.write_all(&header_bytes(PROTOCOL_V1, kind, len)).map_err(|e| ServeError::io(&e))?;
-    w.write_all(body).map_err(|e| ServeError::io(&e))?;
-    w.flush().map_err(|e| ServeError::io(&e))?;
-    Ok(())
-}
-
-/// Writes one version-2 frame: the v1 layout plus the request-id block.
+/// Writes one frame — header, id block and body — in a single
+/// `write_all` on `w`, then flushes.
 ///
 /// # Errors
 ///
 /// [`ServeError::BadFrame`] when `body` exceeds [`MAX_FRAME_LEN`] or
 /// the id exceeds 255 bytes, [`ServeError::Io`] on transport failure.
-pub fn write_frame_v2(
+pub fn write_frame(
     w: &mut impl Write,
     kind: FrameKind,
     request_id: Option<&str>,
     body: &[u8],
 ) -> Result<(), ServeError> {
-    let len = checked_len(body)?;
+    let len =
+        u32::try_from(body.len()).ok().filter(|len| *len <= MAX_FRAME_LEN).ok_or_else(|| {
+            ServeError::bad_frame(format!("body of {} bytes exceeds limit", body.len()))
+        })?;
     let id = request_id.unwrap_or("");
     let id_len = u8::try_from(id.len()).map_err(|_| {
         ServeError::bad_frame(format!(
@@ -182,45 +147,30 @@ pub fn write_frame_v2(
             id.len()
         ))
     })?;
-    w.write_all(&header_bytes(PROTOCOL_VERSION, kind, len)).map_err(|e| ServeError::io(&e))?;
-    w.write_all(&[id_len]).map_err(|e| ServeError::io(&e))?;
-    w.write_all(id.as_bytes()).map_err(|e| ServeError::io(&e))?;
-    w.write_all(body).map_err(|e| ServeError::io(&e))?;
-    w.flush().map_err(|e| ServeError::io(&e))?;
-    Ok(())
+    let mut frame = Vec::with_capacity(HEADER_LEN + 1 + id.len() + body.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.push(PROTOCOL_VERSION);
+    frame.push(kind.byte());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.push(id_len);
+    frame.extend_from_slice(id.as_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame).and_then(|()| w.flush()).map_err(|e| ServeError::io(&e))
 }
 
-/// Writes one frame in the given protocol `version` — how the server
-/// mirrors the version a request arrived in. The id is dropped (not an
-/// error) when the version cannot carry one.
-///
-/// # Errors
-///
-/// As [`write_frame`] / [`write_frame_v2`].
-pub fn write_frame_versioned(
-    w: &mut impl Write,
-    version: u8,
-    kind: FrameKind,
-    request_id: Option<&str>,
-    body: &[u8],
-) -> Result<(), ServeError> {
-    if version == PROTOCOL_VERSION {
-        write_frame_v2(w, kind, request_id, body)
-    } else {
-        write_frame(w, kind, body)
-    }
-}
-
-/// Reads one frame, accepting both protocol revisions.
+/// Reads one frame through a `BufReader`, which may consume bytes past
+/// the frame's end — harmless, since a connection carries one frame
+/// each way.
 ///
 /// # Errors
 ///
 /// [`ServeError::BadFrame`] for a bad magic, unknown kind byte,
 /// oversized body, or non-UTF-8 request id;
-/// [`ServeError::UnsupportedVersion`] for a version byte this build
-/// does not speak; [`ServeError::Io`] for transport failure or
+/// [`ServeError::UnsupportedVersion`] for any version byte but
+/// [`PROTOCOL_VERSION`]; [`ServeError::Io`] for transport failure or
 /// truncation.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ServeError> {
+    let mut r = BufReader::new(r);
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header).map_err(|e| ServeError::io(&e))?;
     if header[..4] != MAGIC {
@@ -229,9 +179,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ServeError> {
             header[0], header[1], header[2], header[3]
         )));
     }
-    let version = header[4];
-    if version != PROTOCOL_V1 && version != PROTOCOL_VERSION {
-        return Err(ServeError::UnsupportedVersion { got: version, want: PROTOCOL_VERSION });
+    if header[4] != PROTOCOL_VERSION {
+        return Err(ServeError::UnsupportedVersion { got: header[4], want: PROTOCOL_VERSION });
     }
     let kind = FrameKind::from_byte(header[5])
         .ok_or_else(|| ServeError::bad_frame(format!("unknown frame kind {}", header[5])))?;
@@ -241,24 +190,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ServeError> {
             "declared body of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
         )));
     }
-    let request_id = if version >= PROTOCOL_VERSION {
-        let mut id_len = [0u8; 1];
-        r.read_exact(&mut id_len).map_err(|e| ServeError::io(&e))?;
-        if id_len[0] == 0 {
-            None
-        } else {
-            let mut id = vec![0u8; id_len[0] as usize];
-            r.read_exact(&mut id).map_err(|e| ServeError::io(&e))?;
-            let id = String::from_utf8(id)
-                .map_err(|_| ServeError::bad_frame("request id is not UTF-8"))?;
-            Some(id)
-        }
-    } else {
+    let mut id_len = [0u8; 1];
+    r.read_exact(&mut id_len).map_err(|e| ServeError::io(&e))?;
+    let request_id = if id_len[0] == 0 {
         None
+    } else {
+        let mut id = vec![0u8; usize::from(id_len[0])];
+        r.read_exact(&mut id).map_err(|e| ServeError::io(&e))?;
+        Some(String::from_utf8(id).map_err(|_| ServeError::bad_frame("request id is not UTF-8"))?)
     };
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body).map_err(|e| ServeError::io(&e))?;
-    Ok(Frame { version, kind, request_id, body })
+    Ok(Frame { kind, request_id, body })
 }
 
 /// Encodes an error as an error-frame body: `code\nmessage`.
@@ -302,74 +245,107 @@ pub fn decode_artifact(body: &[u8]) -> Result<(String, String), ServeError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::io;
 
-    #[test]
-    fn v1_frames_round_trip_with_the_historical_bytes() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::JobRequest, b"{\"schema\": 1}").unwrap();
-        assert_eq!(&wire[..4], b"TRSV");
-        // Pinned: the default writer must keep emitting version-1 bytes
-        // so pre-v2 traffic stays byte-identical.
-        assert_eq!(wire[4], PROTOCOL_V1);
-        assert_eq!(wire.len(), HEADER_LEN + 13);
-        let frame = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(frame.version, PROTOCOL_V1);
-        assert_eq!(frame.kind, FrameKind::JobRequest);
-        assert_eq!(frame.request_id, None);
-        assert_eq!(frame.body, b"{\"schema\": 1}");
-    }
+    use super::*;
 
     #[test]
     fn v2_frames_carry_an_optional_request_id() {
         let mut wire = Vec::new();
-        write_frame_v2(
-            &mut wire,
-            FrameKind::OkHit,
-            Some("req-00c0ffee-00000001"),
-            b"text/plain\nx",
-        )
-        .unwrap();
+        write_frame(&mut wire, FrameKind::OkHit, Some("req-00c0ffee-00000001"), b"text/plain\nx")
+            .unwrap();
+        assert_eq!(&wire[..4], b"TRSV");
         assert_eq!(wire[4], PROTOCOL_VERSION);
+        assert_eq!(wire.len(), HEADER_LEN + 1 + 21 + 12);
         let frame = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(frame.version, PROTOCOL_VERSION);
         assert_eq!(frame.kind, FrameKind::OkHit);
         assert_eq!(frame.request_id.as_deref(), Some("req-00c0ffee-00000001"));
         assert_eq!(frame.body, b"text/plain\nx");
 
-        // id_len 0 means "no id", not an empty-string id.
+        // id_len 0 means "no id", not an empty-string id: a request
+        // costs one byte more than the ten-byte header and its body.
         let mut wire = Vec::new();
-        write_frame_v2(&mut wire, FrameKind::JobRequest, None, b"{}").unwrap();
+        write_frame(&mut wire, FrameKind::JobRequest, None, b"{}").unwrap();
+        assert_eq!(wire.len(), HEADER_LEN + 1 + 2);
         let frame = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(frame.version, PROTOCOL_VERSION);
         assert_eq!(frame.request_id, None);
         assert_eq!(frame.body, b"{}");
     }
 
-    #[test]
-    fn versioned_writer_mirrors_the_request_version() {
-        let mut v1 = Vec::new();
-        write_frame_versioned(&mut v1, PROTOCOL_V1, FrameKind::OkMiss, Some("dropped"), b"a\nb")
-            .unwrap();
-        let mut plain = Vec::new();
-        write_frame(&mut plain, FrameKind::OkMiss, b"a\nb").unwrap();
-        assert_eq!(v1, plain, "a v1 reply must not grow an id block");
+    /// A writer that counts `write` calls, and a reader that counts
+    /// `read` calls over a fixed byte string.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        at: usize,
+        writes: usize,
+        reads: usize,
+    }
 
-        let mut v2 = Vec::new();
-        write_frame_versioned(&mut v2, PROTOCOL_VERSION, FrameKind::OkMiss, Some("kept"), b"a\nb")
-            .unwrap();
-        assert_eq!(read_frame(&mut v2.as_slice()).unwrap().request_id.as_deref(), Some("kept"));
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Counting {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write_and_arrives_in_one_read() {
+        for (kind, id, body) in [
+            (FrameKind::PingRequest, None, &b""[..]),
+            (FrameKind::JobRequest, None, br#"{"schema": 1, "driver": "table3"}"#),
+            (FrameKind::OkHit, Some("req-00c0ffee-00000002"), b"text/plain\nan artifact"),
+            (FrameKind::Error, Some("req-00c0ffee-00000003"), b"bad-frame\nbad frame: x"),
+        ] {
+            let mut wire = Counting::default();
+            write_frame(&mut wire, kind, id, body).unwrap();
+            assert_eq!(wire.writes, 1, "{kind:?}: header, id block and body in one write");
+            let frame = read_frame(&mut wire).unwrap();
+            assert_eq!(wire.reads, 1, "{kind:?}: a small frame arrives in one read");
+            assert_eq!(
+                (frame.kind, frame.request_id.as_deref(), &frame.body[..]),
+                (kind, id, body)
+            );
+        }
+    }
+
+    #[test]
+    fn a_v1_frame_is_refused_from_its_header_alone() {
+        // A version-1 ping is exactly ten bytes. A read past them would
+        // hit end of input (an Io error), so the typed refusal proves
+        // it came from the header alone, in one read.
+        let mut v1_ping =
+            Counting { bytes: b"TRSV\x01\x04\0\0\0\0".to_vec(), ..Counting::default() };
+        let err = read_frame(&mut v1_ping).unwrap_err();
+        assert_eq!(err, ServeError::UnsupportedVersion { got: 1, want: PROTOCOL_VERSION });
+        assert_eq!(err.code(), "unsupported-version");
+        assert_eq!(v1_ping.reads, 1);
     }
 
     #[test]
     fn oversized_and_malformed_request_ids_are_rejected() {
         let long = "x".repeat(256);
         let err =
-            write_frame_v2(&mut Vec::new(), FrameKind::PingRequest, Some(&long), b"").unwrap_err();
+            write_frame(&mut Vec::new(), FrameKind::PingRequest, Some(&long), b"").unwrap_err();
         assert!(matches!(err, ServeError::BadFrame { .. }), "{err:?}");
 
         let mut wire = Vec::new();
-        write_frame_v2(&mut wire, FrameKind::PingRequest, Some("ab"), b"").unwrap();
+        write_frame(&mut wire, FrameKind::PingRequest, Some("ab"), b"").unwrap();
         wire[HEADER_LEN + 1] = 0xff; // corrupt the id into invalid UTF-8
         let err = read_frame(&mut wire.as_slice()).unwrap_err();
         assert!(matches!(err, ServeError::BadFrame { .. }), "{err:?}");
@@ -395,7 +371,7 @@ mod tests {
     #[test]
     fn bad_magic_and_foreign_version_are_typed() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::PingRequest, b"").unwrap();
+        write_frame(&mut wire, FrameKind::PingRequest, None, b"").unwrap();
 
         let mut bad_magic = wire.clone();
         bad_magic[0] = b'X';
@@ -416,14 +392,14 @@ mod tests {
     #[test]
     fn truncated_frames_and_hostile_lengths_are_rejected() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::OkMiss, b"abcdef").unwrap();
+        write_frame(&mut wire, FrameKind::OkMiss, None, b"abcdef").unwrap();
         let err = read_frame(&mut wire[..wire.len() - 2].as_ref()).unwrap_err();
         assert!(matches!(err, ServeError::Io { .. }), "{err:?}");
 
-        // A v2 frame truncated inside its id block is a clean Io error.
-        let mut v2 = Vec::new();
-        write_frame_v2(&mut v2, FrameKind::OkMiss, Some("req-00000000-00000001"), b"x").unwrap();
-        let err = read_frame(&mut v2[..HEADER_LEN + 3].as_ref()).unwrap_err();
+        // A frame truncated inside its id block is a clean Io error.
+        let mut with_id = Vec::new();
+        write_frame(&mut with_id, FrameKind::OkMiss, Some("req-00000000-00000001"), b"x").unwrap();
+        let err = read_frame(&mut with_id[..HEADER_LEN + 3].as_ref()).unwrap_err();
         assert!(matches!(err, ServeError::Io { .. }), "{err:?}");
 
         // A header declaring a body far past the limit must be rejected

@@ -35,7 +35,7 @@ use crate::admission::Admission;
 use crate::cache::{Lookup, ResultCache};
 use crate::obs::{micros, AccessRecord, Obs, Outcome, PhaseTimes};
 use crate::persist::Persistence;
-use crate::protocol::{self, Frame, FrameKind, PROTOCOL_V1};
+use crate::protocol::{self, Frame, FrameKind};
 use crate::{lock, ServeError};
 
 /// Per-connection socket read/write timeout. Paper-workload report jobs
@@ -474,13 +474,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: Stream) {
     let accept_start = Instant::now();
     let read = protocol::read_frame(&mut stream);
     trace.phases.accept_us = micros(accept_start.elapsed());
-    // Replies mirror the request's protocol version (a request too
-    // broken to carry one gets a v1 error frame), so v1 clients see
-    // byte-identical traffic and only v2 opt-ins receive the id echo.
-    let (version, reply) = match read {
-        Ok(frame) => (frame.version, dispatch(state, &frame, &mut trace)),
-        Err(e) => (PROTOCOL_V1, Err(e)),
-    };
+    let reply = read.and_then(|frame| dispatch(state, &frame, &mut trace));
     let (kind, body, outcome) = match reply {
         Ok((kind, body)) => {
             let outcome = match trace.lookup {
@@ -496,9 +490,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: Stream) {
                 eprintln!("serve: [{id}] request failed: {e}");
             }
             let outcome = match e {
-                ServeError::Overloaded { .. }
-                | ServeError::QueueFull { .. }
-                | ServeError::ShuttingDown => Outcome::Rejected,
+                ServeError::QueueFull { .. } | ServeError::ShuttingDown => Outcome::Rejected,
                 ServeError::DeadlineExceeded { .. } => Outcome::Deadline,
                 _ => Outcome::Error,
             };
@@ -510,8 +502,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: Stream) {
     // matches the order clients observe responses in.
     let order = trace.is_job.then(|| state.obs.order());
     let respond_start = Instant::now();
-    let wrote =
-        protocol::write_frame_versioned(&mut stream, version, kind, Some(&id.to_string()), &body);
+    let wrote = protocol::write_frame(&mut stream, kind, Some(&id.to_string()), &body);
     trace.phases.respond_us = micros(respond_start.elapsed());
     if let Err(e) = wrote {
         if !state.quiet {
@@ -589,7 +580,7 @@ fn handle_job(
     // lookup time.
     let build_us = Cell::new(0u64);
     let lookup_start = Instant::now();
-    let result = state.cache.get_or_build_full(&key, || {
+    let result = state.cache.get_or_build(&key, || {
         let build_start = Instant::now();
         let built = execute_job(state, &spec);
         build_us.set(micros(build_start.elapsed()));

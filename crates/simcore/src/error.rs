@@ -66,14 +66,6 @@ pub enum SimError {
         /// The panic payload rendered as text.
         what: String,
     },
-    /// A serving layer refused admission: every worker was busy and the
-    /// bounded queue was full (or a connection limit was hit). The
-    /// request was rejected before any simulation work started, so
-    /// retrying later is always safe.
-    Overloaded {
-        /// Human-readable description of the exhausted resource.
-        what: String,
-    },
     /// A wire-protocol violation: a malformed frame, an unsupported
     /// protocol or job-schema version, or an undecodable request body.
     Protocol {
@@ -112,11 +104,6 @@ impl SimError {
     /// Convenience constructor for [`SimError::JobPanicked`].
     pub fn job_panicked(job: usize, what: impl Into<String>) -> Self {
         SimError::JobPanicked { job, what: what.into() }
-    }
-
-    /// Convenience constructor for [`SimError::Overloaded`].
-    pub fn overloaded(what: impl Into<String>) -> Self {
-        SimError::Overloaded { what: what.into() }
     }
 
     /// Convenience constructor for [`SimError::Protocol`].
@@ -158,7 +145,6 @@ impl fmt::Display for SimError {
             SimError::JobPanicked { job, what } => {
                 write!(f, "parallel job {job} panicked: {what}")
             }
-            SimError::Overloaded { what } => write!(f, "server overloaded: {what}"),
             SimError::Protocol { what } => write!(f, "protocol error: {what}"),
         }
     }
@@ -198,12 +184,6 @@ mod tests {
         let e = SimError::job_panicked(3, "index out of bounds");
         assert_eq!(e.to_string(), "parallel job 3 panicked: index out of bounds");
 
-        let e = SimError::overloaded("admission queue full: 1 waiting of capacity 1");
-        assert_eq!(
-            e.to_string(),
-            "server overloaded: admission queue full: 1 waiting of capacity 1"
-        );
-
         let e = SimError::protocol("bad frame magic");
         assert_eq!(e.to_string(), "protocol error: bad frame magic");
     }
@@ -222,7 +202,6 @@ mod tests {
             SimError::deadline_exceeded(1),
             SimError::detected_fault("x"),
             SimError::job_panicked(0, "x"),
-            SimError::overloaded("x"),
             SimError::protocol("x"),
         ];
         for e in samples {
@@ -237,7 +216,6 @@ mod tests {
                 SimError::DeadlineExceeded { .. } => true,
                 SimError::DetectedFault { .. } => true,
                 SimError::JobPanicked { .. } => false,
-                SimError::Overloaded { .. } => false,
                 SimError::Protocol { .. } => false,
             };
             assert_eq!(e.is_detected_abort(), expect_detected_abort, "{e:?}");

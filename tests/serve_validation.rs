@@ -2,9 +2,9 @@
 //! (cold miss, warm hit, and in-process driver output are byte
 //! identical), graceful degradation (typed queue-full rejection under
 //! pinned workers, counted in `serve.*`), single-flight coalescing,
-//! wire-protocol robustness against hostile frames, request-id minting
-//! and echo (v2 opt-in, v1 byte-compatibility), and the Unix-socket
-//! transport.
+//! wire-protocol robustness against hostile frames (version-1 frames
+//! included), request-id minting and its echo on every reply, and the
+//! Unix-socket transport.
 //!
 //! Every test binds to an ephemeral endpoint (`127.0.0.1:0` or a
 //! tempdir socket path), so the suite is parallel-safe and never
@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use triarch_core::arch::Architecture;
 use triarch_core::driver::{self, DriverKind, JobSpec, WorkloadKind};
 use triarch_kernels::machine::Kernel;
+use triarch_serve::protocol::PROTOCOL_VERSION;
 use triarch_serve::{
     parse_addr, serve, Addr, Client, HoldGate, RequestId, RequestIds, ServeConfig, ServeError,
     ServerHandle,
@@ -206,7 +207,7 @@ fn grid_job_cache_keys_carry_the_architecture_set() {
 }
 
 /// Writes raw bytes to the daemon and decodes the error-frame reply as
-/// `(code, message)`.
+/// `(code, message)`. Every error reply must carry a minted request id.
 fn raw_error_round_trip(addr: &Addr, request: &[u8]) -> (String, String) {
     let Addr::Tcp(addr) = addr else { panic!("raw tests use TCP") };
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -216,9 +217,15 @@ fn raw_error_round_trip(addr: &Addr, request: &[u8]) -> (String, String) {
     let mut header = [0u8; 10];
     stream.read_exact(&mut header).unwrap();
     assert_eq!(&header[..4], b"TRSV", "reply must carry the protocol magic");
-    assert_eq!(header[4], 1, "replies mirror the request's v1 version");
+    assert_eq!(header[4], PROTOCOL_VERSION, "every reply is a version-2 frame");
     assert_eq!(header[5], 18, "reply must be an error frame");
     let len = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
+    let mut id_len = [0u8; 1];
+    stream.read_exact(&mut id_len).unwrap();
+    let mut id = vec![0u8; usize::from(id_len[0])];
+    stream.read_exact(&mut id).unwrap();
+    let id = String::from_utf8(id).unwrap();
+    assert!(RequestId::parse(&id).is_some(), "error reply must carry a minted id, got {id:?}");
     let mut body = vec![0u8; len as usize];
     stream.read_exact(&mut body).unwrap();
     let body = String::from_utf8(body).unwrap();
@@ -226,12 +233,14 @@ fn raw_error_round_trip(addr: &Addr, request: &[u8]) -> (String, String) {
     (code.to_string(), message.to_string())
 }
 
-/// A raw frame: magic + version + kind + big-endian length + body.
+/// A raw request frame: magic + version + kind + big-endian length, an
+/// empty id block (`id_len` 0), then the body.
 fn frame(version: u8, kind: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::from(*b"TRSV");
     out.push(version);
     out.push(kind);
     out.extend_from_slice(&u32::try_from(body.len()).unwrap().to_be_bytes());
+    out.push(0);
     out.extend_from_slice(body);
     out
 }
@@ -252,21 +261,21 @@ fn hostile_frames_get_typed_error_replies_not_hangs() {
     assert!(message.contains("99"), "{message}");
 
     // Unknown frame kind.
-    let (code, _) = raw_error_round_trip(&addr, &frame(1, 200, b""));
+    let (code, _) = raw_error_round_trip(&addr, &frame(PROTOCOL_VERSION, 200, b""));
     assert_eq!(code, "bad-frame");
 
     // A response kind sent as a request.
-    let (code, message) = raw_error_round_trip(&addr, &frame(1, 16, b""));
+    let (code, message) = raw_error_round_trip(&addr, &frame(PROTOCOL_VERSION, 16, b""));
     assert_eq!(code, "bad-frame");
     assert!(message.contains("sent as a request"), "{message}");
 
     // Valid framing, malformed job body.
-    let (code, _) = raw_error_round_trip(&addr, &frame(1, 1, b"not json"));
+    let (code, _) = raw_error_round_trip(&addr, &frame(PROTOCOL_VERSION, 1, b"not json"));
     assert_eq!(code, "bad-request");
 
     // Valid framing and JSON, unknown driver.
     let body = br#"{"schema": 1, "driver": "warp-drive"}"#;
-    let (code, message) = raw_error_round_trip(&addr, &frame(1, 1, body));
+    let (code, message) = raw_error_round_trip(&addr, &frame(PROTOCOL_VERSION, 1, body));
     assert_eq!(code, "bad-request");
     assert!(message.contains("warp-drive"), "{message}");
 
@@ -336,26 +345,28 @@ fn malformed_request_ids_are_rejected() {
 fn request_ids_are_echoed_verbatim_and_unique_across_concurrent_clients() {
     let (handle, client) = start(|_| {});
     let spec = JobSpec::new(DriverKind::Table3, WorkloadKind::Small);
+    let parse = |response: &triarch_serve::SubmitResponse| {
+        let id = response.request_id.as_deref().expect("every reply must carry an id");
+        RequestId::parse(id).unwrap_or_else(|| panic!("malformed id {id:?}"))
+    };
 
-    // The default (v1) client never sees an id.
-    let plain = client.submit(&spec).unwrap();
-    assert_eq!(plain.request_id, None, "v1 clients must not receive an id");
+    // The first client's cold miss carries an id like every later reply.
+    let first = client.submit(&spec).unwrap();
+    let mut ids = vec![parse(&first)];
 
-    // Eight concurrent v2 clients each get a well-formed, distinct id
-    // and byte-identical bodies.
+    // Eight concurrent clients each get a well-formed, distinct id and
+    // byte-identical bodies.
     let workers: Vec<_> = (0..8)
         .map(|_| {
-            let client = Client::new(handle.addr().clone()).with_request_ids();
+            let client = Client::new(handle.addr().clone());
             let spec = spec.clone();
             thread::spawn(move || client.submit(&spec).unwrap())
         })
         .collect();
-    let mut ids = Vec::new();
     for worker in workers {
         let response = worker.join().unwrap();
-        assert_eq!(response.body, plain.body, "bodies are identical on both protocol paths");
-        let id = response.request_id.expect("v2 clients must receive an id");
-        ids.push(RequestId::parse(&id).unwrap_or_else(|| panic!("malformed id {id:?}")));
+        assert_eq!(response.body, first.body, "warm hits are byte-identical to the cold miss");
+        ids.push(parse(&response));
     }
     let boots: std::collections::BTreeSet<u32> = ids.iter().map(|id| id.boot).collect();
     assert_eq!(boots.len(), 1, "one daemon run mints one boot token");
@@ -364,34 +375,19 @@ fn request_ids_are_echoed_verbatim_and_unique_across_concurrent_clients() {
     handle.shutdown();
 }
 
-/// The compatibility pin for the protocol bump: a client that does not
-/// opt into request ids speaks version 1 and gets back the exact bytes
-/// every pre-v2 build produced — warm hits included.
+/// Version 1 had no id block. A raw ten-byte v1 ping — no body, so the
+/// daemon never closes with unread bytes — is refused from its header
+/// alone with a typed `unsupported-version` v2 error frame that carries
+/// an id, and the daemon keeps serving.
 #[test]
-fn v1_clients_get_byte_identical_replies_after_the_protocol_bump() {
+fn v1_frames_get_a_typed_unsupported_version_reply_with_an_id() {
     let (handle, client) = start(|_| {});
-    let spec = JobSpec::new(DriverKind::Table3, WorkloadKind::Small);
-    let cold = client.submit(&spec).unwrap();
-    assert!(!cold.hit);
-
-    // Raw v1 job request against the warm cache: the reply frame must
-    // be version 1 with no id block between header and body.
-    let Addr::Tcp(addr) = handle.addr().clone() else { panic!("raw tests use TCP") };
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(&frame(1, 1, spec.to_json().as_bytes())).unwrap();
-    stream.flush().unwrap();
-    let mut header = [0u8; 10];
-    stream.read_exact(&mut header).unwrap();
-    assert_eq!(&header[..4], b"TRSV");
-    assert_eq!(header[4], 1, "a v1 request must get a v1 reply");
-    assert_eq!(header[5], 17, "the warm request must answer OkHit");
-    let len = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body).unwrap();
-    let body = String::from_utf8(body).unwrap();
-    let (content_type, artifact) = body.split_once('\n').unwrap();
-    assert_eq!(content_type, cold.content_type);
-    assert_eq!(artifact, cold.body, "v1 warm replies must be byte-identical to pre-v2 output");
+    let v1_ping = [b'T', b'R', b'S', b'V', 1, 4, 0, 0, 0, 0];
+    let (code, message) = raw_error_round_trip(handle.addr(), &v1_ping);
+    assert_eq!(code, "unsupported-version");
+    assert_eq!(message, "unsupported protocol version 1 (this build speaks 2)");
+    let stats = client.stats().unwrap();
+    assert!(stats.lines().any(|l| l == "triarch_serve_errors 1"), "{stats}");
     handle.shutdown();
 }
 
