@@ -94,6 +94,14 @@ if [ "$f1" != "$f2" ]; then
   echo "faultsweep output differs between --jobs 1 and --jobs 2" >&2
   exit 1
 fi
+# DSE verifies each of its 102 runs against goldens the pool workers
+# share, so a race in the golden memo would show as a differing finding.
+d1="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 1 dse --small 2>/dev/null)"
+d2="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 2 dse --small 2>/dev/null)"
+if [ "$d1" != "$d2" ]; then
+  echo "dse output differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+fi
 
 echo "== dse smoke (small workloads, 2 workers) =="
 dse_out="$(cargo run --release -q -p triarch-bench --bin repro -- dse --small --jobs 2 2>/dev/null)"

@@ -120,7 +120,7 @@ use std::time::{Duration, Instant};
 
 use triarch_bench::benchjson::{self, BenchCell, BenchReport, SCHEMA_VERSION};
 use triarch_core::arch::Architecture;
-use triarch_core::driver::{self, cell_slug, table_from_folds};
+use triarch_core::driver::{self, cell_slug, table_from_folds, WorkloadKind};
 use triarch_core::experiments::Table3;
 use triarch_core::htmlreport::{self, FoldedCell};
 use triarch_core::roofline::Scorecard;
@@ -487,13 +487,13 @@ fn read_timeline_artifact(path: &str) -> Result<WindowDoc, String> {
 fn collect_folds(
     opts: &Options,
     what: &str,
-) -> Result<(Vec<FoldedCell>, WorkloadSet, &'static str), Box<dyn std::error::Error>> {
-    let (workloads, kind) = select_workloads(opts);
+) -> Result<(Vec<FoldedCell>, &'static WorkloadSet, &'static str), Box<dyn std::error::Error>> {
+    let (workloads, kind) = select_workloads(opts)?;
     if !opts.quiet {
         eprintln!("{what} ({kind} workloads) ...");
     }
     let (folds, stats) =
-        htmlreport::collect_folds_jobs_windowed(&workloads, opts.jobs, opts.window)?;
+        htmlreport::collect_folds_jobs_windowed(workloads, opts.jobs, opts.window)?;
     if !opts.quiet {
         eprintln!("{}", stats.render());
     }
@@ -504,7 +504,7 @@ fn collect_folds(
 fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let dir = Path::new(&opts.trace_dir);
     ensure_dir(dir)?;
-    let (workloads, _) = select_workloads(opts);
+    let (workloads, _) = select_workloads(opts)?;
     println!("== Cycle-attribution traces ({}) ==", dir.display());
     for arch in Architecture::ALL {
         let mut machine = arch.machine()?;
@@ -542,20 +542,14 @@ fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
 /// Runs the seeded fault-injection sweep and prints the outcome table.
 fn run_faultsweep(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let workloads = if opts.small {
-        triarch_bench::small_workloads()
-    } else {
-        triarch_bench::paper_workloads()
-    };
+    let (workloads, kind) = select_workloads(opts)?;
     if !opts.quiet {
         eprintln!(
-            "running fault sweep: seed {}, {} campaigns, {} workloads ...",
-            opts.seed,
-            opts.campaigns,
-            if opts.small { "small" } else { "paper" },
+            "running fault sweep: seed {}, {} campaigns, {kind} workloads ...",
+            opts.seed, opts.campaigns,
         );
     }
-    let (table, stats) = faultsweep::sweep_jobs(&workloads, opts.seed, opts.campaigns, opts.jobs)?;
+    let (table, stats) = faultsweep::sweep_jobs(workloads, opts.seed, opts.campaigns, opts.jobs)?;
     if !opts.quiet {
         eprintln!("{}", stats.render());
     }
@@ -565,20 +559,15 @@ fn run_faultsweep(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
 /// Runs the design-space sweep and prints sensitivity tables + findings.
 fn run_dse(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let workloads = if opts.small {
-        triarch_bench::small_workloads()
-    } else {
-        triarch_bench::paper_workloads()
-    };
+    let (workloads, kind) = select_workloads(opts)?;
     if !opts.quiet {
         eprintln!(
-            "running design-space sweep: {} design points x {} kernels, {} workloads ...",
+            "running design-space sweep: {} design points x {} kernels, {kind} workloads ...",
             dse::points().len(),
             Kernel::ALL.len(),
-            if opts.small { "small" } else { "paper" },
         );
     }
-    let (report, stats) = dse::sweep(&workloads, opts.jobs)?;
+    let (report, stats) = dse::sweep(workloads, opts.jobs)?;
     if !opts.quiet {
         eprintln!("{}", stats.render());
     }
@@ -586,13 +575,13 @@ fn run_dse(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The workload set a selector should use, with its kind label.
-fn select_workloads(opts: &Options) -> (WorkloadSet, &'static str) {
-    if opts.small {
-        (triarch_bench::small_workloads(), "small")
-    } else {
-        (triarch_bench::paper_workloads(), "paper")
-    }
+/// The process-wide workload set a selector should use (see
+/// [`driver::workloads`]), with its kind label.
+fn select_workloads(
+    opts: &Options,
+) -> Result<(&'static WorkloadSet, &'static str), triarch_simcore::SimError> {
+    let kind = if opts.small { WorkloadKind::Small } else { WorkloadKind::Paper };
+    Ok((driver::workloads(kind)?, kind.name()))
 }
 
 /// The hierarchical prefix under which an architecture's engine exports
@@ -613,7 +602,7 @@ fn run_metrics(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     ensure_dir(dir)?;
     let (folds, workloads, _) = collect_folds(opts, "collecting hardware-counter metrics")?;
     let table3 = table_from_folds(&folds);
-    let scorecard = Scorecard::compute(&table3, &workloads)?;
+    let scorecard = Scorecard::compute(&table3, workloads)?;
 
     println!("== Hardware-counter metrics ({}) ==", dir.display());
     let mut combined = MetricsReport::new();
@@ -688,9 +677,9 @@ fn run_report(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         prof.record_cell(&cell_slug(cell.arch, cell.kernel), cell.wall, cell.run.cycles.get());
     }
     let table3 = table_from_folds(&folds);
-    let scorecard = prof.time_phase("scorecard", || Scorecard::compute(&table3, &workloads))?;
+    let scorecard = prof.time_phase("scorecard", || Scorecard::compute(&table3, workloads))?;
     let (sweep, sweep_stats) = prof.time_phase("faultsweep", || {
-        faultsweep::sweep_jobs(&workloads, opts.seed, opts.campaigns, opts.jobs)
+        faultsweep::sweep_jobs(workloads, opts.seed, opts.campaigns, opts.jobs)
     })?;
     if !opts.quiet {
         eprintln!("{}", sweep_stats.render());
@@ -700,7 +689,7 @@ fn run_report(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         scorecard: &scorecard,
         sweep: &sweep,
         folds: &folds,
-        workloads: &workloads,
+        workloads,
         workload_kind: kind,
     };
     let html = prof.time_phase("render-html", || htmlreport::render(&inputs))?;
@@ -808,17 +797,17 @@ fn bench_report(
 
 /// Times the Table 3 batch; with `--json`, writes the bench artifact.
 fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let (workloads, kind) = select_workloads(opts);
+    let (workloads, kind) = select_workloads(opts)?;
     if !opts.quiet {
         eprintln!("benchmarking the Table 3 grid ({kind} workloads) ...");
     }
     let t0 = Instant::now();
-    let (table3, stats) = experiments::table3_jobs(&workloads, opts.jobs)?;
+    let (table3, stats) = experiments::table3_jobs(workloads, opts.jobs)?;
     let wall = t0.elapsed();
     if !opts.quiet {
         eprintln!("{}", stats.render());
     }
-    let scorecard = Scorecard::compute(&table3, &workloads)?;
+    let scorecard = Scorecard::compute(&table3, workloads)?;
     let report = bench_report(&table3, &scorecard, kind, opts.jobs, wall);
     if opts.bench_json {
         write_file(Path::new(&opts.bench_path), &report.render())?;
@@ -945,8 +934,8 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     if !opts.quiet {
         eprintln!("running all machines on paper-sized workloads ...");
     }
-    let workloads = triarch_bench::paper_workloads();
-    let (table3, stats) = experiments::table3_jobs(&workloads, opts.jobs)?;
+    let workloads = driver::workloads(WorkloadKind::Paper)?;
+    let (table3, stats) = experiments::table3_jobs(workloads, opts.jobs)?;
     if !opts.quiet {
         eprintln!("{}", stats.render());
     }
@@ -956,7 +945,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     }
     if opts.want("table4") {
         println!("== Table 4: performance-model lower bounds (kilocycles) ==");
-        println!("{}", experiments::table4(&workloads)?);
+        println!("{}", experiments::table4(workloads)?);
     }
     if opts.want("figure8") {
         println!("== Figure 8: speedup over PPC+AltiVec (cycles) ==");
@@ -988,7 +977,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     }
     if opts.want("ablations") {
         println!("== Ablations ==");
-        let (report, stats) = ablations::render_all_jobs(&workloads, opts.jobs)?;
+        let (report, stats) = ablations::render_all_jobs(workloads, opts.jobs)?;
         if !opts.quiet {
             eprintln!("{}", stats.render());
         }

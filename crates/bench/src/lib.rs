@@ -6,8 +6,9 @@ use triarch_kernels::WorkloadSet;
 
 pub use triarch_core::benchjson;
 
-/// Seed shared by every bench so all runs see identical data.
-pub const SEED: u64 = 42;
+/// Seed shared by every bench so all runs see identical data: the
+/// driver's workload seed, so bench, `repro` and daemon runs agree.
+pub use triarch_core::driver::WORKLOAD_SEED as SEED;
 
 /// Builds the paper-sized workload set used across benches and the
 /// `repro` binary.

@@ -10,15 +10,35 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::{KernelInput, RunCtx, WorkloadSet};
+use triarch_kernels::verify::{self, tolerance};
+use triarch_kernels::{KernelInput, KernelOutput, RunCtx, WorkloadSet};
 use triarch_ppc::{PpcConfig, PpcMachine};
 use triarch_simcore::faults::NoFaults;
 use triarch_simcore::trace::NullSink;
-use triarch_simcore::{CycleBudget, Cycles, KernelRun, SimError, Verification};
+use triarch_simcore::{CycleBudget, Cycles, KernelRun, SimError};
 
 use crate::arch::Architecture;
 use crate::parallel::{run_jobs, PoolStats};
 use crate::report::TextTable;
+
+/// Checks the output of a program run outside `SignalMachine` with the
+/// study's one verifier: a study whose output fails the check is an
+/// error, not a cycle count.
+fn verified(
+    study: &str,
+    input: KernelInput<'_>,
+    (mut run, output): (KernelRun, KernelOutput),
+) -> Result<KernelRun, SimError> {
+    run.verification = verify::check(input, &output);
+    if run.verification.is_ok(tolerance(input.kernel())) {
+        Ok(run)
+    } else {
+        Err(SimError::unsupported(format!(
+            "{study}: output failed verification ({:?})",
+            run.verification
+        )))
+    }
+}
 
 /// Runs a *tiled* corner turn on the scalar G4 model and returns
 /// `(naive_cycles, blocked_cycles)`.
@@ -28,7 +48,8 @@ use crate::report::TextTable;
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (none for in-range matrices).
+/// Propagates simulator errors (none for in-range matrices), and fails if
+/// the tiled output does not match the workload's golden output.
 pub fn ppc_blocked_corner_turn(
     workload: &CornerTurnWorkload,
     block: usize,
@@ -60,11 +81,10 @@ pub fn ppc_blocked_corner_turn(
         }
         br += h;
     }
-    // The blocked code produces the same bits; reuse the workload's own
-    // blocked reference to assert that.
-    let blocked_out = workload.blocked_transpose(block)?;
-    debug_assert_eq!(blocked_out, workload.reference_transpose());
-    let run = m.finish(Verification::BitExact);
+    // The tiled loop writes the workload's blocked transpose; check those
+    // bits against the golden output.
+    let blocked = (m.finish(), KernelOutput::Words(workload.blocked_transpose(block)?));
+    let run = verified("PPC tiled corner turn", KernelInput::CornerTurn(workload), blocked)?;
     Ok((naive, run.cycles))
 }
 
@@ -159,8 +179,10 @@ impl AblationTask {
             AblationTask::RawStreamCslc => {
                 use triarch_raw::programs::cslc::{run, CslcMode};
                 let raw_cfg = triarch_raw::RawConfig::paper();
+                let w = &workloads.cslc;
                 let moded = |mode| {
-                    run(&raw_cfg, &workloads.cslc, mode, NullSink, NoFaults, CycleBudget::UNLIMITED)
+                    let ran = run(&raw_cfg, w, mode, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+                    verified("Raw CSLC", KernelInput::Cslc(w), ran)
                 };
                 let cache = moded(CslcMode::CacheMimd)?;
                 let stream = moded(CslcMode::StreamInterface)?;
@@ -174,9 +196,10 @@ impl AblationTask {
             AblationTask::ImagineSrfTables => {
                 use triarch_imagine::programs::beam_steering::{run, TablePlacement};
                 let cfg = triarch_imagine::ImagineConfig::paper();
+                let w = &workloads.beam_steering;
                 let placed = |placement| {
-                    let w = &workloads.beam_steering;
-                    run(&cfg, w, placement, NullSink, NoFaults, CycleBudget::UNLIMITED)
+                    let ran = run(&cfg, w, placement, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+                    verified("Imagine beam steering", KernelInput::BeamSteering(w), ran)
                 };
                 let dram = placed(TablePlacement::Dram)?;
                 let srf = placed(TablePlacement::SrfResident)?;

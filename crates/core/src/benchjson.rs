@@ -434,18 +434,24 @@ pub fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// deepest document the workspace writes (the bench artifact) nests 4
+/// levels; the limit keeps a hostile document from overflowing the
+/// parser's stack.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
 ///
 /// Returns a one-line description with a byte offset for malformed
-/// input.
+/// input, including arrays and objects nested deeper than
+/// [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(value)
@@ -467,12 +473,18 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => parse_str(bytes, pos).map(Json::Str),
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'{' | b'[')) && depth == MAX_JSON_DEPTH {
+        return Err(format!("nesting deeper than {MAX_JSON_DEPTH} levels at byte {}", *pos));
+    }
+    match open {
+        Some(b'{') => parse_obj(text, pos, depth + 1),
+        Some(b'[') => parse_arr(text, pos, depth + 1),
+        Some(b'"') => parse_str(text, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -504,52 +516,47 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
 
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses a string literal in one pass: each run of plain characters up to
+/// the next `"` or `\` is copied in one step. Both delimiters are ASCII,
+/// so every run starts and ends on a character boundary of `text`.
+fn parse_str(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Advance one UTF-8 scalar (multi-byte sequences are
-                // copied verbatim).
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+    loop {
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+        let Some(run) = run else { return Err(String::from("unterminated string")) };
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
-    Err(String::from("unterminated string"))
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -558,7 +565,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -571,7 +578,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -581,9 +589,9 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
+        let key = parse_str(text, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -842,6 +850,51 @@ mod tests {
             let doc = format!("\"{}\"", escape(s));
             assert_eq!(parse_json(&doc).unwrap(), Json::Str(String::from(s)), "{doc}");
         }
+    }
+
+    #[test]
+    fn json_nesting_is_limited_to_max_depth() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\": [", "]}")] {
+            let levels = if open == "[" { 1 } else { 2 };
+            let at_limit = nested(open, close, MAX_JSON_DEPTH / levels);
+            assert!(parse_json(&at_limit).is_ok(), "{open}: {MAX_JSON_DEPTH} levels");
+        }
+        let over = nested("[", "]", MAX_JSON_DEPTH + 1);
+        assert_eq!(
+            parse_json(&over),
+            Err(format!("nesting deeper than {MAX_JSON_DEPTH} levels at byte {MAX_JSON_DEPTH}"))
+        );
+        let over = format!("{{\"a\": {}}}", nested("{\"b\": ", "}", MAX_JSON_DEPTH));
+        let err = parse_json(&over).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 64 levels at byte "), "{err}");
+        // A hostile depth is refused at the limit, long before the stack.
+        let hostile = nested("[", "]", 20_000);
+        assert!(parse_json(&hostile).unwrap_err().ends_with(&format!("byte {MAX_JSON_DEPTH}")));
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let long = "x".repeat(8 << 20);
+        let doc = format!("{{\"s\": \"{long}\"}}");
+        let parsed = parse_json(&doc).unwrap();
+        assert_eq!(parsed.as_obj().unwrap()[0].1, Json::Str(long));
+    }
+
+    #[test]
+    fn strings_mixing_escapes_and_multibyte_characters_round_trip() {
+        let mixed = "µ\"✓\\\n€\t𝄞\u{1}é/\r\u{7f}ß".repeat(3);
+        let doc = format!("[\"{}\", \"{}\"]", escape(&mixed), escape("a\u{0}😀"));
+        let parsed = parse_json(&doc).unwrap();
+        assert_eq!(parsed.as_arr().unwrap()[0], Json::Str(mixed));
+        assert_eq!(parsed.as_arr().unwrap()[1], Json::Str(String::from("a\u{0}😀")));
+        // Escapes the writer never emits still decode, between multi-byte
+        // runs.
+        assert_eq!(parse_json("\"é\\u00e9\\/ü\""), Ok(Json::Str(String::from("éé/ü"))));
+        assert!(parse_json("\"µ\\q\"").unwrap_err().starts_with("bad escape at byte"));
+        assert_eq!(parse_json("\"µ✓"), Err(String::from("unterminated string")));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! failures surface as [`SimError::Protocol`].
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
 use triarch_profile::{fnv1a64, FoldSink, ProfileDiff};
@@ -40,7 +41,7 @@ use crate::{dse, faultsweep};
 /// Version stamp of the [`JobSpec`] wire encoding.
 pub const JOB_SCHEMA_VERSION: u64 = 1;
 
-/// Workload-construction seed shared with `triarch_bench::SEED` so a
+/// Workload-construction seed (re-exported as `triarch_bench::SEED`), so a
 /// served artifact matches one-shot `repro` output byte-for-byte.
 pub const WORKLOAD_SEED: u64 = 42;
 
@@ -131,17 +132,24 @@ impl WorkloadKind {
     }
 }
 
-/// Builds the named workload set with the shared [`WORKLOAD_SEED`].
+/// The named workload set, built with the shared [`WORKLOAD_SEED`] on
+/// first use and kept for the life of the process. Every job, daemon miss
+/// and `repro` selector of one kind shares the set, so each workload's
+/// golden output is computed at most once per process. Memory stays
+/// bounded: there are two kinds and one seed.
 ///
 /// # Errors
 ///
 /// Never fails for the built-in parameters; the `Result` mirrors the
 /// workload constructors.
-pub fn workloads(kind: WorkloadKind) -> Result<WorkloadSet, SimError> {
-    match kind {
-        WorkloadKind::Paper => WorkloadSet::paper(WORKLOAD_SEED),
-        WorkloadKind::Small => WorkloadSet::small(WORKLOAD_SEED),
-    }
+pub fn workloads(kind: WorkloadKind) -> Result<&'static WorkloadSet, SimError> {
+    static PAPER: OnceLock<Result<WorkloadSet, SimError>> = OnceLock::new();
+    static SMALL: OnceLock<Result<WorkloadSet, SimError>> = OnceLock::new();
+    let set = match kind {
+        WorkloadKind::Paper => PAPER.get_or_init(|| WorkloadSet::paper(WORKLOAD_SEED)),
+        WorkloadKind::Small => SMALL.get_or_init(|| WorkloadSet::small(WORKLOAD_SEED)),
+    };
+    set.as_ref().map_err(SimError::clone)
 }
 
 /// Lowercases a display name into a file-name slug (`"Corner Turn"` →
@@ -518,24 +526,24 @@ pub fn run_job(spec: &JobSpec, jobs: usize) -> Result<Artifact, SimError> {
     match spec.driver {
         DriverKind::Table3 => {
             let w = workloads(spec.workload)?;
-            let (table3, _) = experiments::table3_jobs(&w, jobs)?;
+            let (table3, _) = experiments::table3_jobs(w, jobs)?;
             Ok(Artifact::text(table3_text(&table3)))
         }
         DriverKind::Dse => {
             let w = workloads(spec.workload)?;
-            let (report, _) = dse::sweep(&w, jobs)?;
+            let (report, _) = dse::sweep(w, jobs)?;
             Ok(Artifact::text(dse_text(&report)))
         }
         DriverKind::Faultsweep => {
             let w = workloads(spec.workload)?;
-            let (table, _) = faultsweep::sweep_jobs(&w, spec.seed, spec.campaigns, jobs)?;
+            let (table, _) = faultsweep::sweep_jobs(w, spec.seed, spec.campaigns, jobs)?;
             Ok(Artifact::text(faultsweep_text(&table)))
         }
         DriverKind::Metrics => {
             let w = workloads(spec.workload)?;
-            let (folds, _) = htmlreport::collect_folds_jobs(&w, jobs)?;
+            let (folds, _) = htmlreport::collect_folds_jobs(w, jobs)?;
             let table3 = table_from_folds(&folds);
-            let scorecard = Scorecard::compute(&table3, &w)?;
+            let scorecard = Scorecard::compute(&table3, w)?;
             Ok(Artifact {
                 content_type: String::from("text/plain; version=0.0.4"),
                 body: metrics_prom(&folds, &scorecard),
@@ -543,7 +551,7 @@ pub fn run_job(spec: &JobSpec, jobs: usize) -> Result<Artifact, SimError> {
         }
         DriverKind::Report => {
             let w = workloads(spec.workload)?;
-            let body = report_html(&w, spec.workload, spec.seed, spec.campaigns, jobs)?;
+            let body = report_html(w, spec.workload, spec.seed, spec.campaigns, jobs)?;
             Ok(Artifact { content_type: String::from("text/html"), body })
         }
         DriverKind::Flame => {
@@ -553,7 +561,7 @@ pub fn run_job(spec: &JobSpec, jobs: usize) -> Result<Artifact, SimError> {
             let w = workloads(spec.workload)?;
             let mut sink = FoldSink::new();
             let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
-            MachineSpec::Paper(arch).run_cell(kernel, &w, ctx)?;
+            MachineSpec::Paper(arch).run_cell(kernel, w, ctx)?;
             Ok(Artifact::text(sink.into_fold().render_collapsed(arch.name(), kernel.name())))
         }
         DriverKind::Profdiff => {
@@ -715,9 +723,18 @@ mod tests {
         let b = run_job(&spec, 2).unwrap();
         assert_eq!(a, b, "artifact must not depend on worker count");
         let w = workloads(WorkloadKind::Small).unwrap();
-        let (table3, _) = experiments::table3_jobs(&w, 1).unwrap();
+        let (table3, _) = experiments::table3_jobs(w, 1).unwrap();
         assert_eq!(a.body, table3_text(&table3));
         assert_eq!(a.content_type, "text/plain");
+    }
+
+    #[test]
+    fn each_workload_kind_is_built_once_per_process() {
+        let small = workloads(WorkloadKind::Small).unwrap();
+        assert!(std::ptr::eq(small, workloads(WorkloadKind::Small).unwrap()));
+        let fresh = WorkloadSet::small(WORKLOAD_SEED).unwrap();
+        assert_eq!(small.corner_turn, fresh.corner_turn);
+        assert_eq!(small.beam_steering, fresh.beam_steering);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod programs;
 pub use config::DpuConfig;
 pub use machine::{DpuMachine, WramRange};
 
-use triarch_kernels::{Engine, KernelInput};
+use triarch_kernels::{Engine, KernelInput, KernelOutput};
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
@@ -99,7 +99,7 @@ impl Engine for Dpu {
         sink: S,
         faults: F,
         budget: CycleBudget,
-    ) -> Result<KernelRun, SimError> {
+    ) -> Result<(KernelRun, KernelOutput), SimError> {
         let cfg = &self.config;
         match input {
             KernelInput::CornerTurn(w) => programs::corner_turn::run(cfg, w, sink, faults, budget),

@@ -492,12 +492,14 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         self.hidden
     }
 
-    /// Consumes the machine into a [`KernelRun`].
+    /// Consumes the machine into a [`KernelRun`] whose verification is
+    /// left [`Verification::Unchecked`]: the program returns its output
+    /// beside the run, and the blanket `SignalMachine` impl checks it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if a phase is still open.
-    pub fn finish(self, verification: Verification) -> Result<KernelRun, SimError> {
+    pub fn finish(self) -> Result<KernelRun, SimError> {
         if self.phase.is_some() {
             return Err(SimError::unsupported("finish with open DPU phase"));
         }
@@ -521,7 +523,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             breakdown,
             ops_executed: self.ops,
             mem_words: self.mem_words,
-            verification,
+            verification: Verification::Unchecked,
             metrics,
         })
     }
@@ -619,7 +621,7 @@ mod tests {
         assert!(m.exec(0, 1, 0).is_err());
         m.launch().unwrap();
         assert!(m.launch().is_err());
-        assert!(m.clone().finish(Verification::Unchecked).is_err());
+        assert!(m.clone().finish().is_err());
     }
 
     #[test]
@@ -642,7 +644,7 @@ mod tests {
         m.dma_read(0, 0, r, 64).unwrap();
         m.exec(0, 64, 64).unwrap();
         m.sync().unwrap();
-        let run = m.finish(Verification::BitExact).unwrap();
+        let run = m.finish().unwrap();
         assert_eq!(run.metrics.counter_sum("dpu.cycles."), run.cycles.get());
         assert_eq!(run.metrics.counter_value("dpu.wram.peak_words"), Some(64));
         assert_eq!(run.metrics.counter_value("dpu.host.words"), Some(64));

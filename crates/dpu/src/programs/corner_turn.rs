@@ -11,7 +11,7 @@
 //! turns the same kernel entirely inside its on-chip DRAM.
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, SimError};
@@ -36,7 +36,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
     let dpus = cfg.dpus();
@@ -134,20 +134,24 @@ pub fn run<S: TraceSink, F: FaultHook>(
     }
 
     let out = m.host().read_block_u32(dst_base, rows * cols)?;
-    let verification = verify_words(&out, &workload.reference_transpose());
-    m.finish(verification)
+    Ok((m.finish()?, KernelOutput::Words(out)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_kernels::verify::check;
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(cfg: &DpuConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) = run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::CornerTurn(workload), &output);
+        Ok(result)
     }
 
     #[test]

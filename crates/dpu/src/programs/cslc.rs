@@ -13,7 +13,7 @@
 
 use triarch_fft::{Cf32, Fft};
 use triarch_kernels::cslc::CslcWorkload;
-use triarch_kernels::verify::verify_complex;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, SimError, WordMemory};
@@ -62,7 +62,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let c = *workload.config();
     let n = c.fft_len;
     let hop = c.hop();
@@ -199,7 +199,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
     }
 
-    // Extract and verify.
+    // Extract the output.
     let mut out = Vec::with_capacity(c.main_channels * c.subbands * n);
     for mc in 0..c.main_channels {
         for s in 0..c.subbands {
@@ -211,21 +211,24 @@ pub fn run<S: TraceSink, F: FaultHook>(
             );
         }
     }
-    let verification = verify_complex(&out, &workload.reference_output());
-    m.finish(verification)
+    Ok((m.finish()?, KernelOutput::Complex(out)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
-    use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_kernels::verify::{check, CSLC_TOLERANCE};
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(cfg: &DpuConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) = run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::Cslc(workload), &output);
+        Ok(result)
     }
 
     #[test]

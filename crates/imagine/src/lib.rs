@@ -48,7 +48,7 @@ pub use config::ImagineConfig;
 pub use machine::{ClusterOps, ImagineMachine};
 
 use programs::beam_steering::TablePlacement;
-use triarch_kernels::{Engine, KernelInput};
+use triarch_kernels::{Engine, KernelInput, KernelOutput};
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
@@ -100,7 +100,7 @@ impl Engine for Imagine {
         sink: S,
         faults: F,
         budget: CycleBudget,
-    ) -> Result<KernelRun, SimError> {
+    ) -> Result<(KernelRun, KernelOutput), SimError> {
         let cfg = &self.config;
         match input {
             KernelInput::CornerTurn(w) => programs::corner_turn::run(cfg, w, sink, faults, budget),

@@ -483,12 +483,14 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         self.hidden
     }
 
-    /// Consumes the machine into a [`KernelRun`].
+    /// Consumes the machine into a [`KernelRun`] whose verification is
+    /// left [`Verification::Unchecked`]: the program returns its output
+    /// beside the run, and the blanket `SignalMachine` impl checks it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if an overlap region is open.
-    pub fn finish(self, verification: Verification) -> Result<KernelRun, SimError> {
+    pub fn finish(self) -> Result<KernelRun, SimError> {
         if self.overlap.is_some() {
             return Err(SimError::unsupported("finish with open overlap region"));
         }
@@ -511,7 +513,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
             breakdown,
             ops_executed: self.ops,
             mem_words: self.mem_words,
-            verification,
+            verification: Verification::Unchecked,
             metrics,
         })
     }
@@ -598,7 +600,7 @@ mod tests {
         let r = m.srf_alloc(64).unwrap();
         m.stream_in(0, r, 64, AccessPattern::Sequential).unwrap();
         m.kernel_exec(ClusterOps { adds: 64, ..Default::default() }).unwrap();
-        let run = m.finish(Verification::BitExact).unwrap();
+        let run = m.finish().unwrap();
         assert_eq!(run.metrics.counter_sum("imagine.cycles."), run.cycles.get());
         assert_eq!(run.metrics.counter_value("imagine.srf.peak_words"), Some(64));
         assert!(run.metrics.get("imagine.srf.occupancy").is_some());
@@ -628,7 +630,7 @@ mod tests {
         assert!(m.end_overlap().is_err());
         m.begin_overlap().unwrap();
         assert!(m.begin_overlap().is_err());
-        assert!(m.clone().finish(Verification::Unchecked).is_err());
+        assert!(m.clone().finish().is_err());
     }
 
     #[test]

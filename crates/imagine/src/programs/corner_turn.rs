@@ -9,7 +9,7 @@
 //! with a non-unit stride."
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError};
@@ -37,7 +37,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
     let src_base = 0usize;
@@ -98,20 +98,24 @@ pub fn run<S: TraceSink, F: FaultHook>(
     for c in 0..cols {
         out.extend(m.memory().read_block_u32(dst_base + c * dst_pitch, rows)?);
     }
-    let verification = verify_words(&out, &workload.reference_transpose());
-    m.finish(verification)
+    Ok((m.finish()?, KernelOutput::Words(out)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_kernels::verify::check;
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(cfg: &ImagineConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) = run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::CornerTurn(workload), &output);
+        Ok(result)
     }
 
     #[test]

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use triarch_imagine::{programs, Imagine, ImagineConfig};
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
+use triarch_kernels::verify::check;
 use triarch_kernels::{KernelInput, RunCtx, SignalMachine};
 use triarch_simcore::{KernelRun, SimError, Verification};
 
@@ -36,7 +37,10 @@ proptest! {
         let w = BeamSteeringWorkload::new(elements, 2, dwells, seed).unwrap();
         let cfg = ImagineConfig::paper();
         let placed = |placement| {
-            run(&cfg, &w, placement, NullSink, NoFaults, CycleBudget::UNLIMITED).unwrap()
+            let (mut result, output) =
+                run(&cfg, &w, placement, NullSink, NoFaults, CycleBudget::UNLIMITED).unwrap();
+            result.verification = check(KernelInput::BeamSteering(&w), &output);
+            result
         };
         let dram = placed(TablePlacement::Dram);
         let srf = placed(TablePlacement::SrfResident);

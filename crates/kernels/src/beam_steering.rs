@@ -18,6 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triarch_simcore::{KernelDemands, SimError};
 
+use crate::verify::Golden;
+
 /// Paper parameter: antenna elements.
 pub const PAPER_ELEMENTS: usize = 1608;
 /// Paper parameter: directions per dwell.
@@ -38,6 +40,7 @@ pub struct BeamSteeringWorkload {
     dwell_stride: i32,
     steer_bias: i32,
     shift: u32,
+    golden: Golden<Vec<i32>>,
 }
 
 impl BeamSteeringWorkload {
@@ -77,6 +80,7 @@ impl BeamSteeringWorkload {
             dwell_stride: rng.gen_range(1 << 8..1 << 12),
             steer_bias: rng.gen_range(-1 << 10..1 << 10),
             shift: 4,
+            golden: Golden::default(),
         })
     }
 
@@ -161,7 +165,7 @@ impl BeamSteeringWorkload {
         s >> self.shift // shift 1
     }
 
-    /// Runs the reference kernel.
+    /// Runs the reference kernel, afresh on every call.
     ///
     /// Output layout: `[dwell][direction][element]` flattened.
     #[must_use]
@@ -177,6 +181,13 @@ impl BeamSteeringWorkload {
             }
         }
         out
+    }
+
+    /// The reference output, computed on first use and then shared by
+    /// every run of this workload. Only the verifier reads it.
+    #[must_use]
+    pub(crate) fn golden(&self) -> &[i32] {
+        self.golden.get_or_init(|| self.reference_output())
     }
 
     /// Integer operations per output: 5 adds + 1 shift.

@@ -10,6 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triarch_simcore::{KernelDemands, SimError};
 
+use crate::verify::Golden;
+
 /// The paper's matrix dimension (1024 × 1024).
 pub const PAPER_DIM: usize = 1024;
 
@@ -19,6 +21,7 @@ pub struct CornerTurnWorkload {
     rows: usize,
     cols: usize,
     src: Vec<u32>,
+    golden: Golden<Vec<u32>>,
 }
 
 impl CornerTurnWorkload {
@@ -44,7 +47,7 @@ impl CornerTurnWorkload {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let src = (0..rows * cols).map(|_| rng.gen::<u32>()).collect();
-        Ok(CornerTurnWorkload { rows, cols, src })
+        Ok(CornerTurnWorkload { rows, cols, src, golden: Golden::default() })
     }
 
     /// Wraps existing row-major data as a workload.
@@ -63,7 +66,7 @@ impl CornerTurnWorkload {
                 data.len()
             )));
         }
-        Ok(CornerTurnWorkload { rows, cols, src: data })
+        Ok(CornerTurnWorkload { rows, cols, src: data, golden: Golden::default() })
     }
 
     /// Number of matrix rows.
@@ -96,12 +99,20 @@ impl CornerTurnWorkload {
         &self.src
     }
 
-    /// The golden transposed result (column-major walk of the source).
+    /// The golden transposed result (column-major walk of the source),
+    /// computed afresh on every call.
     #[must_use]
     pub fn reference_transpose(&self) -> Vec<u32> {
         let mut dst = vec![0u32; self.src.len()];
         transpose_into(&self.src, self.rows, self.cols, &mut dst);
         dst
+    }
+
+    /// The golden transposed result, computed on first use and then
+    /// shared by every run of this workload. Only the verifier reads it.
+    #[must_use]
+    pub(crate) fn golden(&self) -> &[u32] {
+        self.golden.get_or_init(|| self.reference_transpose())
     }
 
     /// Blocked transpose, as used by cache-based machines (Section 3.1:

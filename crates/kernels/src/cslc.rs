@@ -14,6 +14,8 @@ use triarch_fft::ops::{mixed_128_ops, radix2_ops, radix4_ops, OpCount};
 use triarch_fft::{Cf32, Fft};
 use triarch_simcore::{KernelDemands, SimError};
 
+use crate::verify::Golden;
+
 /// Paper parameter: number of main (to-be-cleaned) channels.
 pub const PAPER_MAIN_CHANNELS: usize = 2;
 /// Paper parameter: number of auxiliary (jammer reference) channels.
@@ -150,6 +152,8 @@ pub struct CslcWorkload {
     forward: Fft,
     /// Inverse FFT plan for `cfg.fft_len`.
     inverse: Fft,
+    /// The reference output, computed on first use.
+    golden: Golden<Vec<Cf32>>,
 }
 
 /// Executes a plan on a window whose length matches it by construction.
@@ -234,7 +238,7 @@ impl CslcWorkload {
             })
             .collect();
 
-        Ok(CslcWorkload { cfg, main, aux, weights, forward, inverse })
+        Ok(CslcWorkload { cfg, main, aux, weights, forward, inverse, golden: Golden::default() })
     }
 
     /// The workload's configuration.
@@ -263,7 +267,8 @@ impl CslcWorkload {
     }
 
     /// Runs the reference pipeline: FFT each channel's sub-bands, subtract
-    /// weighted aux spectra from each main spectrum, IFFT.
+    /// weighted aux spectra from each main spectrum, IFFT. Computes afresh
+    /// on every call.
     ///
     /// Output layout: `[main][subband][bin]` flattened, i.e.
     /// `out[(m * subbands + s) * fft_len + k]`.
@@ -303,6 +308,13 @@ impl CslcWorkload {
             }
         }
         out
+    }
+
+    /// The reference output, computed on first use and then shared by
+    /// every run of this workload. Only the verifier reads it.
+    #[must_use]
+    pub(crate) fn golden(&self) -> &[Cf32] {
+        self.golden.get_or_init(|| self.reference_output())
     }
 
     /// Number of complex samples in the output.

@@ -12,10 +12,11 @@
 //!   from calibration tables — 2 reads, 1 write, 5 adds and 1 shift per
 //!   output; stresses memory latency/bandwidth.
 //!
-//! Each module provides the workload type (sized per the paper), a golden
-//! reference implementation, and verification helpers. The
-//! [`machine::SignalMachine`] trait is the interface every simulated
-//! architecture implements, with one entry:
+//! Each module provides the workload type (sized per the paper) and a
+//! golden reference implementation. A workload computes its golden output
+//! once, on first use, and [`verify::check`] is the one place a run's
+//! output is compared with it. The [`machine::SignalMachine`] trait is the
+//! interface every simulated architecture implements, with one entry:
 //! [`SignalMachine::run_with`] takes a [`KernelInput`] and a [`RunCtx`].
 //!
 //! # Example
@@ -47,3 +48,4 @@ pub use beam_steering::BeamSteeringWorkload;
 pub use corner_turn::CornerTurnWorkload;
 pub use cslc::CslcWorkload;
 pub use machine::{Engine, Kernel, KernelInput, RunCtx, SignalMachine, WorkloadSet};
+pub use verify::KernelOutput;

@@ -9,6 +9,7 @@ use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
 use crate::beam_steering::BeamSteeringWorkload;
 use crate::corner_turn::CornerTurnWorkload;
 use crate::cslc::CslcWorkload;
+use crate::verify::{self, KernelOutput};
 
 /// The three kernels of the study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,6 +63,18 @@ pub enum KernelInput<'a> {
     BeamSteering(&'a BeamSteeringWorkload),
 }
 
+impl KernelInput<'_> {
+    /// The kernel this input feeds.
+    #[must_use]
+    pub fn kernel(self) -> Kernel {
+        match self {
+            KernelInput::CornerTurn(_) => Kernel::CornerTurn,
+            KernelInput::Cslc(_) => Kernel::Cslc,
+            KernelInput::BeamSteering(_) => Kernel::BeamSteering,
+        }
+    }
+}
+
 /// What a run carries besides its input. `RunCtx::default()` is a plain
 /// run: untraced, unfaulted, unlimited budget.
 #[derive(Default)]
@@ -85,9 +98,10 @@ pub struct RunCtx<'a> {
 ///
 /// Implementations must be *data-accurate*: each run computes the actual
 /// kernel output on simulated hardware and reports how it compared with
-/// the workload's reference output in [`KernelRun::verification`].
+/// the workload's golden output in [`KernelRun::verification`].
 ///
-/// Engines implement [`Engine`] and get this trait from the blanket impl.
+/// Engines implement [`Engine`] and get this trait from the blanket impl,
+/// which checks every run's output with [`verify::check`].
 pub trait SignalMachine {
     /// Static machine description (paper Table 2 row).
     fn info(&self) -> &MachineInfo;
@@ -120,7 +134,11 @@ pub trait Engine {
     /// in scope at once.
     fn machine_info(&self) -> &MachineInfo;
 
-    /// Runs the program for `input`: one `match` arm per kernel.
+    /// Runs the program for `input`: one `match` arm per kernel. Returns
+    /// the run's counters beside the kernel output the simulated machine
+    /// produced; the counters' [`KernelRun::verification`] is left
+    /// [`Unchecked`](triarch_simcore::Verification::Unchecked) for the
+    /// blanket [`SignalMachine`] impl to fill in.
     ///
     /// # Errors
     ///
@@ -131,21 +149,22 @@ pub trait Engine {
         sink: S,
         faults: F,
         budget: CycleBudget,
-    ) -> Result<KernelRun, SimError>;
+    ) -> Result<(KernelRun, KernelOutput), SimError>;
 }
 
 /// Instantiates each engine's programs exactly twice: `<NullSink,
 /// NoFaults>` for a context with neither sink nor hook, so plain runs
 /// keep a statically disabled instrumentation path, and `<&mut dyn
 /// TraceSink, &mut dyn FaultHook>` otherwise, with the missing half
-/// filled by the disabled default.
+/// filled by the disabled default. Every run that finishes is checked
+/// here, and only here, against its workload's golden output.
 impl<E: Engine> SignalMachine for E {
     fn info(&self) -> &MachineInfo {
         self.machine_info()
     }
 
     fn run_with(&mut self, input: KernelInput<'_>, ctx: RunCtx<'_>) -> Result<KernelRun, SimError> {
-        match ctx {
+        let (mut run, output) = match ctx {
             RunCtx { sink: None, faults: None, budget } => {
                 self.run_program(input, NullSink, NoFaults, budget)
             }
@@ -155,12 +174,15 @@ impl<E: Engine> SignalMachine for E {
                 let faults: &mut dyn FaultHook = faults.unwrap_or(&mut none);
                 self.run_program(input, sink, faults, budget)
             }
-        }
+        }?;
+        run.verification = verify::check(input, &output);
+        Ok(run)
     }
 }
 
 /// One instance of every kernel workload, shared across machines so all
-/// architectures process identical data.
+/// architectures process identical data (and check it against one golden
+/// output per workload).
 #[derive(Debug, Clone)]
 pub struct WorkloadSet {
     /// The corner-turn matrix.

@@ -39,7 +39,7 @@ pub use config::PpcConfig;
 pub use machine::PpcMachine;
 pub use programs::Variant;
 
-use triarch_kernels::{Engine, KernelInput};
+use triarch_kernels::{Engine, KernelInput, KernelOutput};
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
@@ -109,7 +109,7 @@ impl Engine for Ppc {
         sink: S,
         faults: F,
         budget: CycleBudget,
-    ) -> Result<KernelRun, SimError> {
+    ) -> Result<(KernelRun, KernelOutput), SimError> {
         let cfg = &self.config;
         match input {
             KernelInput::CornerTurn(w) => {

@@ -5,7 +5,7 @@
 //! dependence and the streaming-store misses cap the gain.
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, SimError};
@@ -32,7 +32,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let e = workload.elements();
     let out_base = 2 * e;
     let mut m = PpcMachine::with_hooks(cfg, sink, faults, budget)?;
@@ -88,24 +88,29 @@ pub fn run<S: TraceSink, F: FaultHook>(
         m.checkpoint("dwell-done");
     }
 
-    let verification = verify_words(&out, &workload.reference_output());
-    Ok(m.finish(verification))
+    Ok((m.finish(), KernelOutput::Ints(out)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_kernels::verify::check;
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(
         cfg: &PpcConfig,
         workload: &BeamSteeringWorkload,
         variant: Variant,
     ) -> Result<KernelRun, SimError> {
-        run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) =
+            run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::BeamSteering(workload), &output);
+        Ok(result)
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! is limited by main memory bandwidth".
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, SimError};
@@ -34,7 +34,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let rows = workload.rows();
     let cols = workload.cols();
     let src = workload.source_slice();
@@ -87,24 +87,29 @@ pub fn run<S: TraceSink, F: FaultHook>(
     // streamed write-back.
     m.fault_transfer(dst_base, &mut dst)?;
     m.checkpoint("transpose-loop-done");
-    let verification = verify_words(&dst, &workload.reference_transpose());
-    Ok(m.finish(verification))
+    Ok((m.finish(), KernelOutput::Words(dst)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_kernels::verify::check;
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(
         cfg: &PpcConfig,
         workload: &CornerTurnWorkload,
         variant: Variant,
     ) -> Result<KernelRun, SimError> {
-        run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) =
+            run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::CornerTurn(workload), &output);
+        Ok(result)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use triarch_fft::{fft_radix2, ifft_radix2, Cf32};
 use triarch_kernels::cslc::CslcWorkload;
-use triarch_kernels::verify::verify_complex;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, SimError};
@@ -85,7 +85,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let c = *workload.config();
     let n = c.fft_len;
     let hop = c.hop();
@@ -158,25 +158,29 @@ pub fn run<S: TraceSink, F: FaultHook>(
         m.checkpoint("subband-done");
     }
 
-    let verification = verify_complex(&out, &workload.reference_output());
-    Ok(m.finish(verification))
+    Ok((m.finish(), KernelOutput::Complex(out)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
-    use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_kernels::verify::{check, CSLC_TOLERANCE};
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(
         cfg: &PpcConfig,
         workload: &CslcWorkload,
         variant: Variant,
     ) -> Result<KernelRun, SimError> {
-        run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) =
+            run(cfg, workload, variant, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::Cslc(workload), &output);
+        Ok(result)
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use machine::RawMachine;
 pub use network::{PacketFormat, StaticNetwork, TileId};
 
 use programs::cslc::CslcMode;
-use triarch_kernels::{Engine, KernelInput};
+use triarch_kernels::{Engine, KernelInput, KernelOutput};
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
@@ -98,7 +98,7 @@ impl Engine for Raw {
         sink: S,
         faults: F,
         budget: CycleBudget,
-    ) -> Result<KernelRun, SimError> {
+    ) -> Result<(KernelRun, KernelOutput), SimError> {
         let cfg = &self.config;
         match input {
             KernelInput::CornerTurn(w) => programs::corner_turn::run(cfg, w, sink, faults, budget),

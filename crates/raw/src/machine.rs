@@ -387,12 +387,14 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
         self.ledger.total()
     }
 
-    /// Consumes the machine into a [`KernelRun`].
+    /// Consumes the machine into a [`KernelRun`] whose verification is
+    /// left [`Verification::Unchecked`]: the program returns its output
+    /// beside the run, and the blanket `SignalMachine` impl checks it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if a phase is still open.
-    pub fn finish(self, verification: Verification) -> Result<KernelRun, SimError> {
+    pub fn finish(self) -> Result<KernelRun, SimError> {
         if self.in_phase {
             return Err(SimError::unsupported("finish with open phase"));
         }
@@ -429,7 +431,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             breakdown,
             ops_executed: self.ops,
             mem_words: self.mem_words,
-            verification,
+            verification: Verification::Unchecked,
             metrics,
         })
     }
@@ -512,7 +514,7 @@ mod tests {
         m.begin_phase().unwrap();
         assert!(m.begin_phase().is_err());
         assert!(m.tile_issue(99, 1).is_err());
-        assert!(m.clone().finish(Verification::Unchecked).is_err());
+        assert!(m.clone().finish().is_err());
         m.end_phase(false).unwrap();
     }
 
@@ -535,7 +537,7 @@ mod tests {
         m.tile_net_words(1, 50, 2).unwrap();
         m.count_ops(80);
         m.end_phase(false).unwrap();
-        let run = m.finish(Verification::BitExact).unwrap();
+        let run = m.finish().unwrap();
         assert_eq!(run.metrics.counter_sum("raw.cycles."), run.cycles.get());
         assert_eq!(run.metrics.counter_value("raw.net.words"), Some(50));
         assert_eq!(run.metrics.counter_value("raw.tiles.issue"), Some(100));

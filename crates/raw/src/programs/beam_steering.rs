@@ -8,7 +8,7 @@
 //! utilization."
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{AccessPattern, CycleBudget, KernelRun, SimError};
@@ -32,7 +32,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let e = workload.elements();
     let cal_a_base = 0usize;
     let cal_b_base = e;
@@ -101,20 +101,24 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
     let raw_out = m.memory().read_block_u32(out_base, workload.outputs())?;
     let got: Vec<i32> = raw_out.into_iter().map(|v| v as i32).collect();
-    let verification = verify_words(&got, &workload.reference_output());
-    m.finish(verification)
+    Ok((m.finish()?, KernelOutput::Ints(got)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_kernels::verify::check;
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(cfg: &RawConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) = run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::BeamSteering(workload), &output);
+        Ok(result)
     }
 
     #[test]

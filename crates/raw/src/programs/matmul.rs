@@ -94,9 +94,10 @@ pub fn run(cfg: &RawConfig, workload: &MatmulWorkload) -> Result<KernelRun, SimE
     m.end_phase(false)?;
 
     let err = max_error(&c, &reference);
-    let verification =
+    let mut run = m.finish()?;
+    run.verification =
         if err == 0.0 { Verification::BitExact } else { Verification::MaxError(err) };
-    m.finish(verification)
+    Ok(run)
 }
 
 #[cfg(test)]

@@ -105,19 +105,25 @@ impl WordMemory {
         self.write_u32(addr, value.to_bits())
     }
 
+    /// A borrowed view of the `len` words starting at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if the region does not fit.
+    pub fn block_u32(&self, addr: usize, len: usize) -> Result<&[u32], SimError> {
+        let end = addr
+            .checked_add(len)
+            .ok_or(SimError::OutOfBounds { addr: usize::MAX, size: self.words.len() })?;
+        self.words.get(addr..end).ok_or(SimError::OutOfBounds { addr: end, size: self.words.len() })
+    }
+
     /// Copies a region out of the memory as `u32` words.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`] if the region does not fit.
     pub fn read_block_u32(&self, addr: usize, len: usize) -> Result<Vec<u32>, SimError> {
-        let end = addr
-            .checked_add(len)
-            .ok_or(SimError::OutOfBounds { addr: usize::MAX, size: self.words.len() })?;
-        if end > self.words.len() {
-            return Err(SimError::OutOfBounds { addr: end, size: self.words.len() });
-        }
-        Ok(self.words[addr..end].to_vec())
+        self.block_u32(addr, len).map(<[u32]>::to_vec)
     }
 
     /// Writes a slice of `u32` words starting at `addr`.
@@ -204,5 +210,27 @@ mod tests {
     fn overflow_addresses_do_not_panic() {
         let m = WordMemory::new(4);
         assert!(m.read_block_u32(usize::MAX, 2).is_err());
+    }
+
+    #[test]
+    fn block_views_borrow_the_words_and_refuse_like_copies() {
+        let mut m = WordMemory::new(6);
+        m.write_block_u32(1, &[7, 8, 9]).unwrap();
+        assert_eq!(m.block_u32(1, 3).unwrap(), &[7, 8, 9]);
+        assert!(std::ptr::eq(m.block_u32(0, 6).unwrap(), m.as_words()));
+        assert_eq!(m.block_u32(6, 0).unwrap(), &[] as &[u32]);
+        // The error names the end of the region, or usize::MAX when the
+        // end overflows, for the view and the copy alike.
+        for (addr, len, at) in [
+            (4, 3, 7),
+            (7, 0, 7),
+            (100, 2, 102),
+            (usize::MAX, 2, usize::MAX),
+            (1, usize::MAX, usize::MAX),
+        ] {
+            let want = SimError::OutOfBounds { addr: at, size: 6 };
+            assert_eq!(m.block_u32(addr, len), Err(want.clone()), "{addr}+{len}");
+            assert_eq!(m.read_block_u32(addr, len), Err(want), "{addr}+{len}");
+        }
     }
 }

@@ -43,7 +43,7 @@ pub mod vector;
 pub use config::ViramConfig;
 pub use vector::VectorUnit;
 
-use triarch_kernels::{Engine, KernelInput};
+use triarch_kernels::{Engine, KernelInput, KernelOutput};
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
@@ -95,7 +95,7 @@ impl Engine for Viram {
         sink: S,
         faults: F,
         budget: CycleBudget,
-    ) -> Result<KernelRun, SimError> {
+    ) -> Result<(KernelRun, KernelOutput), SimError> {
         let cfg = &self.config;
         match input {
             KernelInput::CornerTurn(w) => programs::corner_turn::run(cfg, w, sink, faults, budget),

@@ -10,7 +10,7 @@
 //! initialize the vector operations").
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::KernelOutput;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, SimError};
@@ -43,7 +43,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     sink: S,
     faults: F,
     budget: CycleBudget,
-) -> Result<KernelRun, SimError> {
+) -> Result<(KernelRun, KernelOutput), SimError> {
     let e = workload.elements();
     let cal_a_base = 0usize;
     let cal_b_base = e;
@@ -101,22 +101,26 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
     }
 
-    let raw = unit.memory().read_block_u32(out_base, workload.outputs())?;
-    let got: Vec<i32> = raw.into_iter().map(|v| v as i32).collect();
-    let verification = verify_words(&got, &workload.reference_output());
-    unit.finish(verification)
+    let raw = unit.memory().block_u32(out_base, workload.outputs())?;
+    let got: Vec<i32> = raw.iter().map(|&v| v as i32).collect();
+    Ok((unit.finish()?, KernelOutput::Ints(got)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_kernels::verify::check;
+    use triarch_kernels::KernelInput;
     use triarch_simcore::faults::NoFaults;
     use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
-    /// The plain run: untraced, unfaulted, unlimited budget.
+    /// The plain run: untraced, unfaulted, unlimited budget, and checked
+    /// by the study's one verifier.
     fn plain(cfg: &ViramConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-        run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)
+        let (mut result, output) = run(cfg, workload, NullSink, NoFaults, CycleBudget::UNLIMITED)?;
+        result.verification = check(KernelInput::BeamSteering(workload), &output);
+        Ok(result)
     }
 
     #[test]

@@ -338,7 +338,7 @@ mod tests {
         let plan = VfftPlan::new(128, cfg.mvl, false).unwrap();
         plan.load_tables(&mut unit).unwrap();
         plan.execute(&mut unit).unwrap();
-        let run = unit.finish(triarch_simcore::Verification::Unchecked).unwrap();
+        let run = unit.finish().unwrap();
         assert!(run.breakdown.get("shuffle").get() > 0, "FFT must pay shuffle overhead");
         assert!(run.breakdown.get("compute").get() > 0);
     }

@@ -3,7 +3,7 @@
 //! identical), graceful degradation (typed queue-full rejection under
 //! pinned workers, counted in `serve.*`), single-flight coalescing,
 //! wire-protocol robustness against hostile frames (version-1 frames
-//! included), request-id minting and its echo on every reply, and the
+//! and deeply nested job bodies included), request-id minting and its echo on every reply, and the
 //! Unix-socket transport.
 //!
 //! Every test binds to an ephemeral endpoint (`127.0.0.1:0` or a
@@ -282,6 +282,25 @@ fn hostile_frames_get_typed_error_replies_not_hangs() {
     // The daemon survives all of the above and still answers stats.
     let stats = client.stats().unwrap();
     assert!(stats.contains("triarch_serve_errors"), "{stats}");
+    handle.shutdown();
+}
+
+/// A job body nested far past the JSON depth limit (20,000 `[` as its
+/// `driver`) gets a typed `bad-request` reply naming the limit; the
+/// handler thread does not overflow its stack, so the daemon still
+/// answers stats.
+#[test]
+fn deeply_nested_job_bodies_get_a_typed_error_and_the_daemon_survives() {
+    let (handle, client) = start(|_| {});
+    let depth = 20_000;
+    let body = format!("{{\"schema\": 1, \"driver\": {}{}}}", "[".repeat(depth), "]".repeat(depth));
+    let (code, message) =
+        raw_error_round_trip(handle.addr(), &frame(PROTOCOL_VERSION, 1, body.as_bytes()));
+    assert_eq!(code, "bad-request");
+    let limit = triarch_core::benchjson::MAX_JSON_DEPTH;
+    assert!(message.contains(&format!("nesting deeper than {limit} levels at byte")), "{message}");
+    let stats = client.stats().unwrap();
+    assert!(stats.lines().any(|l| l == "triarch_serve_errors 1"), "{stats}");
     handle.shutdown();
 }
 
