@@ -329,11 +329,12 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         len: usize,
         pattern: AccessPattern,
     ) -> Result<(), SimError> {
+        pattern.check()?;
         if len > dst.len {
             return Err(SimError::capacity("srf stream range", len, dst.len));
         }
         for i in 0..len {
-            let a = stream_addr(mem_addr, i, pattern);
+            let a = pattern.word(mem_addr, i);
             let v = self.mem.read_u32(a)?;
             self.srf.write_u32(dst.start + i, v)?;
         }
@@ -376,6 +377,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         len: usize,
         pattern: AccessPattern,
     ) -> Result<(), SimError> {
+        pattern.check()?;
         if len > src.len {
             return Err(SimError::capacity("srf stream range", len, src.len));
         }
@@ -391,7 +393,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                     v = fault.force(v);
                 }
             }
-            let a = stream_addr(mem_addr, i, pattern);
+            let a = pattern.word(mem_addr, i);
             self.mem.write_u32(a, v)?;
         }
         let cursor = self.mem_cursor();
@@ -412,7 +414,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
             // off-chip destination.
             let fx = self.faults.transfer(FaultDomain::Dram, mem_addr, len);
             for flip in &fx.flips {
-                let a = stream_addr(mem_addr, flip.offset, pattern);
+                let a = pattern.word(mem_addr, flip.offset);
                 let word = self.mem.read_u32(a)?;
                 self.mem.write_u32(a, word ^ flip.xor_mask)?;
             }
@@ -519,16 +521,6 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     }
 }
 
-fn stream_addr(base: usize, idx: usize, pattern: AccessPattern) -> usize {
-    match pattern {
-        AccessPattern::Sequential => base + idx,
-        AccessPattern::Strided { stride_words } => base + idx * stride_words,
-        AccessPattern::Chunked { chunk_words, stride_words } => {
-            base + (idx / chunk_words) * stride_words + idx % chunk_words
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +560,27 @@ mod tests {
         m.stream_out(r, 200, 4, AccessPattern::Sequential).unwrap();
         assert_eq!(m.memory().read_u32(200).unwrap(), 42);
         assert!(m.cycles() > Cycles::ZERO);
+    }
+
+    #[test]
+    fn refused_patterns_move_no_data() {
+        let mut m = machine();
+        m.memory_mut().write_block_u32(0, &[5, 6, 7, 8]).unwrap();
+        let r = m.srf_alloc(4).unwrap();
+        m.srf_mut().write_block_u32(r.start, &[1, 2, 3, 4]).unwrap();
+        for pattern in [
+            AccessPattern::Strided { stride_words: 0 },
+            AccessPattern::Chunked { chunk_words: 0, stride_words: 8 },
+            AccessPattern::Chunked { chunk_words: 8, stride_words: 0 },
+        ] {
+            let err = m.stream_in(0, r, 4, pattern).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig { .. }), "{pattern:?}: {err}");
+            let err = m.stream_out(r, 0, 4, pattern).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig { .. }), "{pattern:?}: {err}");
+            assert_eq!(m.memory().read_block_u32(0, 4).unwrap(), vec![5, 6, 7, 8]);
+            assert_eq!(m.srf().read_block_u32(r.start, 4).unwrap(), vec![1, 2, 3, 4]);
+        }
+        assert_eq!(m.cycles(), Cycles::ZERO);
     }
 
     #[test]

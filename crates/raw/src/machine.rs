@@ -262,7 +262,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             // cell corruption observed by this and later transfers).
             let fx = self.faults.transfer(FaultDomain::Dram, addr, words);
             for flip in &fx.flips {
-                let a = transfer_addr(addr, flip.offset, pattern);
+                let a = pattern.word(addr, flip.offset);
                 if let Ok(v) = self.mem.read_u32(a) {
                     self.mem.write_u32(a, v ^ flip.xor_mask)?;
                 }
@@ -274,7 +274,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
                 let tiles = self.cfg.tiles().max(1);
                 let mut i = fault.index % tiles;
                 while i < words {
-                    let a = transfer_addr(addr, i, pattern);
+                    let a = pattern.word(addr, i);
                     if let Ok(v) = self.mem.read_u32(a) {
                         self.mem.write_u32(a, fault.force(v))?;
                     }
@@ -434,18 +434,6 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             verification: Verification::Unchecked,
             metrics,
         })
-    }
-}
-
-/// Maps a transfer-relative word index to its absolute memory address
-/// under an access pattern.
-fn transfer_addr(base: usize, idx: usize, pattern: AccessPattern) -> usize {
-    match pattern {
-        AccessPattern::Sequential => base + idx,
-        AccessPattern::Strided { stride_words } => base + idx * stride_words,
-        AccessPattern::Chunked { chunk_words, stride_words } => {
-            base + (idx / chunk_words) * stride_words + idx % chunk_words
-        }
     }
 }
 

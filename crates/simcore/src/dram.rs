@@ -4,15 +4,30 @@
 //! VIRAM's on-chip DRAM (2 wings × 4 banks behind a 256-bit crossbar),
 //! Imagine's and Raw's off-chip SDRAM, and the G4's main memory.
 //!
-//! The model is a word-granularity timing simulation: a transfer walks its
-//! address stream in per-cycle groups (group width = the words-per-cycle
-//! throughput of the interface, further limited by the number of address
-//! generators for strided streams). Each word maps to a `(bank, row)`; a
-//! word that touches a bank whose open row differs must wait for a
-//! precharge + activate, and the bank is busy until the activate completes.
-//! Open rows persist across transfers, so blocked access patterns that
-//! revisit rows (the paper's corner-turn optimizations) pay the row costs
-//! only once — exactly the effect the paper exploits.
+//! Timing stays word-granular: a transfer issues its address stream in
+//! per-cycle groups (group width = the words-per-cycle throughput of the
+//! interface, further limited by the number of address generators for
+//! strided streams). Each word maps to a `(bank, row)`; a word that touches
+//! a bank whose open row differs must wait for a precharge + activate, and
+//! the bank is busy until the activate completes. Open rows persist across
+//! transfers, so blocked access patterns that revisit rows (the paper's
+//! corner-turn optimizations) pay the row costs only once — exactly the
+//! effect the paper exploits.
+//!
+//! The walk itself settles *runs*, not words. A run is a stretch of
+//! consecutive words that share one bank and one row. Only its first word
+//! can miss; every later word hits the row that word just settled, so it
+//! adds a bank conflict exactly when that bank is still busy in the first
+//! word's group, and in any later group it stalls nothing (the group that
+//! holds the first word waits for the bank). A run therefore costs O(1)
+//! whatever its length, and may end early at an interleave, row-stripe,
+//! wing or chunk boundary without changing any result. Each run's bank,
+//! row and length come from constants computed once per model (a shift
+//! for each power-of-two divisor of the configuration, a 128-bit
+//! reciprocal for the rest), so locating a word divides nothing.
+//! The word-by-word walk this replaces is kept as a test-only oracle
+//! (`DramModel::transfer_per_word`), and a property test holds the two to
+//! equal costs, bank state and counters after every transfer.
 
 use triarch_metrics::MetricsReport;
 use triarch_trace::TraceSink;
@@ -40,6 +55,56 @@ pub enum AccessPattern {
         /// Distance in words between chunk starts; must be non-zero.
         stride_words: usize,
     },
+}
+
+impl AccessPattern {
+    /// Checks that the pattern's strides and chunk length are non-zero.
+    /// Callers that move data run this before the first word moves;
+    /// [`DramModel::transfer`] runs it too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for a zero stride or chunk length.
+    pub fn check(self) -> Result<(), SimError> {
+        match self {
+            AccessPattern::Strided { stride_words: 0 } => {
+                Err(SimError::invalid_config("strided transfer requires non-zero stride"))
+            }
+            AccessPattern::Chunked { chunk_words, stride_words }
+                if chunk_words == 0 || stride_words == 0 =>
+            {
+                Err(SimError::invalid_config("chunked transfer requires non-zero chunk and stride"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Address of the `idx`-th word of a transfer that starts at `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `Chunked` pattern with `chunk_words == 0`, which
+    /// [`check`](Self::check) refuses.
+    #[must_use]
+    pub fn word(self, base: usize, idx: usize) -> usize {
+        match self {
+            AccessPattern::Sequential => base + idx,
+            AccessPattern::Strided { stride_words } => base + idx * stride_words,
+            AccessPattern::Chunked { chunk_words, stride_words } => {
+                base + (idx / chunk_words) * stride_words + idx % chunk_words
+            }
+        }
+    }
+
+    /// Length of the pattern's stretches of consecutive addresses: one
+    /// word for a strided stream, unbounded for a sequential one.
+    fn chunk_words(self) -> usize {
+        match self {
+            AccessPattern::Sequential => usize::MAX,
+            AccessPattern::Strided { .. } => 1,
+            AccessPattern::Chunked { chunk_words, .. } => chunk_words,
+        }
+    }
 }
 
 /// Configuration of a banked DRAM interface.
@@ -192,6 +257,9 @@ impl DramConfig {
         if self.wings > 1 && self.wing_words == 0 {
             return Err(SimError::invalid_config("multi-wing dram needs wing_words"));
         }
+        if self.row_words.checked_mul(self.banks_per_wing()).is_none() {
+            return Err(SimError::invalid_config("dram row_words × banks per wing overflows"));
+        }
         Ok(())
     }
 
@@ -250,6 +318,7 @@ impl DramCost {
 #[derive(Debug, Clone)]
 pub struct DramModel {
     cfg: DramConfig,
+    map: AddressMap,
     open_rows: Vec<Option<usize>>,
     bank_ready: Vec<u64>,
     now: u64,
@@ -269,6 +338,7 @@ impl DramModel {
     pub fn new(cfg: DramConfig) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(DramModel {
+            map: AddressMap::new(&cfg),
             open_rows: vec![None; cfg.banks],
             bank_ready: vec![0; cfg.banks],
             now: 0,
@@ -348,28 +418,6 @@ impl DramModel {
         self.now += cycles.get();
     }
 
-    #[inline]
-    fn bank_of(&self, word: usize) -> usize {
-        if self.cfg.wings > 1 {
-            let wing = (word / self.cfg.wing_words) % self.cfg.wings;
-            let local = word % self.cfg.wing_words;
-            let bpw = self.cfg.banks_per_wing();
-            wing * bpw + (local / self.cfg.interleave_words) % bpw
-        } else {
-            (word / self.cfg.interleave_words) % self.cfg.banks
-        }
-    }
-
-    #[inline]
-    fn row_of(&self, word: usize) -> usize {
-        if self.cfg.wings > 1 {
-            let local = word % self.cfg.wing_words;
-            local / (self.cfg.row_words * self.cfg.banks_per_wing())
-        } else {
-            word / (self.cfg.row_words * self.cfg.banks)
-        }
-    }
-
     /// Times a transfer of `n_words` starting at `start_word`.
     ///
     /// The transfer is assumed to occupy the interface exclusively; the
@@ -377,105 +425,121 @@ impl DramModel {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for a zero stride.
+    /// Returns [`SimError::InvalidConfig`] for a zero stride or chunk
+    /// length (see [`AccessPattern::check`]).
     pub fn transfer(
         &mut self,
         start_word: usize,
         n_words: usize,
         pattern: AccessPattern,
     ) -> Result<DramCost, SimError> {
-        let group: usize = match pattern {
-            AccessPattern::Sequential => self.cfg.seq_words_per_cycle as usize,
-            AccessPattern::Strided { stride_words } => {
-                if stride_words == 0 {
-                    return Err(SimError::invalid_config(
-                        "strided transfer requires non-zero stride",
-                    ));
-                }
-                self.cfg.strided_words_per_cycle as usize
-            }
-            AccessPattern::Chunked { chunk_words, stride_words } => {
-                if chunk_words == 0 || stride_words == 0 {
-                    return Err(SimError::invalid_config(
-                        "chunked transfer requires non-zero chunk and stride",
-                    ));
-                }
-                // Within-chunk accesses stream at the sequential rate; the
-                // address generator absorbs the chunk jumps.
-                self.cfg.seq_words_per_cycle as usize
-            }
-        };
+        pattern.check()?;
         if n_words == 0 {
             return Ok(DramCost::default());
         }
+        let per_group = self.map.group(pattern);
+        let group = per_group.get() as usize;
+        let chunk = pattern.chunk_words();
 
         let start_time = self.now;
+        // The open group issues at `t` and retires one cycle after
+        // `group_ready`, the latest ready time of the banks it touched;
+        // `filled` of its `group` words are taken.
         let mut t = self.now + self.cfg.t_startup;
+        let mut group_ready = t;
+        let mut filled = 0usize;
         let mut row_misses = 0u64;
 
-        let mut issued = 0usize;
-        while issued < n_words {
-            let in_group = group.min(n_words - issued);
-            // One cycle of data transfer for the group, delayed by any bank
-            // that must first activate a new row.
-            let mut group_ready = t;
-            for k in 0..in_group {
-                let idx = issued + k;
-                let word = match pattern {
-                    AccessPattern::Sequential => start_word + idx,
-                    AccessPattern::Strided { stride_words } => start_word + idx * stride_words,
-                    AccessPattern::Chunked { chunk_words, stride_words } => {
-                        start_word + (idx / chunk_words) * stride_words + idx % chunk_words
-                    }
-                };
-                let bank = self.bank_of(word);
-                let row = self.row_of(word);
-                if self.open_rows[bank] != Some(row) {
-                    row_misses += 1;
-                    // Memory controllers issue precharge/activate ahead of
-                    // the data stream; an activation can begin as soon as
-                    // the bank was last free, up to one full row-cycle
-                    // before the access needs it. A bank that has been idle
-                    // hides the row cost entirely (the paper: "mostly
-                    // hidden with sequential accesses"); a bank re-opened
-                    // in quick succession stalls the stream.
-                    let lookahead = self.cfg.t_precharge + self.cfg.t_activate;
-                    let ready = self.bank_ready[bank];
-                    let activate_start = ready.max(t.saturating_sub(lookahead));
-                    let activate_end = activate_start + self.cfg.t_precharge + self.cfg.t_activate;
-                    // Branchless: conflicts are an observability counter on
-                    // the innermost loop, so keep them off the branch
-                    // predictor's plate.
-                    self.total_bank_conflicts += u64::from(ready > t);
-                    self.open_rows[bank] = Some(row);
-                    self.bank_ready[bank] = activate_end;
-                    group_ready = group_ready.max(activate_end);
+        let mut idx = 0usize;
+        while idx < n_words {
+            let chunk_end = idx + chunk.min(n_words - idx);
+            let mut word = pattern.word(start_word, idx);
+            loop {
+                let at = self.map.locate(word);
+                let run = at.room.min(chunk_end - idx);
+                // The run's first word, the only one that can miss.
+                let ready = self.bank_ready[at.bank];
+                self.total_bank_conflicts += u64::from(ready > t);
+                let bank_ready = if self.open_rows[at.bank] == Some(at.row) {
+                    ready
                 } else {
-                    let ready = self.bank_ready[bank];
-                    self.total_bank_conflicts += u64::from(ready > t);
-                    group_ready = group_ready.max(ready);
+                    row_misses += 1;
+                    self.activate(at.bank, at.row, t)
+                };
+                group_ready = group_ready.max(bank_ready);
+                // Later words of the run that share the group hit the row
+                // just settled and wait on the same bank.
+                let here = run.min(group - filled);
+                self.total_bank_conflicts += (here - 1) as u64 * u64::from(bank_ready > t);
+                filled += here;
+                if filled == group {
+                    t = group_ready + 1;
+                    // Every later group issues after `bank_ready`, so the
+                    // rest of the run stalls nothing: each group it fills
+                    // takes one cycle.
+                    let (full, part) = per_group.div_rem((run - here) as u64);
+                    t += full;
+                    group_ready = t;
+                    filled = part as usize;
                 }
+                idx += run;
+                if idx == chunk_end {
+                    break;
+                }
+                word += run;
             }
-            t = group_ready + 1;
-            issued += in_group;
         }
+        if filled > 0 {
+            t = group_ready + 1;
+        }
+        Ok(self.settle(start_time, t, n_words, per_group, row_misses))
+    }
 
-        self.now = t;
+    /// Opens `row` in `bank` for an access issued at `t`; returns when the
+    /// bank is ready.
+    ///
+    /// Memory controllers issue precharge/activate ahead of the data
+    /// stream; an activation can begin as soon as the bank was last free,
+    /// up to one full row-cycle before the access needs it. A bank that has
+    /// been idle hides the row cost entirely (the paper: "mostly hidden
+    /// with sequential accesses"); a bank re-opened in quick succession
+    /// stalls the stream.
+    fn activate(&mut self, bank: usize, row: usize, t: u64) -> u64 {
+        let row_cycle = self.cfg.t_precharge + self.cfg.t_activate;
+        let ready = self.bank_ready[bank].max(t.saturating_sub(row_cycle)) + row_cycle;
+        self.open_rows[bank] = Some(row);
+        self.bank_ready[bank] = ready;
+        ready
+    }
+
+    /// Closes a transfer that began at `start_time` and retired its last
+    /// group at `end`: advances the clock and the counters, and splits
+    /// the elapsed cycles into the returned cost.
+    fn settle(
+        &mut self,
+        start_time: u64,
+        end: u64,
+        n_words: usize,
+        per_group: Divisor,
+        row_misses: u64,
+    ) -> DramCost {
+        self.now = end;
         self.total_row_misses += row_misses;
 
-        let data_cycles = n_words.div_ceil(group) as u64;
-        let total = t - start_time;
+        let (full_groups, partial) = per_group.div_rem(n_words as u64);
+        let data_cycles = full_groups + u64::from(partial > 0);
+        let total = end - start_time;
         self.total_words += n_words as u64;
         self.total_busy += total;
         let startup = self.cfg.t_startup;
         let overhead = total.saturating_sub(data_cycles + startup);
-        Ok(DramCost {
+        DramCost {
             total: Cycles::new(total),
             data: Cycles::new(data_cycles),
             overhead: Cycles::new(overhead),
             startup: Cycles::new(startup),
             row_misses,
-        })
+        }
     }
 
     /// [`transfer`](Self::transfer), plus an *uncounted* trace decomposition
@@ -516,6 +580,204 @@ impl DramModel {
             );
         }
         Ok(cost)
+    }
+}
+
+/// Where a word lives: its bank, its row, and how many consecutive words
+/// from it (itself included) share both.
+struct Location {
+    bank: usize,
+    row: usize,
+    room: usize,
+}
+
+/// The word → `(bank, row)` mapping of one [`DramConfig`], with every
+/// divisor it needs turned into a [`Divisor`] once, when the model is
+/// built.
+#[derive(Debug, Clone)]
+struct AddressMap {
+    /// `(wing_words, wings)` when the banks are split across wings.
+    wings: Option<(Divisor, Divisor)>,
+    interleave: Divisor,
+    banks_per_wing: Divisor,
+    /// Words in one row of every bank of a wing (`row_words` × banks per
+    /// wing): the address span of one row index.
+    row_stripe: Divisor,
+    /// Words per cycle of unit-stride and of strided streams.
+    seq_group: Divisor,
+    strided_group: Divisor,
+}
+
+impl AddressMap {
+    fn new(cfg: &DramConfig) -> Self {
+        let div = |d: usize| Divisor::new(d as u64);
+        AddressMap {
+            wings: (cfg.wings > 1).then(|| (div(cfg.wing_words), div(cfg.wings))),
+            interleave: div(cfg.interleave_words),
+            banks_per_wing: div(cfg.banks_per_wing()),
+            row_stripe: div(cfg.row_words * cfg.banks_per_wing()),
+            seq_group: Divisor::new(cfg.seq_words_per_cycle.into()),
+            strided_group: Divisor::new(cfg.strided_words_per_cycle.into()),
+        }
+    }
+
+    /// Words one cycle of `pattern` moves: the unit-stride burst rate, or
+    /// the address-generator limit for strided streams.
+    fn group(&self, pattern: AccessPattern) -> Divisor {
+        match pattern {
+            AccessPattern::Strided { .. } => self.strided_group,
+            // Within-chunk accesses stream at the sequential rate; the
+            // address generator absorbs the chunk jumps.
+            AccessPattern::Sequential | AccessPattern::Chunked { .. } => self.seq_group,
+        }
+    }
+
+    /// Locates `word`. A wing owns a contiguous `wing_words` slice of the
+    /// address space (wrapping after the last wing); inside it, words
+    /// rotate across the wing's banks every `interleave_words`, and the
+    /// row index advances every row stripe.
+    #[inline]
+    fn locate(&self, word: usize) -> Location {
+        let word = word as u64;
+        let (wing, local, wing_room) = match self.wings {
+            Some((wing_words, wings)) => {
+                let (n, local) = wing_words.div_rem(word);
+                (wings.div_rem(n).1, local, wing_words.get() - local)
+            }
+            None => (0, word, u64::MAX),
+        };
+        let (unit, unit_offset) = self.interleave.div_rem(local);
+        let (row, row_offset) = self.row_stripe.div_rem(local);
+        let bank = wing * self.banks_per_wing.get() + self.banks_per_wing.div_rem(unit).1;
+        let room = (self.interleave.get() - unit_offset)
+            .min(self.row_stripe.get() - row_offset)
+            .min(wing_room);
+        // Each value is below a `usize` it was computed from.
+        Location { bank: bank as usize, row: row as usize, room: room as usize }
+    }
+}
+
+/// Division by a fixed non-zero `u64` without a divide instruction: two
+/// multiplies by a 128-bit reciprocal (Lemire, Kaser and Kurz, "Faster
+/// Remainder by Direct Computation", 2019).
+///
+/// With `c = ceil(2^128 / d)`, `floor(n · c / 2^128) = floor(n / d)` for
+/// every `n < 2^64`: `c` overshoots `2^128 / d` by less than 1, so
+/// `n · c / 2^128` overshoots `n / d` by less than `n / 2^128 < 1 / d`,
+/// while `n / d` sits at least `1 / d` below the next integer.
+///
+/// A power of two divides by a shift instead, which is exact too and
+/// cheaper; which of the two runs depends only on `d`.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two.
+    log2: Option<u32>,
+    /// `c - 1`, which fits in 128 bits even for `d == 1`.
+    c_minus_1: u128,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "divisor must be non-zero");
+        Divisor {
+            d,
+            log2: d.is_power_of_two().then(|| d.trailing_zeros()),
+            c_minus_1: u128::MAX / u128::from(d),
+        }
+    }
+
+    fn get(self) -> u64 {
+        self.d
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: u64) -> (u64, u64) {
+        if let Some(log2) = self.log2 {
+            return (n >> log2, n & (self.d - 1));
+        }
+        // n · c = n · (c - 1) + n, as a 192-bit sum of two 64-bit halves
+        // of `c - 1` times `n`; neither partial sum can overflow 128 bits.
+        let n_wide = u128::from(n);
+        let low = u128::from(self.c_minus_1 as u64) * n_wide + n_wide;
+        let high = (self.c_minus_1 >> 64) * n_wide + (low >> 64);
+        let q = (high >> 64) as u64;
+        (q, n - q * self.d)
+    }
+}
+
+#[cfg(test)]
+impl DramModel {
+    /// The oracle [`transfer`](Self::transfer) is checked against: the
+    /// word-by-word walk, locating every word with plain division.
+    fn transfer_per_word(
+        &mut self,
+        start_word: usize,
+        n_words: usize,
+        pattern: AccessPattern,
+    ) -> Result<DramCost, SimError> {
+        pattern.check()?;
+        if n_words == 0 {
+            return Ok(DramCost::default());
+        }
+        let per_group = self.map.group(pattern);
+        let group = per_group.get() as usize;
+
+        let start_time = self.now;
+        let mut t = self.now + self.cfg.t_startup;
+        let mut row_misses = 0u64;
+
+        let mut issued = 0usize;
+        while issued < n_words {
+            let in_group = group.min(n_words - issued);
+            // One cycle of data transfer for the group, delayed by any bank
+            // that must first activate a new row.
+            let mut group_ready = t;
+            for k in 0..in_group {
+                let word = pattern.word(start_word, issued + k);
+                let bank = self.bank_of(word);
+                let row = self.row_of(word);
+                if self.open_rows[bank] != Some(row) {
+                    row_misses += 1;
+                    let lookahead = self.cfg.t_precharge + self.cfg.t_activate;
+                    let ready = self.bank_ready[bank];
+                    let activate_start = ready.max(t.saturating_sub(lookahead));
+                    let activate_end = activate_start + self.cfg.t_precharge + self.cfg.t_activate;
+                    self.total_bank_conflicts += u64::from(ready > t);
+                    self.open_rows[bank] = Some(row);
+                    self.bank_ready[bank] = activate_end;
+                    group_ready = group_ready.max(activate_end);
+                } else {
+                    let ready = self.bank_ready[bank];
+                    self.total_bank_conflicts += u64::from(ready > t);
+                    group_ready = group_ready.max(ready);
+                }
+            }
+            t = group_ready + 1;
+            issued += in_group;
+        }
+        Ok(self.settle(start_time, t, n_words, per_group, row_misses))
+    }
+
+    fn bank_of(&self, word: usize) -> usize {
+        if self.cfg.wings > 1 {
+            let wing = (word / self.cfg.wing_words) % self.cfg.wings;
+            let local = word % self.cfg.wing_words;
+            let bpw = self.cfg.banks_per_wing();
+            wing * bpw + (local / self.cfg.interleave_words) % bpw
+        } else {
+            (word / self.cfg.interleave_words) % self.cfg.banks
+        }
+    }
+
+    fn row_of(&self, word: usize) -> usize {
+        if self.cfg.wings > 1 {
+            let local = word % self.cfg.wing_words;
+            local / (self.cfg.row_words * self.cfg.banks_per_wing())
+        } else {
+            word / (self.cfg.row_words * self.cfg.banks)
+        }
     }
 }
 
@@ -711,5 +973,202 @@ mod chunked_tests {
         let cb = b.transfer(0, 128, AccessPattern::Sequential).unwrap();
         assert_eq!(ca.row_misses, cb.row_misses);
         assert_eq!(ca.total, cb.total);
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    impl DramModel {
+        /// Everything a transfer can change: open rows, bank-ready times,
+        /// the clock and the four counters.
+        fn state(&self) -> (&[Option<usize>], &[u64], u64, [u64; 4]) {
+            let counters = [
+                self.total_row_misses,
+                self.total_bank_conflicts,
+                self.total_words,
+                self.total_busy,
+            ];
+            (&self.open_rows, &self.bank_ready, self.now, counters)
+        }
+    }
+
+    /// One of the four presets, or a random geometry whose bank counts,
+    /// interleave, row and wing sizes are mostly not powers of two.
+    fn config(
+        preset: usize,
+        (wings, banks_per_wing, interleave_words, row_words, wing_words): (
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+        ),
+        (seq_words_per_cycle, strided_words_per_cycle, t_precharge, t_activate, t_startup): (
+            u32,
+            u32,
+            u64,
+            u64,
+            u64,
+        ),
+    ) -> DramConfig {
+        match preset {
+            0 => DramConfig::viram_onchip(),
+            1 => DramConfig::imagine_offchip(),
+            2 => DramConfig::raw_offchip(),
+            3 => DramConfig::ppc_offchip(),
+            _ => DramConfig {
+                banks: wings * banks_per_wing,
+                row_words,
+                interleave_words,
+                t_precharge,
+                t_activate,
+                t_startup,
+                seq_words_per_cycle,
+                strided_words_per_cycle,
+                wings,
+                wing_words,
+            },
+        }
+    }
+
+    /// The transfer a drawn step stands for, or `None` for an idle gap.
+    /// Starts cluster around four bases, two of them past 2^32, so later
+    /// transfers revisit rows that earlier ones opened.
+    fn transfer_of(
+        kind: usize,
+        base: usize,
+        offset: usize,
+        n: usize,
+        stride: usize,
+        chunk: usize,
+    ) -> Option<(usize, usize, AccessPattern)> {
+        use AccessPattern::{Chunked, Sequential, Strided};
+        const BASES: [usize; 4] = [0, (1 << 32) - 9_000, 3 << 32, (1 << 41) + 5];
+        let start = BASES[base] + offset;
+        Some(match kind {
+            0 => (start, n, Sequential),
+            1 => (start, n, Strided { stride_words: stride }),
+            2 => (start, n, Chunked { chunk_words: chunk, stride_words: stride }),
+            // VIRAM's corner-turn loads.
+            3 => (start, 7, Strided { stride_words: 1_032 }),
+            // Raw's corner-turn rows.
+            4 => (start, 64 * (1 + n % 8), Chunked { chunk_words: 64, stride_words: 1_032 }),
+            // Imagine's corner-turn output blocks and input reads.
+            5 => (start, n, Chunked { chunk_words: 16, stride_words: stride.max(16) }),
+            6 => (start, 16_384, Sequential),
+            // Strides shorter than an interleave unit.
+            7 => (start, n, Strided { stride_words: 1 + stride % 12 }),
+            _ => return None,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The run-wise walk and the per-word oracle agree on every
+        /// transfer's cost and on the model's whole state after it,
+        /// across sequences of transfers interleaved with idle gaps.
+        #[test]
+        fn run_walk_matches_the_per_word_oracle(
+            preset in 0usize..8,
+            geometry in (1usize..=3, 1usize..=6, 1usize..=12, 1usize..=40, 1usize..=3_000),
+            timing in (1u32..=30, 1u32..=16, 0u64..=25, 0u64..=25, 0u64..=60),
+            steps in proptest::collection::vec(
+                (0usize..10, 0usize..4, 0usize..20_000, 0usize..=600, 1usize..=2_100, 1usize..=70),
+                1..=12,
+            ),
+        ) {
+            let cfg = config(preset, geometry, timing);
+            let mut walk = DramModel::new(cfg).unwrap();
+            let mut oracle = walk.clone();
+            for (i, &(kind, base, offset, n, stride, chunk)) in steps.iter().enumerate() {
+                match transfer_of(kind, base, offset, n, stride, chunk) {
+                    Some((start, n, pattern)) => {
+                        let got = walk.transfer(start, n, pattern);
+                        let want = oracle.transfer_per_word(start, n, pattern);
+                        prop_assert_eq!(
+                            got,
+                            want,
+                            "step {i}: {n} words at {start} as {pattern:?} on {cfg:?}"
+                        );
+                    }
+                    None => {
+                        let gap = Cycles::new((offset % 500) as u64);
+                        walk.idle(gap);
+                        oracle.idle(gap);
+                    }
+                }
+                prop_assert_eq!(walk.state(), oracle.state(), "state after step {i} on {cfg:?}");
+            }
+        }
+
+        /// The reciprocal quotient equals division for any numerator, by
+        /// any divisor and by the small divisors configurations use.
+        #[test]
+        fn divisor_matches_division(n in any::<u64>(), d in 1u64..=u64::MAX, small in 1u64..5_000) {
+            for d in [d, small] {
+                prop_assert_eq!(Divisor::new(d).div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn divisor_is_exact_at_the_edges() {
+        let edges = [
+            1,
+            2,
+            3,
+            7,
+            8,
+            1_032,
+            u64::from(u32::MAX),
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for d in edges {
+            let div = Divisor::new(d);
+            for n in edges.iter().flat_map(|&e| [e - 1, e, e.saturating_add(1)]) {
+                for n in [n, d - 1, d, d.saturating_add(1), d.saturating_mul(3)] {
+                    assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_stripes_that_overflow_are_refused() {
+        let mut cfg = DramConfig::raw_offchip();
+        cfg.row_words = usize::MAX / 2;
+        assert!(matches!(DramModel::new(cfg), Err(SimError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn refused_patterns_fail_the_one_check() {
+        let mut d = DramModel::new(DramConfig::imagine_offchip()).unwrap();
+        for pattern in [
+            AccessPattern::Strided { stride_words: 0 },
+            AccessPattern::Chunked { chunk_words: 0, stride_words: 8 },
+            AccessPattern::Chunked { chunk_words: 8, stride_words: 0 },
+        ] {
+            assert!(matches!(pattern.check(), Err(SimError::InvalidConfig { .. })));
+            assert_eq!(d.transfer(0, 0, pattern), pattern.check().map(|()| DramCost::default()));
+        }
+        assert_eq!(AccessPattern::Sequential.check(), Ok(()));
+    }
+
+    #[test]
+    fn pattern_words_follow_the_layout() {
+        let chunked = AccessPattern::Chunked { chunk_words: 3, stride_words: 10 };
+        let words: Vec<usize> = (0..7).map(|i| chunked.word(100, i)).collect();
+        assert_eq!(words, [100, 101, 102, 110, 111, 112, 120]);
+        assert_eq!(AccessPattern::Strided { stride_words: 5 }.word(1, 3), 16);
+        assert_eq!(AccessPattern::Sequential.word(1, 3), 4);
     }
 }

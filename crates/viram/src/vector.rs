@@ -262,44 +262,19 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.budget.check(self.spent)
     }
 
-    fn tlb_walk_strided(&mut self, addr: usize, stride: usize, vl: usize) -> u64 {
-        let mut misses = 0;
-        for i in 0..vl {
-            if self.tlb.access(addr + i * stride) {
-                misses += 1;
-            }
-        }
-        misses
-    }
-
-    fn tlb_walk_unit(&mut self, addr: usize, vl: usize) -> u64 {
-        let mut misses = 0;
-        let first = addr / self.cfg.page_words;
-        let last = (addr + vl - 1) / self.cfg.page_words;
-        for page in first..=last {
-            if self.tlb.access(page * self.cfg.page_words) {
-                misses += 1;
-            }
-        }
-        misses
-    }
-
     fn mem_op(
         &mut self,
         addr: usize,
-        stride: Option<usize>,
+        pattern: AccessPattern,
         vl: usize,
         name: &'static str,
     ) -> Result<(), SimError> {
-        let (pattern, misses) = match stride {
-            Some(s) => {
-                if s == 0 {
-                    return Err(SimError::invalid_config("vector stride must be non-zero"));
-                }
-                (AccessPattern::Strided { stride_words: s }, self.tlb_walk_strided(addr, s, vl))
-            }
-            None => (AccessPattern::Sequential, self.tlb_walk_unit(addr, vl)),
+        // The vector unit issues unit-stride and strided streams only.
+        let stride = match pattern {
+            AccessPattern::Strided { stride_words } => stride_words,
+            _ => 1,
         };
+        let misses = self.tlb.access_strided(addr, stride, vl);
         let cursor = self.mem_cursor();
         let cost =
             self.dram.transfer_observed(addr, vl, pattern, &mut self.sink, TRACK_DRAM, cursor)?;
@@ -315,7 +290,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.charge(true, "tlb", "tlb-miss-stall", Cycles::new(misses * self.cfg.tlb_miss_cycles));
         if self.faults.is_enabled() {
             let fx = self.faults.transfer(FaultDomain::Dram, addr, vl);
-            self.apply_dram_faults(addr, stride, &fx)?;
+            self.apply_dram_faults(addr, pattern, &fx)?;
         }
         self.budget.check(self.spent)
     }
@@ -327,14 +302,14 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     fn apply_dram_faults(
         &mut self,
         addr: usize,
-        stride: Option<usize>,
+        pattern: AccessPattern,
         fx: &TransferFaults,
     ) -> Result<(), SimError> {
         if fx.is_clean() {
             return Ok(());
         }
         for flip in &fx.flips {
-            let a = addr + flip.offset * stride.unwrap_or(1);
+            let a = pattern.word(addr, flip.offset);
             let word = self.mem.read_u32(a)?;
             self.mem.write_u32(a, word ^ flip.xor_mask)?;
         }
@@ -381,7 +356,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
         self.regs[vr][..vl].copy_from_slice(self.mem.block_u32(addr, vl)?);
-        self.mem_op(addr, None, vl, "vload.unit")
+        self.mem_op(addr, AccessPattern::Sequential, vl, "vload.unit")
     }
 
     /// Strided vector load (one element every `stride` words).
@@ -399,10 +374,12 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
+        let pattern = AccessPattern::Strided { stride_words: stride };
+        pattern.check()?;
         for i in 0..vl {
-            self.regs[vr][i] = self.mem.read_u32(addr + i * stride)?;
+            self.regs[vr][i] = self.mem.read_u32(pattern.word(addr, i))?;
         }
-        self.mem_op(addr, Some(stride), vl, "vload.strided")
+        self.mem_op(addr, pattern, vl, "vload.strided")
     }
 
     /// Unit-stride vector store.
@@ -415,7 +392,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
         self.mem.write_block_u32(addr, &self.regs[vr][..vl])?;
-        self.mem_op(addr, None, vl, "vstore.unit")
+        self.mem_op(addr, AccessPattern::Sequential, vl, "vstore.unit")
     }
 
     /// Strided vector store.
@@ -433,11 +410,13 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
+        let pattern = AccessPattern::Strided { stride_words: stride };
+        pattern.check()?;
         for i in 0..vl {
             let v = self.regs[vr][i];
-            self.mem.write_u32(addr + i * stride, v)?;
+            self.mem.write_u32(pattern.word(addr, i), v)?;
         }
-        self.mem_op(addr, Some(stride), vl, "vstore.strided")
+        self.mem_op(addr, pattern, vl, "vstore.strided")
     }
 
     /// Lane-wise floating-point operation `dst = a (op) b` over `vl`
@@ -769,6 +748,23 @@ mod tests {
         assert!(u.vload_unit(0, 0, 65).is_err());
         assert!(u.vload_strided(0, 0, 0, 4).is_err());
         assert!(u.vload_unit(0, usize::MAX - 2, 4).is_err());
+    }
+
+    #[test]
+    fn zero_strides_are_refused_before_data_moves() {
+        let mut u = unit();
+        u.memory_mut().write_u32(100, 77).unwrap();
+        u.vsplat(0, 4, 4).unwrap();
+        let err = u.vstore_strided(0, 100, 0, 4).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert_eq!(u.memory().read_u32(100).unwrap(), 77);
+
+        u.memory_mut().write_u32(200, 9).unwrap();
+        u.vsplat(1, 3, 4).unwrap();
+        let err = u.vload_strided(1, 200, 0, 4).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert_eq!(&u.reg(1).unwrap()[..4], &[3, 3, 3, 3]);
+        assert_eq!(u.tlb_misses(), 0);
     }
 
     #[test]

@@ -95,6 +95,40 @@ fn every_cell_carries_a_nonempty_metrics_report() {
     }
 }
 
+/// perfgate gates cycles and breakdown categories, which a DRAM model
+/// that miscounted row misses or bank conflicts could still match, so
+/// these two counters are pinned per cell on the small set.
+#[test]
+fn dram_row_misses_and_bank_conflicts_are_pinned_on_the_small_set() {
+    // (arch, kernel, `<arch>.dram.row_misses`, `<arch>.dram.bank_conflicts`)
+    const PINNED: [(Architecture, Kernel, u64, u64); 9] = [
+        (Architecture::Viram, Kernel::CornerTurn, 8, 0),
+        (Architecture::Viram, Kernel::Cslc, 456, 56),
+        (Architecture::Viram, Kernel::BeamSteering, 4, 7),
+        (Architecture::Imagine, Kernel::CornerTurn, 20, 0),
+        (Architecture::Imagine, Kernel::Cslc, 140, 0),
+        (Architecture::Imagine, Kernel::BeamSteering, 4, 0),
+        (Architecture::Raw, Kernel::CornerTurn, 16, 0),
+        (Architecture::Raw, Kernel::Cslc, 16, 0),
+        (Architecture::Raw, Kernel::BeamSteering, 16, 0),
+    ];
+    let (table, _) = small_table3();
+    for (arch, kernel, row_misses, bank_conflicts) in PINNED {
+        let run = table.run(arch, kernel);
+        let prefix = cycles_prefix(arch).trim_end_matches("cycles.");
+        assert_eq!(
+            run.metrics.counter_value(&format!("{prefix}dram.row_misses")),
+            Some(row_misses),
+            "{arch}/{kernel}: dram.row_misses"
+        );
+        assert_eq!(
+            run.metrics.counter_value(&format!("{prefix}dram.bank_conflicts")),
+            Some(bank_conflicts),
+            "{arch}/{kernel}: dram.bank_conflicts"
+        );
+    }
+}
+
 /// Renders every representation of every cell's metrics into one string.
 fn render_all(table: &Table3, workloads: &WorkloadSet) -> String {
     let scorecard = Scorecard::compute(table, workloads).expect("scorecard computes");
