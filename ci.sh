@@ -3,8 +3,8 @@
 #
 # Usage: ./ci.sh
 #
-# The workspace has no crates.io dependencies (rand/proptest/criterion are
-# vendored under devstubs/), so every step below works offline.
+# The workspace has no crates.io dependencies (rand/proptest are vendored
+# under devstubs/), so every step below works offline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -330,14 +330,13 @@ done
   || obs_fail "servectl tail did not render the records"
 
 echo "== perf gate (fresh BENCH_table3.json vs committed baseline) =="
-# Tolerance is explicit: the simulators are deterministic, so 0 drift is
-# expected. Override with TRIARCH_PERF_TOLERANCE=<fraction> or skip an
-# intentional baseline move with TRIARCH_PERF_SKIP=1 (refresh the baseline
-# via `repro -- bench --json BENCH_table3.json` in the same change).
+# The gate is exact and has no knobs: the simulators are deterministic,
+# so every cell's cycles and breakdown must equal the baseline's. A change
+# that moves them on purpose refreshes the baseline with `repro -- bench`
+# in the same change.
 cargo run --release -q -p triarch-bench --bin repro -- \
-  bench target/BENCH_fresh.json --json >/dev/null 2>&1
-TRIARCH_PERF_TOLERANCE="${TRIARCH_PERF_TOLERANCE:-0}" \
-  cargo run --release -q -p triarch-bench --bin perfgate -- \
+  bench target/BENCH_fresh.json >/dev/null 2>&1
+cargo run --release -q -p triarch-bench --bin perfgate -- \
   BENCH_table3.json target/BENCH_fresh.json
 
 echo "== perfgate rejects a malformed artifact =="
@@ -357,8 +356,12 @@ if cargo run --release -q -p triarch-bench --bin repro -- --jobs 0 table1 2>/dev
   echo "repro accepted --jobs 0" >&2
   exit 1
 fi
-if cargo run --release -q -p triarch-bench --bin repro -- --json table3 2>/dev/null; then
-  echo "repro accepted --json without the bench selector" >&2
+# `bench --json` is a removed flag: it must be a usage error (exit 2),
+# not silently ignored.
+rc=0
+cargo run --release -q -p triarch-bench --bin repro -- bench --json 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "repro bench --json exited $rc, expected the usage error 2" >&2
   exit 1
 fi
 if cargo run --release -q -p triarch-bench --bin repro -- timeline --window 0 2>/dev/null; then

@@ -2,43 +2,27 @@
 //!
 //! ```sh
 //! cargo run --release -p triarch-bench --bin perfgate -- \
-//!     BENCH_table3.json target/BENCH_table3.json
+//!     BENCH_table3.json target/BENCH_fresh.json
 //! ```
 //!
 //! Parses and schema-validates both files (a malformed artifact is a
-//! gate failure of its own), then compares per-cell simulated cycles
-//! within a relative tolerance band:
+//! gate failure of its own), then requires every cell's simulated cycles
+//! and breakdown to equal the baseline's exactly: the simulators are
+//! deterministic, so any difference is a behaviour change. The verdict
+//! is the differential profile of `repro -- profdiff`, and a failure
+//! prints it, naming every category that moved. The gate has no
+//! tolerance and no skip switch; an intentional change refreshes the
+//! baseline with `repro -- bench` in the same change. The git revision
+//! is printed but never compared.
 //!
-//! - `TRIARCH_PERF_TOLERANCE` — allowed relative drift per cell
-//!   (a fraction, e.g. `0.02` for ±2%; default `0`: the simulators are
-//!   deterministic, so any drift is a real behaviour change).
-//! - `TRIARCH_PERF_SKIP=1` — skip the gate entirely (escape hatch for
-//!   intentional baseline-moving changes; refresh the baseline with
-//!   `repro -- bench --json BENCH_table3.json` in the same change).
-//!
-//! Wall time, worker count, and git revision are informational fields
-//! and never gated.
-//!
-//! Exit codes: `0` pass (or skipped), `1` regression or malformed
-//! artifact, `2` usage error.
+//! Exit codes: `0` pass, `1` regression or malformed artifact, `2` usage
+//! error.
 
 use std::env;
 use std::fs;
 use std::process;
 
-use triarch_bench::benchjson::{compare, BenchReport};
-
-/// Environment variable holding the relative tolerance (fraction).
-const TOLERANCE_ENV: &str = "TRIARCH_PERF_TOLERANCE";
-
-/// Environment variable that skips the gate when set to `1`.
-const SKIP_ENV: &str = "TRIARCH_PERF_SKIP";
-
-fn usage() -> ! {
-    eprintln!("usage: perfgate <baseline.json> <fresh.json>");
-    eprintln!("  env: {TOLERANCE_ENV}=<fraction> (default 0), {SKIP_ENV}=1 to skip");
-    process::exit(2);
-}
+use triarch_core::benchjson::{compare, BenchReport};
 
 fn load(path: &str) -> Result<BenchReport, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -47,26 +31,12 @@ fn load(path: &str) -> Result<BenchReport, String> {
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    let [baseline_path, fresh_path] = match args.as_slice() {
-        [a, b] => [a.clone(), b.clone()],
-        _ => usage(),
-    };
-    if env::var(SKIP_ENV).as_deref() == Ok("1") {
-        eprintln!("perfgate: skipped ({SKIP_ENV}=1)");
-        return;
-    }
-    let tolerance = match env::var(TOLERANCE_ENV) {
-        Ok(v) => match v.parse::<f64>() {
-            Ok(t) if t >= 0.0 && t.is_finite() => t,
-            _ => {
-                eprintln!("perfgate: {TOLERANCE_ENV} must be a non-negative fraction, got '{v}'");
-                process::exit(2);
-            }
-        },
-        Err(_) => 0.0,
+    let [baseline_path, fresh_path] = args.as_slice() else {
+        eprintln!("usage: perfgate <baseline.json> <fresh.json>");
+        process::exit(2);
     };
 
-    let (baseline, fresh) = match (load(&baseline_path), load(&fresh_path)) {
+    let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),
         (b, f) => {
             for err in [b.err(), f.err()].into_iter().flatten() {
@@ -76,32 +46,22 @@ fn main() {
         }
     };
 
-    let violations = compare(&baseline, &fresh, tolerance);
-    if violations.is_empty() {
-        eprintln!(
-            "perfgate: PASS — {} cells within {:.1}% of baseline {} \
-             (fresh {}, wall {:.3}s vs {:.3}s)",
-            baseline.cells.len(),
-            tolerance * 100.0,
-            baseline.git_rev,
-            fresh.git_rev,
-            fresh.wall_seconds,
-            baseline.wall_seconds,
-        );
-    } else {
-        eprintln!(
-            "perfgate: FAIL — {} violation(s) against baseline {} (tolerance {:.1}%):",
-            violations.len(),
-            baseline.git_rev,
-            tolerance * 100.0,
-        );
-        for v in &violations {
-            eprintln!("  {v}");
+    let failure = match compare(&baseline, &fresh) {
+        Ok(diff) if diff.is_empty() => {
+            eprintln!(
+                "perfgate: PASS — {} cells identical to baseline {} (fresh {})",
+                diff.matched, baseline.git_rev, fresh.git_rev,
+            );
+            return;
         }
-        eprintln!(
-            "refresh intentionally with: \
-             cargo run --release -p triarch-bench --bin repro -- bench --json"
-        );
-        process::exit(1);
-    }
+        Ok(diff) => diff.render(),
+        Err(why) => format!("  {why}\n"),
+    };
+    eprintln!("perfgate: FAIL — fresh {} vs baseline {}:", fresh.git_rev, baseline.git_rev);
+    eprint!("{failure}");
+    eprintln!(
+        "refresh intentionally with: \
+         cargo run --release -p triarch-bench --bin repro -- bench"
+    );
+    process::exit(1);
 }

@@ -26,11 +26,12 @@
 //! appear in the deterministic per-cell JSON artifacts. `--small`
 //! substitutes the reduced workload set.
 //!
-//! `bench [file] [--json]` times the Table 3 batch. With `--json` it
-//! writes the schema-versioned benchmark artifact (default
-//! `BENCH_table3.json`): wall time, git revision, and per-cell cycles +
-//! utilizations + breakdown ledger. The committed artifact at the repo
-//! root is the CI perf-gate baseline; see the `perfgate` binary.
+//! `bench [file]` runs the Table 3 grid and writes the schema-versioned
+//! benchmark artifact (default `BENCH_table3.json`): git revision,
+//! workload set, and per-cell cycles + utilizations + breakdown ledger.
+//! It records no host time (hostbench under `benchmark/` measures that).
+//! The committed artifact at the repo root is the CI perf-gate baseline;
+//! see the `perfgate` binary.
 //!
 //! `flame [dir]` runs the grid with a folding trace sink attached and
 //! writes, per cell, a collapsed-stack profile (`<arch>-<kernel>.folded`,
@@ -116,10 +117,10 @@ use std::env;
 use std::fs;
 use std::path::Path;
 use std::process;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use triarch_bench::benchjson::{self, BenchCell, BenchReport, SCHEMA_VERSION};
 use triarch_core::arch::Architecture;
+use triarch_core::benchjson::{self, BenchCell, BenchReport, SCHEMA_VERSION};
 use triarch_core::driver::{self, cell_slug, table_from_folds, WorkloadKind};
 use triarch_core::experiments::Table3;
 use triarch_core::htmlreport::{self, FoldedCell};
@@ -173,10 +174,8 @@ struct Options {
     timeline_dir: String,
     /// Timeline window size in cycles (`--window`, timeline only).
     window: u64,
-    /// Output path for `bench --json`.
+    /// Output path for `bench`.
     bench_path: String,
-    /// Whether `bench` writes the JSON artifact (`--json`).
-    bench_json: bool,
     /// The two artifact paths for `profdiff`.
     profdiff: Option<(String, String)>,
     /// Diff `timeline.json` artifacts window-by-window instead of
@@ -227,11 +226,10 @@ impl Options {
             timeline_dir: String::from("target/timeline"),
             window: triarch_timeline::DEFAULT_WINDOW,
             bench_path: String::from("BENCH_table3.json"),
-            bench_json: false,
             profdiff: None,
             profdiff_windows: false,
-            seed: triarch_bench::SEED,
-            campaigns: 8,
+            seed: driver::DEFAULT_SEED,
+            campaigns: driver::DEFAULT_CAMPAIGNS,
             small: false,
             quiet: triarch_pool::quiet_from_env(),
             jobs: triarch_pool::jobs_from_env()?,
@@ -389,10 +387,6 @@ impl Options {
                     }
                     i += 1;
                 }
-                "--json" => {
-                    opts.bench_json = true;
-                    i += 1;
-                }
                 s if SELECTORS.contains(&s) => {
                     opts.selectors.push(String::from(s));
                     i += 1;
@@ -404,9 +398,6 @@ impl Options {
                     ));
                 }
             }
-        }
-        if opts.bench_json && !opts.explicit("bench") {
-            return Err(String::from("--json requires the bench selector"));
         }
         if opts.window != triarch_timeline::DEFAULT_WINDOW && !opts.explicit("timeline") {
             return Err(String::from("--window requires the timeline selector"));
@@ -757,13 +748,7 @@ fn run_profdiff(a_path: &str, b_path: &str) -> Result<(), Box<dyn std::error::Er
 }
 
 /// Builds the schema-versioned benchmark artifact from a measured grid.
-fn bench_report(
-    table3: &Table3,
-    scorecard: &Scorecard,
-    workload: &str,
-    jobs: usize,
-    wall: Duration,
-) -> BenchReport {
+fn bench_report(table3: &Table3, scorecard: &Scorecard, workload: &str) -> BenchReport {
     let cells = table3
         .iter()
         .map(|(arch, kernel, run)| {
@@ -789,47 +774,30 @@ fn bench_report(
         schema_version: SCHEMA_VERSION,
         git_rev: benchjson::git_rev(),
         workload: workload.to_string(),
-        jobs: jobs as u64,
-        wall_seconds: wall.as_secs_f64(),
         cells,
     }
 }
 
-/// Times the Table 3 batch; with `--json`, writes the bench artifact.
+/// Runs the Table 3 grid and writes the bench artifact.
 fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let (workloads, kind) = select_workloads(opts)?;
     if !opts.quiet {
-        eprintln!("benchmarking the Table 3 grid ({kind} workloads) ...");
+        eprintln!("running the Table 3 grid ({kind} workloads) ...");
     }
-    let t0 = Instant::now();
     let (table3, stats) = experiments::table3_jobs(workloads, opts.jobs)?;
-    let wall = t0.elapsed();
     if !opts.quiet {
         eprintln!("{}", stats.render());
     }
     let scorecard = Scorecard::compute(&table3, workloads)?;
-    let report = bench_report(&table3, &scorecard, kind, opts.jobs, wall);
-    if opts.bench_json {
-        write_file(Path::new(&opts.bench_path), &report.render())?;
-        println!("== Bench ==");
-        println!(
-            "  wrote {} (schema v{SCHEMA_VERSION}, {} cells, {kind} workloads)",
-            opts.bench_path,
-            report.cells.len(),
-        );
-        println!();
-    } else {
-        println!("== Bench: Table 3 (kilocycles) ==");
-        println!("{}", table3.render());
-    }
-    if !opts.quiet {
-        eprintln!(
-            "bench: wall {:.3}s on {} workers (git {})",
-            wall.as_secs_f64(),
-            opts.jobs,
-            report.git_rev,
-        );
-    }
+    let report = bench_report(&table3, &scorecard, kind);
+    write_file(Path::new(&opts.bench_path), &report.render())?;
+    println!("== Bench ==");
+    println!(
+        "  wrote {} (schema v{SCHEMA_VERSION}, {} cells, {kind} workloads)",
+        opts.bench_path,
+        report.cells.len(),
+    );
+    println!();
     Ok(())
 }
 
@@ -917,8 +885,8 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // `bench` measures host wall time (and optionally writes the
-    // artifact); it never joins the run-everything default.
+    // `bench` writes the artifact, so it never joins the run-everything
+    // default.
     if opts.explicit("bench") {
         run_bench(opts)?;
     }
@@ -995,7 +963,7 @@ fn main() {
             eprintln!(
                 "usage: repro [--jobs N] [--quiet] [selector ...] [trace [dir]] \
                  [faultsweep [--seed S] [--campaigns N] [--small]] [dse [--small]] \
-                 [metrics [dir] [--small]] [bench [file] [--json] [--small]] \
+                 [metrics [dir] [--small]] [bench [file] [--small]] \
                  [flame [dir] [--small]] [report [dir] [--small]] \
                  [timeline [dir] [--window N] [--small]] \
                  [profdiff [--windows] <a.json> <b.json>] \

@@ -1,12 +1,14 @@
 //! CLI-level integration tests for the `repro` and `perfgate` binaries:
 //! the differential profiler, the `--quiet` switch, the unwritable-path
-//! diagnostics, and the category-naming perf-gate failure mode.
+//! diagnostics, the bench artifact writer, and the exact, category-naming
+//! perf gate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use triarch_bench::benchjson::{parse_json, BenchReport};
+use triarch_core::benchjson::{parse_json, BenchReport};
+use triarch_core::driver;
 
 /// The committed CI baseline artifact at the workspace root.
 fn baseline_path() -> PathBuf {
@@ -30,12 +32,7 @@ fn repro(args: &[&str]) -> Output {
 }
 
 fn perfgate(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_perfgate"))
-        .args(args)
-        .env_remove("TRIARCH_PERF_SKIP")
-        .env("TRIARCH_PERF_TOLERANCE", "0")
-        .output()
-        .unwrap()
+    Command::new(env!("CARGO_BIN_EXE_perfgate")).args(args).output().unwrap()
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -101,8 +98,96 @@ fn perfgate_failure_names_the_regressed_category() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
     let stderr = stderr_of(&out);
     assert!(stderr.contains("perfgate: FAIL"), "{stderr}");
-    assert!(stderr.contains("top regressed categories"), "{stderr}");
+    assert!(stderr.contains("top movers"), "{stderr}");
     assert!(stderr.contains(&category), "expected regressed category '{category}' in:\n{stderr}");
+}
+
+/// The gate has no knobs: the variables that once skipped it
+/// (`TRIARCH_PERF_SKIP`) or widened its band (`TRIARCH_PERF_TOLERANCE`)
+/// change nothing, so a one-cycle drift still fails with the same report.
+#[test]
+fn perfgate_fails_a_perturbed_artifact_whatever_the_retired_variables_say() {
+    let baseline = fs::read_to_string(baseline_path()).unwrap();
+    let mut report = BenchReport::parse(&baseline).unwrap();
+    let cell = &mut report.cells[0];
+    cell.cycles += 1;
+    *cell.breakdown.values_mut().next().unwrap() += 1;
+    let dir = tmp("perfgate-knobs");
+    let perturbed = dir.join("perturbed.json");
+    fs::write(&perturbed, report.render()).unwrap();
+
+    let base = baseline_path();
+    let args = [base.to_str().unwrap(), perturbed.to_str().unwrap()];
+    let plain = perfgate(&args);
+    assert_eq!(plain.status.code(), Some(1), "{}", stderr_of(&plain));
+    let knobs = Command::new(env!("CARGO_BIN_EXE_perfgate"))
+        .args(args)
+        .env("TRIARCH_PERF_SKIP", "1")
+        .env("TRIARCH_PERF_TOLERANCE", "1")
+        .output()
+        .unwrap();
+    assert_eq!(knobs.status.code(), Some(1), "{}", stderr_of(&knobs));
+    let stderr = stderr_of(&knobs);
+    assert!(stderr.contains("perfgate: FAIL"), "{stderr}");
+    assert_eq!(stderr, stderr_of(&plain));
+}
+
+/// Cycles moved between two breakdown categories at an unchanged cell
+/// total are a behaviour change: the gate fails and names both.
+#[test]
+fn perfgate_fails_a_category_reshuffle_at_an_unchanged_total() {
+    let baseline = fs::read_to_string(baseline_path()).unwrap();
+    let mut report = BenchReport::parse(&baseline).unwrap();
+    let cell =
+        report.cells.iter_mut().find(|c| c.arch == "Raw" && c.kernel == "Corner Turn").unwrap();
+    *cell.breakdown.get_mut("issue").unwrap() -= 72;
+    *cell.breakdown.get_mut("startup").unwrap() += 72;
+    let dir = tmp("perfgate-reshuffle");
+    let reshuffled = dir.join("reshuffled.json");
+    fs::write(&reshuffled, report.render()).unwrap();
+
+    let out = perfgate(&[baseline_path().to_str().unwrap(), reshuffled.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("Raw/Corner Turn"), "{stderr}");
+    for category in ["issue", "startup"] {
+        let named = stderr.lines().any(|l| l.trim_start().starts_with(&format!("{category} ")));
+        assert!(named, "expected a '{category}' row in:\n{stderr}");
+    }
+}
+
+/// `repro bench` writes a schema-v3 artifact with no host fields whose
+/// breakdowns conserve each cell's cycles, and perfgate passes it
+/// against itself.
+#[test]
+fn repro_bench_writes_a_v3_artifact_that_perfgate_passes() {
+    let dir = tmp("bench-small");
+    let path = dir.join("small.json");
+    let path = path.to_str().unwrap();
+    let out = repro(&["bench", path, "--small", "--jobs", "1", "--quiet"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+
+    let text = fs::read_to_string(path).unwrap();
+    let report = BenchReport::parse(&text).unwrap();
+    assert_eq!(report.schema_version, 3);
+    assert_eq!(report.workload, "small");
+    assert_eq!(report.cells.len(), 18);
+    for cell in &report.cells {
+        let sum: u64 = cell.breakdown.values().sum();
+        assert_eq!(sum, cell.cycles, "{}/{}", cell.arch, cell.kernel);
+    }
+    let doc = parse_json(&text).unwrap();
+    let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["schema_version", "git_rev", "workload", "cells"]);
+
+    let out = perfgate(&[path, path]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("perfgate: PASS — 18 cells identical"), "{}", stderr_of(&out));
+
+    // The removed `--json` flag is a usage error, not silently ignored.
+    let out = repro(&["bench", path, "--json"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("unknown selector '--json'"), "{}", stderr_of(&out));
 }
 
 #[test]
@@ -306,7 +391,7 @@ fn perfgate_rejects_future_schema_and_truncated_artifacts_with_pinned_messages()
     // A future schema version must fail closed with the exact message
     // the benchjson parser pins.
     let future = dir.join("future.json");
-    fs::write(&future, baseline.replacen("\"schema_version\": 2", "\"schema_version\": 99", 1))
+    fs::write(&future, baseline.replacen("\"schema_version\": 3", "\"schema_version\": 99", 1))
         .unwrap();
     let out = perfgate(&[baseline_path().to_str().unwrap(), future.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
@@ -314,7 +399,7 @@ fn perfgate_rejects_future_schema_and_truncated_artifacts_with_pinned_messages()
     assert!(
         stderr.contains(
             "schema check failed: unsupported schema version 99 \
-                         (this build reads versions 1..=2)"
+                         (this build reads version 3 only)"
         ),
         "{stderr}"
     );
@@ -329,6 +414,47 @@ fn perfgate_rejects_future_schema_and_truncated_artifacts_with_pinned_messages()
         stderr.contains("truncated.json: schema check failed:"),
         "expected the named path and schema-check prefix in:\n{stderr}"
     );
+}
+
+/// A v2 artifact, host fields and all, is refused by its version with a
+/// message that names the one version this build reads.
+#[test]
+fn perfgate_refuses_a_v2_artifact_naming_v3() {
+    let baseline = fs::read_to_string(baseline_path()).unwrap();
+    let v2_header = "\"schema_version\": 2,\n  \"jobs\": 1,\n  \"wall_seconds\": 0.5,";
+    let v2 = tmp("perfgate-v2").join("v2.json");
+    fs::write(&v2, baseline.replacen("\"schema_version\": 3,", v2_header, 1)).unwrap();
+
+    for args in [[baseline_path(), v2.clone()], [v2.clone(), baseline_path()]] {
+        let out = perfgate(&[args[0].to_str().unwrap(), args[1].to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+        let stderr = stderr_of(&out);
+        assert!(
+            stderr.contains(
+                "v2.json: schema check failed: unsupported schema version 2 \
+                 (this build reads version 3 only)"
+            ),
+            "{stderr}"
+        );
+    }
+}
+
+/// `repro faultsweep` without `--seed` or `--campaigns` runs the job a
+/// served faultsweep runs with every knob at its default, byte for byte.
+#[test]
+fn repro_faultsweep_defaults_are_the_served_job_defaults() {
+    let out = repro(&["faultsweep", "--small", "--jobs", "1"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let note = format!(
+        "running fault sweep: seed {}, {} campaigns, small workloads",
+        driver::DEFAULT_SEED,
+        driver::DEFAULT_CAMPAIGNS
+    );
+    assert!(stderr_of(&out).contains(&note), "{}", stderr_of(&out));
+
+    let spec = driver::JobSpec::new(driver::DriverKind::Faultsweep, driver::WorkloadKind::Small);
+    let served = driver::run_job(&spec, 1).unwrap();
+    assert_eq!(stdout_of(&out), served.body);
 }
 
 fn servectl(args: &[&str]) -> Output {

@@ -41,7 +41,7 @@ use crate::{dse, faultsweep};
 /// Version stamp of the [`JobSpec`] wire encoding.
 pub const JOB_SCHEMA_VERSION: u64 = 1;
 
-/// Workload-construction seed (re-exported as `triarch_bench::SEED`), so a
+/// Workload-construction seed shared by `repro` and the daemon, so a
 /// served artifact matches one-shot `repro` output byte-for-byte.
 pub const WORKLOAD_SEED: u64 = 42;
 

@@ -21,9 +21,7 @@
 //!    nothing, so it can sit below `simcore` in the crate DAG.
 //! 3. **Cheap on the hot path.** Engines accumulate plain integer fields
 //!    during simulation (exactly as they did before this crate existed)
-//!    and assemble the report once in `finish()`.  The [`Recorder`] trait
-//!    with its [`NullRegistry`] no-op implementation exists for call sites
-//!    that want to stream observations; the compiler erases the null case.
+//!    and assemble the report once in `finish()`.
 //!
 //! # Metric types
 //!
@@ -718,61 +716,6 @@ impl CacheCounters {
     }
 }
 
-/// A streaming observation sink for call sites that record as they go.
-///
-/// The default implementation for every method is a no-op, so
-/// [`NullRegistry`] is literally empty and the optimiser removes the
-/// calls — the same zero-cost pattern as `trace::NullSink` and
-/// `faults::NoFaults`.
-pub trait Recorder {
-    /// Adds `delta` to the counter under `name`.
-    fn add(&mut self, _name: &str, _delta: u64) {}
-    /// Records a histogram observation under `name`.
-    fn observe(&mut self, _name: &str, _value: u64) {}
-}
-
-/// The metrics-off recorder: every operation is a no-op.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRegistry;
-
-impl Recorder for NullRegistry {}
-
-/// A recording registry that accumulates into a [`MetricsReport`].
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    report: MetricsReport,
-}
-
-impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the registry, yielding the accumulated report.
-    #[must_use]
-    pub fn into_report(self) -> MetricsReport {
-        self.report
-    }
-
-    /// Borrows the accumulated report.
-    #[must_use]
-    pub fn report(&self) -> &MetricsReport {
-        &self.report
-    }
-}
-
-impl Recorder for Registry {
-    fn add(&mut self, name: &str, delta: u64) {
-        self.report.add_counter(name, delta);
-    }
-
-    fn observe(&mut self, name: &str, value: u64) {
-        self.report.observe(name, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -907,21 +850,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"a\": {\"type\": \"counter\", \"value\": 1}"));
         assert!(json.contains("\"type\": \"histogram\""));
-    }
-
-    #[test]
-    fn recorder_null_and_registry() {
-        let mut null = NullRegistry;
-        null.add("ignored", 1);
-        null.observe("ignored", 1);
-
-        let mut reg = Registry::new();
-        reg.add("x", 2);
-        reg.add("x", 3);
-        reg.observe("h", 7);
-        let report = reg.into_report();
-        assert_eq!(report.counter_value("x"), Some(5));
-        assert!(matches!(report.get("h"), Some(Metric::Histogram(_))));
     }
 
     #[test]

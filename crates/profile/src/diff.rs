@@ -7,9 +7,9 @@
 //! reports, for every changed cell, the absolute and relative cycle
 //! delta plus every category that moved, sorted worst-regression-first.
 //! [`ProfileDiff::render`] adds a one-line narrative per changed cell
-//! ("top movers: dram-port +1,200 (+3.1%)"), and the CI perf gate uses
-//! [`CellDelta::top_regressed`] so a failure names the category that
-//! moved instead of a bare cycle mismatch.
+//! ("top movers: dram-port +1,200 (+3.1%)"). The CI perf gate fails on
+//! any non-empty diff and prints [`ProfileDiff::render`], so a failure
+//! names every category that moved instead of a bare cycle mismatch.
 //!
 //! The diff is pure data → data: deterministic, allocation-light, and
 //! empty exactly when the artifacts agree (`profdiff(A, A)` is empty
