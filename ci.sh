@@ -58,13 +58,15 @@ cargo test -q --workspace
 
 # The host-time benchmark is its own cargo workspace compiled against the
 # crates' public API, so the workspace steps above never build it.
-echo "== benchmark harness (tests, grid-paper, grid-small and serve-mixed smokes) =="
+echo "== benchmark harness (tests, grid-paper, grid-small, attrib-paper and serve-mixed smokes) =="
 CARGO_TARGET_DIR=benchmark/target cargo test --offline --manifest-path benchmark/Cargo.toml
 # grid-paper is the only workload whose VIRAM corner turn thrashes the
 # 64-entry TLB, and each pass checks every cell's cycles and outputs.
+# attrib-paper is the only one whose fault sweep writes bit flips into
+# simulated memory, and its report hashes must repeat on every pass.
 # serve-mixed drives the daemon's wire frames through the benchmark's
 # own client.
-for workload in grid-paper grid-small serve-mixed; do
+for workload in grid-paper grid-small attrib-paper serve-mixed; do
   hb="$(CARGO_TARGET_DIR=benchmark/target cargo run --release --offline -q \
     --manifest-path benchmark/Cargo.toml --bin hostbench -- "$workload" --seed 1 --seconds 1)"
   echo "$hb" | tail -n 1 | grep -q '"failed": 0' || {

@@ -244,10 +244,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         len: usize,
     ) -> Result<(), SimError> {
         let base = self.mram_addr(dpu, mram_off, len)?;
-        for i in 0..len {
-            let v = self.host.read_u32(host_addr + i)?;
-            self.mram.write_u32(base + i, v)?;
-        }
+        self.mram.copy_from(base, &self.host, host_addr, len)?;
         let cost = self.host_cost(len);
         self.host_hist.observe(cost);
         self.host_words += len as u64;
@@ -284,15 +281,14 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         // corrupts every `dpus`-th word of the outgoing bulk transfer.
         let stuck =
             if self.faults.is_enabled() { self.faults.stuck(FaultDomain::Dram) } else { None };
-        let lanes = self.cfg.dpus().max(1);
-        for i in 0..len {
-            let mut v = self.mram.read_u32(base + i)?;
-            if let Some(fault) = stuck {
-                if i % lanes == fault.index % lanes {
-                    v = fault.force(v);
-                }
+        self.host.copy_from(host_addr, &self.mram, base, len)?;
+        if let Some(fault) = stuck {
+            let lanes = self.cfg.dpus().max(1);
+            for i in (fault.index % lanes..len).step_by(lanes) {
+                let a = host_addr + i;
+                let word = self.host.read_u32(a)?;
+                self.host.write_u32(a, fault.force(word))?;
             }
-            self.host.write_u32(host_addr + i, v)?;
         }
         let cost = self.host_cost(len);
         self.host_hist.observe(cost);
@@ -357,10 +353,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             return Err(SimError::capacity("wram dma range", len, dst.len));
         }
         let base = self.mram_addr(dpu, mram_off, len)?;
-        for i in 0..len {
-            let v = self.mram.read_u32(base + i)?;
-            self.wram.write_u32(dst.start + i, v)?;
-        }
+        self.wram.copy_from(dst.start, &self.mram, base, len)?;
         let cost = self.dma_cost(len);
         self.mem_words += len as u64;
         let spent = self.spent;
@@ -399,10 +392,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             return Err(SimError::capacity("wram dma range", len, src.len));
         }
         let base = self.mram_addr(dpu, mram_off, len)?;
-        for i in 0..len {
-            let v = self.wram.read_u32(src.start + i)?;
-            self.mram.write_u32(base + i, v)?;
-        }
+        self.mram.copy_from(base, &self.wram, src.start, len)?;
         let cost = self.dma_cost(len);
         self.mem_words += len as u64;
         let spent = self.spent;
@@ -532,6 +522,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::StuckFault;
 
     fn machine() -> DpuMachine {
         DpuMachine::new(&DpuConfig::paper()).unwrap()
@@ -650,6 +641,74 @@ mod tests {
         assert_eq!(run.metrics.counter_value("dpu.host.words"), Some(64));
         assert_eq!(run.metrics.counter_value("dpu.run.ops"), Some(64));
         assert!(run.metrics.get("dpu.host.xfer_cycles").is_some());
+    }
+
+    #[test]
+    fn overrunning_transfers_fail_before_moving_a_word() {
+        let mut m = machine();
+        let (host_words, wram_words) = (m.host.len(), m.wram.len());
+        m.host_mut().write_block_u32(host_words - 4, &[1, 2, 3, 4]).unwrap();
+        m.wram_mut().write_block_u32(wram_words - 4, &[5, 6, 7, 8]).unwrap();
+        let (host, mram, wram) = (m.host.clone(), m.mram.clone(), m.wram.clone());
+        let untouched = |m: &DpuMachine| m.host == host && m.mram == mram && m.wram == wram;
+        let host_end = |end| Err(SimError::OutOfBounds { addr: end, size: host_words });
+        let wram_end = |end| Err(SimError::OutOfBounds { addr: end, size: wram_words });
+        // The source runs past host memory, then the destination does.
+        assert_eq!(m.host_push(host_words - 4, 0, 0, 8), host_end(host_words + 4));
+        assert!(untouched(&m));
+        assert_eq!(m.host_pull(0, 0, host_words - 2, 4), host_end(host_words + 2));
+        assert!(untouched(&m));
+        assert_eq!(m.cycles(), Cycles::ZERO, "a refused transfer charges nothing");
+        // A WRAM range past the scratchpad, as destination and as source.
+        m.launch().unwrap();
+        let launched = m.cycles();
+        let tail = WramRange { start: wram_words - 2, len: 4 };
+        assert_eq!(m.dma_read(0, 0, tail, 4), wram_end(wram_words + 2));
+        assert_eq!(m.dma_write(0, tail, 0, 4), wram_end(wram_words + 2));
+        assert!(untouched(&m));
+        assert_eq!(m.cycles(), launched);
+    }
+
+    /// Reports one stuck-at fault on the module's output interface.
+    struct StuckOutput(StuckFault);
+
+    impl FaultHook for StuckOutput {
+        fn transfer(&mut self, _: FaultDomain, _: usize, _: usize) -> TransferFaults {
+            TransferFaults::default()
+        }
+
+        fn stuck(&mut self, domain: FaultDomain) -> Option<StuckFault> {
+            (domain == FaultDomain::Dram).then_some(self.0)
+        }
+    }
+
+    #[test]
+    fn stuck_pull_forces_every_dpus_th_word_from_the_fault_index() {
+        let cfg = DpuConfig::paper();
+        let lanes = cfg.dpus();
+        let words: Vec<u32> =
+            (0..3 * lanes as u32 + 5).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        for fault in [
+            StuckFault { index: 0, bit: 0, stuck_one: true },
+            StuckFault { index: lanes + 7, bit: 31, stuck_one: false },
+            StuckFault { index: 3 * lanes - 1, bit: 12, stuck_one: true },
+        ] {
+            let mut m =
+                DpuMachine::with_hooks(&cfg, NullSink, StuckOutput(fault), CycleBudget::UNLIMITED)
+                    .unwrap();
+            m.host_mut().write_block_u32(0, &words).unwrap();
+            m.host_push(0, 5, 10, words.len()).unwrap();
+            // The pull lands across a host page boundary.
+            let at = 5_000;
+            m.host_pull(5, 10, at, words.len()).unwrap();
+            let per_word: Vec<u32> = words
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % lanes == fault.index % lanes { fault.force(v) } else { v })
+                .collect();
+            assert_eq!(m.host().read_block_u32(at, words.len()).unwrap(), per_word, "{fault:?}");
+            assert_ne!(per_word, words, "the fault changes the pull");
+        }
     }
 
     #[test]

@@ -131,15 +131,17 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
     // Gather: one bulk pull per DPU; the host interleaves each DPU's
     // `[dwell][dir][local]` block into the global output order.
+    let mut block = vec![0u32; epd];
     for d in 0..dpus {
         let (e0, n) = slice(d);
         if n == 0 {
             break;
         }
         m.host_pull(d, mram_out, stage_base, beams * n)?;
+        let block = &mut block[..n];
         for b in 0..beams {
-            let block = m.host().read_block_u32(stage_base + b * n, n)?;
-            m.host_mut().write_block_u32(out_base + b * e + e0, &block)?;
+            m.host().read_into(stage_base + b * n, block)?;
+            m.host_mut().write_block_u32(out_base + b * e + e0, block)?;
         }
     }
 

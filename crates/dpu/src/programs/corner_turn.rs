@@ -121,15 +121,17 @@ pub fn run<S: TraceSink, F: FaultHook>(
     // into the final column-major matrix. The interleave itself is host
     // CPU work off the simulated module's critical path; what the missing
     // inter-DPU network costs is the bulk round trip charged above.
+    let mut col = vec![0u32; rows_per_dpu];
     for d in 0..dpus {
         let (r0, h) = strip(d);
         if h == 0 {
             break;
         }
         m.host_pull(d, strip_cap, stage_base, cols * h)?;
+        let col = &mut col[..h];
         for c in 0..cols {
-            let col = m.host().read_block_u32(stage_base + c * h, h)?;
-            m.host_mut().write_block_u32(dst_base + c * rows + r0, &col)?;
+            m.host().read_into(stage_base + c * h, col)?;
+            m.host_mut().write_block_u32(dst_base + c * rows + r0, col)?;
         }
     }
 

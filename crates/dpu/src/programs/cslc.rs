@@ -21,16 +21,11 @@ use triarch_simcore::{CycleBudget, KernelRun, SimError, WordMemory};
 use crate::config::DpuConfig;
 use crate::machine::{DpuMachine, WramRange};
 
-fn wram_complex<S: TraceSink, F: FaultHook>(
-    m: &DpuMachine<S, F>,
-    range: WramRange,
-    n: usize,
-) -> Result<Vec<Cf32>, SimError> {
-    let words = m.wram().read_block_u32(range.start, 2 * n)?;
-    Ok(words
-        .chunks_exact(2)
-        .map(|p| Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1])))
-        .collect())
+/// Fills `dst` from interleaved (re, im) words.
+fn unpack_complex(words: &[u32], dst: &mut [Cf32]) {
+    for (v, p) in dst.iter_mut().zip(words.chunks_exact(2)) {
+        *v = Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1]));
+    }
 }
 
 fn wram_write_complex<S: TraceSink, F: FaultHook>(
@@ -141,6 +136,13 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
     }
 
+    // One word buffer, one window per channel, one weight vector and one
+    // spectrum, reused by every sub-band.
+    let mut words = vec![0u32; 2 * n];
+    let mut spectra = vec![vec![Cf32::default(); n]; channels];
+    let mut w = vec![Cf32::default(); n];
+    let mut spec = vec![Cf32::default(); n];
+
     m.launch()?;
     for s in 0..c.subbands {
         let (d, slot) = owner(s);
@@ -157,20 +159,20 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
 
         // Forward FFTs (one per channel), all emulated in software.
-        let mut spectra: Vec<Vec<Cf32>> = Vec::with_capacity(channels);
-        for range in &ch_ranges {
-            let mut window = wram_complex(&m, *range, n)?;
-            forward.process(&mut window).map_err(|e| SimError::unsupported(e.to_string()))?;
-            wram_write_complex(&mut m, *range, &window)?;
+        for (range, window) in ch_ranges.iter().zip(&mut spectra) {
+            m.wram().read_into(range.start, &mut words)?;
+            unpack_complex(&words, window);
+            forward.process(window).map_err(|e| SimError::unsupported(e.to_string()))?;
+            wram_write_complex(&mut m, *range, window)?;
             m.exec(d, fft_flops * cfg.fp_instrs_per_op, fft_flops)?;
-            spectra.push(window);
         }
 
         // Weight application: M(k) -= Σ_a W(k)·A(k) per main channel.
         for mc in 0..c.main_channels {
-            let mut spec = spectra[mc].clone();
+            spec.copy_from_slice(&spectra[mc]);
             for a in 0..c.aux_channels {
-                let w = wram_complex(&m, w_ranges[mc * c.aux_channels + a], n)?;
+                m.wram().read_into(w_ranges[mc * c.aux_channels + a].start, &mut words)?;
+                unpack_complex(&words, &mut w);
                 let aux = &spectra[c.main_channels + a];
                 for k in 0..n {
                     spec[k] -= w[k] * aux[k];
@@ -182,9 +184,8 @@ pub fn run<S: TraceSink, F: FaultHook>(
             m.exec(d, wt_flops * cfg.fp_instrs_per_op, wt_flops)?;
 
             // IFFT and DMA the cancelled output back to the bank.
-            let mut out = spec;
-            inverse.process(&mut out).map_err(|e| SimError::unsupported(e.to_string()))?;
-            wram_write_complex(&mut m, ch_ranges[mc], &out)?;
+            inverse.process(&mut spec).map_err(|e| SimError::unsupported(e.to_string()))?;
+            wram_write_complex(&mut m, ch_ranges[mc], &spec)?;
             m.exec(d, fft_flops * cfg.fp_instrs_per_op, fft_flops)?;
             m.dma_write(d, ch_ranges[mc], out_off(slot, mc), 2 * n)?;
         }
@@ -200,15 +201,11 @@ pub fn run<S: TraceSink, F: FaultHook>(
     }
 
     // Extract the output.
-    let mut out = Vec::with_capacity(c.main_channels * c.subbands * n);
+    let mut out = vec![Cf32::default(); c.main_channels * c.subbands * n];
     for mc in 0..c.main_channels {
         for s in 0..c.subbands {
-            let words = m.host().read_block_u32(out_at(mc, s), 2 * n)?;
-            out.extend(
-                words
-                    .chunks_exact(2)
-                    .map(|p| Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1]))),
-            );
+            m.host().read_into(out_at(mc, s), &mut words)?;
+            unpack_complex(&words, &mut out[(mc * c.subbands + s) * n..][..n]);
         }
     }
     Ok((m.finish()?, KernelOutput::Complex(out)))

@@ -94,9 +94,9 @@ pub fn run<S: TraceSink, F: FaultHook>(
         r0 += h;
     }
 
-    let mut out = Vec::with_capacity(rows * cols);
+    let mut out = vec![0; rows * cols];
     for c in 0..cols {
-        out.extend(m.memory().read_block_u32(dst_base + c * dst_pitch, rows)?);
+        m.memory().read_into(dst_base + c * dst_pitch, &mut out[c * rows..(c + 1) * rows])?;
     }
     Ok((m.finish()?, KernelOutput::Words(out)))
 }

@@ -34,16 +34,11 @@ fn fft_ops(n: usize, per_fft: OpCount, clusters: usize) -> ClusterOps {
     }
 }
 
-fn srf_complex<S: TraceSink, F: FaultHook>(
-    m: &ImagineMachine<S, F>,
-    range: SrfRange,
-    n: usize,
-) -> Result<Vec<Cf32>, SimError> {
-    let words = m.srf().read_block_u32(range.start, 2 * n)?;
-    Ok(words
-        .chunks_exact(2)
-        .map(|p| Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1])))
-        .collect())
+/// Fills `dst` from interleaved (re, im) words.
+fn unpack_complex(words: &[u32], dst: &mut [Cf32]) {
+    for (v, p) in dst.iter_mut().zip(words.chunks_exact(2)) {
+        *v = Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1]));
+    }
 }
 
 fn srf_write_complex<S: TraceSink, F: FaultHook>(
@@ -127,6 +122,13 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
     }
 
+    // One word buffer, one window per channel, one weight vector and one
+    // spectrum, reused by every sub-band.
+    let mut words = vec![0u32; 2 * n];
+    let mut spectra = vec![vec![Cf32::default(); n]; channels];
+    let mut w = vec![Cf32::default(); n];
+    let mut spec = vec![Cf32::default(); n];
+
     // Process per sub-band: all working data for one sub-band fits the SRF.
     for s in 0..c.subbands {
         m.srf_reset();
@@ -153,20 +155,20 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
 
         // Forward FFT kernels (one per channel).
-        let mut spectra: Vec<Vec<Cf32>> = Vec::with_capacity(channels);
-        for range in &ch_ranges {
-            let mut window = srf_complex(&m, *range, n)?;
-            forward.process(&mut window).map_err(|e| SimError::unsupported(e.to_string()))?;
-            srf_write_complex(&mut m, *range, &window)?;
+        for (range, window) in ch_ranges.iter().zip(&mut spectra) {
+            m.srf().read_into(range.start, &mut words)?;
+            unpack_complex(&words, window);
+            forward.process(window).map_err(|e| SimError::unsupported(e.to_string()))?;
+            srf_write_complex(&mut m, *range, window)?;
             m.kernel_exec(fft_ops(n, per_fft, cfg.clusters))?;
-            spectra.push(window);
         }
 
         // Weight-application kernel: M(k) -= Σ_a W(k)·A(k) per main channel.
         for mc in 0..c.main_channels {
-            let mut spec = spectra[mc].clone();
+            spec.copy_from_slice(&spectra[mc]);
             for a in 0..c.aux_channels {
-                let w = srf_complex(&m, w_ranges[mc * c.aux_channels + a], n)?;
+                m.srf().read_into(w_ranges[mc * c.aux_channels + a].start, &mut words)?;
+                unpack_complex(&words, &mut w);
                 let aux = &spectra[c.main_channels + a];
                 for k in 0..n {
                     spec[k] -= w[k] * aux[k];
@@ -181,9 +183,8 @@ pub fn run<S: TraceSink, F: FaultHook>(
             })?;
 
             // IFFT kernel and output stream.
-            let mut out = spec;
-            inverse.process(&mut out).map_err(|e| SimError::unsupported(e.to_string()))?;
-            srf_write_complex(&mut m, ch_ranges[mc], &out)?;
+            inverse.process(&mut spec).map_err(|e| SimError::unsupported(e.to_string()))?;
+            srf_write_complex(&mut m, ch_ranges[mc], &spec)?;
             m.kernel_exec(fft_ops(n, per_fft, cfg.clusters))?;
             m.stream_out(ch_ranges[mc], out_at(mc, s), 2 * n, AccessPattern::Sequential)?;
         }
@@ -191,15 +192,11 @@ pub fn run<S: TraceSink, F: FaultHook>(
     }
 
     // Extract the output.
-    let mut out = Vec::with_capacity(c.main_channels * c.subbands * n);
+    let mut out = vec![Cf32::default(); c.main_channels * c.subbands * n];
     for mc in 0..c.main_channels {
         for s in 0..c.subbands {
-            let words = m.memory().read_block_u32(out_at(mc, s), 2 * n)?;
-            out.extend(
-                words
-                    .chunks_exact(2)
-                    .map(|p| Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1]))),
-            );
+            m.memory().read_into(out_at(mc, s), &mut words)?;
+            unpack_complex(&words, &mut out[(mc * c.subbands + s) * n..][..n]);
         }
     }
     Ok((m.finish()?, KernelOutput::Complex(out)))

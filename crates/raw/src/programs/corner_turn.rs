@@ -67,6 +67,9 @@ pub fn run<S: TraceSink, F: FaultHook>(
     let tiles = cfg.tiles();
     let total_blocks = row_blocks * col_blocks;
 
+    // One block and one column of it, reused by every block.
+    let mut tile_block = vec![0u32; block * block];
+    let mut column = vec![0u32; block];
     let mut next = 0usize;
     while next < total_blocks {
         // One round: up to one block per tile, all tiles load/storing.
@@ -80,9 +83,11 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
             // Load the block into the tile's local store (one load
             // instruction per word) …
+            let tile_block = &mut tile_block[..h * w];
             for r in 0..h {
-                let row = m.memory().read_block_u32(src_base + (br + r) * src_pitch + bc, w)?;
-                m.local_mut(tile)?.write_block_u32(r * w, &row)?;
+                let row = &mut tile_block[r * w..(r + 1) * w];
+                m.memory().read_into(src_base + (br + r) * src_pitch + bc, row)?;
+                m.local_mut(tile)?.write_block_u32(r * w, row)?;
             }
             m.dram_traffic(
                 src_base + br * src_pitch + bc,
@@ -93,12 +98,13 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
             // … transpose in local memory (single-cycle accesses folded
             // into the store addressing) and store it back.
+            m.local_mut(tile)?.read_into(0, tile_block)?;
+            let column = &mut column[..h];
             for c in 0..w {
-                let mut out_row = Vec::with_capacity(h);
-                for r in 0..h {
-                    out_row.push(m.local_mut(tile)?.read_u32(r * w + c)?);
+                for (r, v) in column.iter_mut().enumerate() {
+                    *v = tile_block[r * w + c];
                 }
-                m.memory_mut().write_block_u32(dst_base + (bc + c) * dst_pitch + br, &out_row)?;
+                m.memory_mut().write_block_u32(dst_base + (bc + c) * dst_pitch + br, column)?;
             }
             m.dram_traffic(
                 dst_base + bc * dst_pitch + br,
@@ -111,9 +117,9 @@ pub fn run<S: TraceSink, F: FaultHook>(
         next = round_end;
     }
 
-    let mut out = Vec::with_capacity(rows * cols);
+    let mut out = vec![0; rows * cols];
     for c in 0..cols {
-        out.extend(m.memory().read_block_u32(dst_base + c * dst_pitch, rows)?);
+        m.memory().read_into(dst_base + c * dst_pitch, &mut out[c * rows..(c + 1) * rows])?;
     }
     Ok((m.finish()?, KernelOutput::Words(out)))
 }

@@ -56,6 +56,13 @@ fn fft_issue(n: usize, mode: CslcMode) -> (u64, u64) {
     (butterflies * per_butterfly, flops)
 }
 
+/// Fills `dst` from interleaved (re, im) words.
+fn unpack_complex(words: &[u32], dst: &mut [Cf32]) {
+    for (v, p) in dst.iter_mut().zip(words.chunks_exact(2)) {
+        *v = Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1]));
+    }
+}
+
 /// Runs CSLC on Raw in the data-delivery `mode`;
 /// [`CslcMode::CacheMimd`] is the paper's measured configuration.
 ///
@@ -122,14 +129,12 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
     let (fft_instrs, fft_flops) = fft_issue(n, mode);
     let mesh_hops = (2 * (cfg.mesh_width - 1)) as u64;
-    let read_complex =
-        |m: &RawMachine<S, F>, base: usize, len: usize| -> Result<Vec<Cf32>, SimError> {
-            let words = m.memory().read_block_u32(base, 2 * len)?;
-            Ok(words
-                .chunks_exact(2)
-                .map(|p| Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1])))
-                .collect())
-        };
+    // One word buffer, one window per channel, one weight vector and one
+    // spectrum, reused by every sub-band.
+    let mut words = vec![0u32; 2 * n];
+    let mut spectra = vec![vec![Cf32::default(); n]; channels];
+    let mut w = vec![Cf32::default(); n];
+    let mut spec = vec![Cf32::default(); n];
 
     // One balanced phase covers the whole data-parallel run (the paper's
     // perfect-load-balance extrapolation).
@@ -153,20 +158,20 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
 
         // Forward FFTs for all channels of this sub-band.
-        let mut spectra: Vec<Vec<Cf32>> = Vec::with_capacity(channels);
-        for ch in 0..channels {
-            let mut window = read_complex(&m, ch_base(ch) + s * hop * 2, n)?;
-            fft_radix2(&mut window);
+        for (ch, window) in spectra.iter_mut().enumerate() {
+            m.memory().read_into(ch_base(ch) + s * hop * 2, &mut words)?;
+            unpack_complex(&words, window);
+            fft_radix2(window);
             m.tile_issue(tile, fft_instrs)?;
             m.count_ops(fft_flops);
-            spectra.push(window);
         }
 
         // Weight application + IFFT per main channel.
         for mc in 0..c.main_channels {
-            let mut spec = spectra[mc].clone();
+            spec.copy_from_slice(&spectra[mc]);
             for a in 0..c.aux_channels {
-                let w = read_complex(&m, weights_at(mc, a) + s * n * 2, n)?;
+                m.memory().read_into(weights_at(mc, a) + s * n * 2, &mut words)?;
+                unpack_complex(&words, &mut w);
                 for k in 0..n {
                     spec[k] -= w[k] * spectra[c.main_channels + a][k];
                 }
@@ -193,10 +198,11 @@ pub fn run<S: TraceSink, F: FaultHook>(
     }
     m.end_phase(true)?;
 
-    let mut out = Vec::with_capacity(c.main_channels * c.subbands * n);
+    let mut out = vec![Cf32::default(); c.main_channels * c.subbands * n];
     for mc in 0..c.main_channels {
         for s in 0..c.subbands {
-            out.extend(read_complex(&m, out_at(mc, s), n)?);
+            m.memory().read_into(out_at(mc, s), &mut words)?;
+            unpack_complex(&words, &mut out[(mc * c.subbands + s) * n..][..n]);
         }
     }
     Ok((m.finish()?, KernelOutput::Complex(out)))

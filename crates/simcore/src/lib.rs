@@ -11,8 +11,9 @@
 //! - [`DramModel`] — a banked DRAM timing model with open-row tracking,
 //!   precharge/activate overheads, and address-generator limits; used for
 //!   VIRAM's on-chip DRAM and every machine's off-chip memory.
-//! - [`WordMemory`] — a flat 32-bit word memory with `f32`/`u32` views so
-//!   that kernels running on the simulators are *data-accurate*.
+//! - [`WordMemory`] — a paged 32-bit word memory with `f32`/`u32` views so
+//!   that kernels running on the simulators are *data-accurate*; it stores
+//!   only the pages a run writes.
 //! - [`ThroughputModel`] — the roofline-style peak-throughput model of the
 //!   paper's Table 1 / Section 2.5, used for Table 4 and consistency checks.
 //! - [`MachineInfo`] and [`KernelRun`] — the common result vocabulary

@@ -101,8 +101,8 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
     }
 
-    let raw = unit.memory().block_u32(out_base, workload.outputs())?;
-    let got: Vec<i32> = raw.iter().map(|&v| v as i32).collect();
+    let raw = unit.memory().read_block_u32(out_base, workload.outputs())?;
+    let got: Vec<i32> = raw.into_iter().map(|v| v as i32).collect();
     Ok((unit.finish()?, KernelOutput::Ints(got)))
 }
 

@@ -137,9 +137,9 @@ fn resident<S: TraceSink, F: FaultHook>(
     transpose_on_chip(&mut unit, &src, &dst, rows, cols)?;
 
     // Extract the destination, dropping the pad.
-    let mut out = Vec::with_capacity(rows * cols);
+    let mut out = vec![0; rows * cols];
     for c in 0..cols {
-        out.extend_from_slice(unit.memory().block_u32(dst.addr(c, 0), rows)?);
+        unit.memory().read_into(dst.addr(c, 0), &mut out[c * rows..(c + 1) * rows])?;
     }
     Ok((unit.finish()?, KernelOutput::Words(out)))
 }
@@ -216,8 +216,7 @@ fn streaming<S: TraceSink, F: FaultHook>(
         // DMA the transposed band back out and collect it.
         unit.dma(h * cols);
         for c in 0..cols {
-            let strip = unit.memory().block_u32(dst.addr(c, 0), h)?;
-            out[c * rows + r0..c * rows + r0 + h].copy_from_slice(strip);
+            unit.memory().read_into(dst.addr(c, 0), &mut out[c * rows + r0..c * rows + r0 + h])?;
         }
         r0 += h;
     }

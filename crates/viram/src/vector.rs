@@ -355,7 +355,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     pub fn vload_unit(&mut self, vr: usize, addr: usize, vl: usize) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        self.regs[vr][..vl].copy_from_slice(self.mem.block_u32(addr, vl)?);
+        self.mem.read_into(addr, &mut self.regs[vr][..vl])?;
         self.mem_op(addr, AccessPattern::Sequential, vl, "vload.unit")
     }
 

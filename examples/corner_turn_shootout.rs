@@ -1,9 +1,10 @@
-//! Corner-turn shootout: sweep the matrix size across all five machines
+//! Corner-turn shootout: sweep the matrix size across every machine row
 //! and watch the regimes the paper describes — the G4's cache wall, the
 //! Imagine off-chip pin bound, Raw's issue bound, and VIRAM falling off
 //! the cliff at 2048x2048 when the matrix no longer fits its 13 MB of
 //! on-chip DRAM and must stream through the 2-words/cycle off-chip
-//! interface (Section 4.6).
+//! interface (Section 4.6). The DPU row's host memory holds no 2048x2048
+//! corner turn, so that cell reads "doesn't fit".
 //!
 //! ```sh
 //! cargo run --release --example corner_turn_shootout
@@ -15,7 +16,9 @@ use triarch_kernels::{CornerTurnWorkload, KernelInput, RunCtx};
 use triarch_simcore::SimError;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut table = TextTable::new(vec!["matrix", "PPC", "Altivec", "VIRAM", "Imagine", "Raw"]);
+    let mut headers = vec!["matrix"];
+    headers.extend(Architecture::ALL.map(Architecture::name));
+    let mut table = TextTable::new(headers);
 
     for dim in [128usize, 256, 512, 1024, 2048] {
         let workload = CornerTurnWorkload::with_dims(dim, dim, 7)?;
