@@ -76,12 +76,15 @@ for workload in grid-paper grid-small attrib-paper serve-mixed; do
   }
 done
 
-echo "== repro faultsweep smoke (deterministic, 2 campaigns) =="
-out1="$(cargo run --release -q -p triarch-bench --bin repro -- faultsweep --campaigns 2)"
-out2="$(cargo run --release -q -p triarch-bench --bin repro -- faultsweep --campaigns 2)"
+echo "== repro faultsweep smoke (deterministic, 2 campaigns, --jobs 1 vs --jobs 2) =="
+# The sweep's SDC and masked verdicts read CSLC output bits, and two
+# workers fill the process-wide FFT twiddle tables at once, so the two
+# worker counts must agree byte for byte.
+out1="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 1 faultsweep --campaigns 2)"
+out2="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 2 faultsweep --campaigns 2)"
 echo "$out1"
 if [ "$out1" != "$out2" ]; then
-  echo "faultsweep is not deterministic" >&2
+  echo "faultsweep differs between --jobs 1 and --jobs 2" >&2
   exit 1
 fi
 

@@ -5,11 +5,16 @@
 //! performance than the radix-4 FFT because of register spilling").
 
 use crate::complex::Cf32;
-use crate::twiddle::{bit_reverse_permute, forward_twiddles, inverse_twiddles};
+use crate::plan::Direction;
+use crate::twiddle::{bit_reverse_permute, table};
 
-fn fft_in_place(data: &mut [Cf32], twiddles: &[Cf32]) {
+/// The butterflies, reading `e^{-2πik/n}` from the shared forward table;
+/// the inverse conjugates each entry, as [`crate::twiddle::inverse_twiddles`]
+/// does.
+fn fft_in_place<const INVERSE: bool>(data: &mut [Cf32]) {
     let n = data.len();
     bit_reverse_permute(data);
+    let twiddles = table(n, Direction::Forward);
     let mut len = 2;
     while len <= n {
         let half = len / 2;
@@ -17,6 +22,7 @@ fn fft_in_place(data: &mut [Cf32], twiddles: &[Cf32]) {
         for start in (0..n).step_by(len) {
             for k in 0..half {
                 let w = twiddles[k * step];
+                let w = if INVERSE { w.conj() } else { w };
                 let a = data[start + k];
                 let b = data[start + k + half] * w;
                 data[start + k] = a + b;
@@ -37,8 +43,7 @@ pub fn fft_radix2(data: &mut [Cf32]) {
     if data.len() <= 1 {
         return;
     }
-    let twiddles = forward_twiddles(data.len());
-    fft_in_place(data, &twiddles);
+    fft_in_place::<false>(data);
 }
 
 /// Computes the inverse FFT of `data` in place (with `1/N` scaling) using
@@ -52,11 +57,59 @@ pub fn ifft_radix2(data: &mut [Cf32]) {
     if n <= 1 {
         return;
     }
-    let twiddles = inverse_twiddles(n);
-    fft_in_place(data, &twiddles);
+    fft_in_place::<true>(data);
     let inv = 1.0 / n as f32;
     for v in data.iter_mut() {
         *v = v.scale(inv);
+    }
+}
+
+/// The per-call transforms the tabled ones are checked against: a fresh
+/// twiddle table per call, as before the tables were shared.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::complex::Cf32;
+    use crate::twiddle::{bit_reverse_permute, forward_twiddles, inverse_twiddles};
+
+    fn fft_in_place(data: &mut [Cf32], twiddles: &[Cf32]) {
+        let n = data.len();
+        bit_reverse_permute(data);
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let step = n / len;
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let w = twiddles[k * step];
+                    let a = data[start + k];
+                    let b = data[start + k + half] * w;
+                    data[start + k] = a + b;
+                    data[start + k + half] = a - b;
+                }
+            }
+            len *= 2;
+        }
+    }
+
+    pub(crate) fn fft_radix2(data: &mut [Cf32]) {
+        if data.len() <= 1 {
+            return;
+        }
+        let twiddles = forward_twiddles(data.len());
+        fft_in_place(data, &twiddles);
+    }
+
+    pub(crate) fn ifft_radix2(data: &mut [Cf32]) {
+        let n = data.len();
+        if n <= 1 {
+            return;
+        }
+        let twiddles = inverse_twiddles(n);
+        fft_in_place(data, &twiddles);
+        let inv = 1.0 / n as f32;
+        for v in data.iter_mut() {
+            *v = v.scale(inv);
+        }
     }
 }
 

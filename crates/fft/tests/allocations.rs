@@ -1,0 +1,71 @@
+//! Heap allocations of the transforms, counted exactly once their
+//! twiddle tables are built.
+//!
+//! This binary holds one test, so nothing else allocates while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use triarch_fft::{fft_radix2, ifft_radix2, Cf32, Fft};
+
+/// The system allocator, counting every block it hands out or regrows.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` pass through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations `f` makes.
+fn allocations(f: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn warm_transforms_allocate_one_scratch_buffer_or_nothing() {
+    let forward = Fft::forward(128).expect("128 is a power of two");
+    let inverse = Fft::inverse(128).expect("128 is a power of two");
+    let mut data: Vec<Cf32> = (0..128).map(|i| Cf32::new(i as f32, -(i as f32) / 3.0)).collect();
+    // Warm-up: the first call for a length and direction builds its table.
+    forward.process(&mut data).expect("planned length");
+    inverse.process(&mut data).expect("planned length");
+    fft_radix2(&mut data);
+    ifft_radix2(&mut data);
+
+    let process = |plan: &Fft, data: &mut [Cf32]| plan.process(data).expect("planned length");
+    assert_eq!(allocations(|| process(&forward, &mut data)), 1, "Fft::forward(128)");
+    assert_eq!(allocations(|| process(&inverse, &mut data)), 1, "Fft::inverse(128)");
+    assert_eq!(allocations(|| fft_radix2(&mut data)), 0, "fft_radix2");
+    assert_eq!(allocations(|| ifft_radix2(&mut data)), 0, "ifft_radix2");
+}

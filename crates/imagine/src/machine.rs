@@ -333,10 +333,20 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         if len > dst.len {
             return Err(SimError::capacity("srf stream range", len, dst.len));
         }
-        for i in 0..len {
-            let a = pattern.word(mem_addr, i);
-            let v = self.mem.read_u32(a)?;
-            self.srf.write_u32(dst.start + i, v)?;
+        match block_runs(pattern, mem_addr, len, self.mem.len(), dst.start, self.srf.len()) {
+            Some((chunk, stride)) => {
+                for (c, at) in (0..len).step_by(chunk).enumerate() {
+                    let n = chunk.min(len - at);
+                    self.srf.copy_from(dst.start + at, &self.mem, mem_addr + c * stride, n)?;
+                }
+            }
+            None => {
+                for i in 0..len {
+                    let a = pattern.word(mem_addr, i);
+                    let v = self.mem.read_u32(a)?;
+                    self.srf.write_u32(dst.start + i, v)?;
+                }
+            }
         }
         let cursor = self.mem_cursor();
         let cost = self.dram.transfer_observed(
@@ -386,15 +396,37 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         let stuck =
             if self.faults.is_enabled() { self.faults.stuck(FaultDomain::Cluster) } else { None };
         let clusters = self.cfg.clusters.max(1);
-        for i in 0..len {
-            let mut v = self.srf.read_u32(src.start + i)?;
-            if let Some(fault) = stuck {
-                if i % clusters == fault.index % clusters {
-                    v = fault.force(v);
+        match block_runs(pattern, mem_addr, len, self.mem.len(), src.start, self.srf.len()) {
+            Some((chunk, stride)) => {
+                for (c, at) in (0..len).step_by(chunk).enumerate() {
+                    let n = chunk.min(len - at);
+                    let base = mem_addr + c * stride;
+                    self.mem.copy_from(base, &self.srf, src.start + at, n)?;
+                    // Force the run's stuck-lane words before a later,
+                    // overlapping run can overwrite them, as the word
+                    // loop's order does.
+                    if let Some(fault) = stuck {
+                        let lane = fault.index % clusters;
+                        for i in (at..at + n).filter(|i| i % clusters == lane) {
+                            let a = base + (i - at);
+                            let word = self.mem.read_u32(a)?;
+                            self.mem.write_u32(a, fault.force(word))?;
+                        }
+                    }
                 }
             }
-            let a = pattern.word(mem_addr, i);
-            self.mem.write_u32(a, v)?;
+            None => {
+                for i in 0..len {
+                    let mut v = self.srf.read_u32(src.start + i)?;
+                    if let Some(fault) = stuck {
+                        if i % clusters == fault.index % clusters {
+                            v = fault.force(v);
+                        }
+                    }
+                    let a = pattern.word(mem_addr, i);
+                    self.mem.write_u32(a, v)?;
+                }
+            }
         }
         let cursor = self.mem_cursor();
         let cost = self.dram.transfer_observed(
@@ -521,9 +553,40 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     }
 }
 
+/// `(chunk, stride)` of a stream's stretches of consecutive memory
+/// addresses — one stretch for a sequential stream, one per chunk for a
+/// chunked one — when every stretch ends inside the memory's `mem_len`
+/// words and the stream's `len` SRF words from `srf_start` end inside the
+/// SRF's `srf_len`. `None` for a strided stream, whose stretches are
+/// single words, and for a stream that would overrun: those move word by
+/// word, so an error stops them at the same word as ever.
+fn block_runs(
+    pattern: AccessPattern,
+    mem_addr: usize,
+    len: usize,
+    mem_len: usize,
+    srf_start: usize,
+    srf_len: usize,
+) -> Option<(usize, usize)> {
+    let (chunk, stride) = match pattern {
+        AccessPattern::Sequential => (len.max(1), len.max(1)),
+        AccessPattern::Chunked { chunk_words, stride_words } => (chunk_words, stride_words),
+        AccessPattern::Strided { .. } => return None,
+    };
+    let srf_fits = srf_start.checked_add(len).is_some_and(|end| end <= srf_len);
+    let mem_fits = (0..len).step_by(chunk).enumerate().all(|(c, at)| {
+        c.checked_mul(stride)
+            .and_then(|off| off.checked_add(mem_addr))
+            .and_then(|base| base.checked_add(chunk.min(len - at)))
+            .is_some_and(|end| end <= mem_len)
+    });
+    (srf_fits && mem_fits).then_some((chunk, stride))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::StuckFault;
 
     fn machine() -> ImagineMachine {
         ImagineMachine::new(&ImagineConfig::paper()).unwrap()
@@ -560,6 +623,101 @@ mod tests {
         m.stream_out(r, 200, 4, AccessPattern::Sequential).unwrap();
         assert_eq!(m.memory().read_u32(200).unwrap(), 42);
         assert!(m.cycles() > Cycles::ZERO);
+    }
+
+    /// Reports at most one stuck-at fault, on a cluster's output port.
+    struct StuckCluster(Option<StuckFault>);
+
+    impl FaultHook for StuckCluster {
+        fn transfer(&mut self, _: FaultDomain, _: usize, _: usize) -> TransferFaults {
+            TransferFaults::default()
+        }
+
+        fn stuck(&mut self, domain: FaultDomain) -> Option<StuckFault> {
+            self.0.filter(|_| domain == FaultDomain::Cluster)
+        }
+    }
+
+    /// The word-by-word rule a stream follows, on flat copies of the two
+    /// memories: word `i` moves between `mem[pattern.word(mem_addr, i)]`
+    /// and `srf[srf_start + i]`, and the first word out of range stops the
+    /// stream with the words before it moved. Outgoing words of the stuck
+    /// cluster lane are forced. Returns whether the stream completed.
+    fn word_rule(
+        mem: &mut [u32],
+        srf: &mut [u32],
+        (mem_addr, srf_start, len, pattern): (usize, usize, usize, AccessPattern),
+        outgoing: bool,
+        stuck: Option<(usize, StuckFault)>,
+    ) -> bool {
+        for i in 0..len {
+            let a = pattern.word(mem_addr, i);
+            if a >= mem.len() || srf_start + i >= srf.len() {
+                return false;
+            }
+            if outgoing {
+                mem[a] = match stuck {
+                    Some((lanes, f)) if i % lanes == f.index % lanes => f.force(srf[srf_start + i]),
+                    _ => srf[srf_start + i],
+                };
+            } else {
+                srf[srf_start + i] = mem[a];
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn streams_move_runs_as_the_word_rule_moves_words() {
+        let mut cfg = ImagineConfig::paper();
+        cfg.mem_words = 5_000;
+        cfg.srf_words = 3_000;
+        let mem: Vec<u32> = (0..5_000u32).map(|i| i.wrapping_mul(0x9e37_79b9) | 1).collect();
+        let srf: Vec<u32> = (0..3_000u32).map(|i| 0x8000_0000 | i).collect();
+        let patterns = [
+            AccessPattern::Sequential,
+            AccessPattern::Chunked { chunk_words: 3, stride_words: 5 },
+            // Chunks that overlap: a later one rewrites an earlier one's words.
+            AccessPattern::Chunked { chunk_words: 4, stride_words: 2 },
+            AccessPattern::Chunked { chunk_words: 8, stride_words: 8 },
+            AccessPattern::Chunked { chunk_words: 16, stride_words: 1_030 },
+            AccessPattern::Strided { stride_words: 3 },
+        ];
+        // `(memory address, SRF start, words)`: in range across page
+        // boundaries, overrunning the memory, overrunning the SRF, empty.
+        let placements =
+            [(1_000, 1_000, 1_100), (10, 100, 64), (4_990, 0, 40), (900, 2_990, 20), (0, 0, 0)];
+        let faults = [None, Some(StuckFault { index: 13, bit: 3, stuck_one: true })];
+        for pattern in patterns {
+            for (mem_addr, srf_start, len) in placements {
+                for fault in faults {
+                    let what = format!("{pattern:?} at {mem_addr}, srf {srf_start}, {len} words");
+                    let hook = StuckCluster(fault);
+                    let mut m =
+                        ImagineMachine::with_hooks(&cfg, NullSink, hook, CycleBudget::UNLIMITED)
+                            .unwrap();
+                    let range = SrfRange { start: srf_start, len };
+                    let run = (mem_addr, srf_start, len, pattern);
+
+                    m.memory_mut().write_block_u32(0, &mem).unwrap();
+                    m.srf_mut().write_block_u32(0, &srf).unwrap();
+                    let (mut want_mem, mut want_srf) = (mem.clone(), srf.clone());
+                    let ok = word_rule(&mut want_mem, &mut want_srf, run, false, None);
+                    let got = m.stream_in(mem_addr, range, len, pattern);
+                    assert_eq!(got.is_ok(), ok, "in: {what}");
+                    assert_eq!(m.srf().read_block_u32(0, 3_000).unwrap(), want_srf, "in: {what}");
+
+                    m.srf_mut().write_block_u32(0, &srf).unwrap();
+                    let (mut want_mem, mut want_srf) = (mem.clone(), srf.clone());
+                    let stuck = fault.map(|f| (cfg.clusters, f));
+                    let ok = word_rule(&mut want_mem, &mut want_srf, run, true, stuck);
+                    let got = m.stream_out(range, mem_addr, len, pattern);
+                    assert_eq!(got.is_ok(), ok, "out: {what}");
+                    let memory = m.memory().read_block_u32(0, 5_000).unwrap();
+                    assert_eq!(memory, want_mem, "out: {what}");
+                }
+            }
+        }
     }
 
     #[test]

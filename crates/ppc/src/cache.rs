@@ -3,6 +3,16 @@
 //! The corner turn's baseline behaviour — column-strided writes that
 //! alias into a handful of sets and thrash both cache levels — emerges
 //! directly from driving this model with the kernel's real address trace.
+//!
+//! Every access of a replay runs through [`Cache::access_rw`], so the work
+//! that depends only on the geometry is done when a cache is built: the
+//! line and the set come from two [`Divisor`]s (shifts for the G4's
+//! power-of-two geometry), and all sets share one flat slot array that is
+//! never reallocated. The `Vec`-per-set model this replaced is kept as a
+//! test-only oracle (`ListCache`), and a property test holds the two to
+//! equal results, counters and contents.
+
+use triarch_simcore::Divisor;
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,21 +87,33 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    // Per set: packed `(tag << 1) | dirty` entries in LRU order
-    // (front = most recent). Packing the dirty bit into the tag word
-    // keeps the hot-path layout identical to the pre-dirty-bit model.
-    sets: Vec<Vec<usize>>,
+    /// Word address → line, and line → set, fixed by the geometry.
+    line_of: Divisor,
+    set_of: Divisor,
+    // `sets × ways` packed `(line << 1) | dirty` slots: set `s` owns
+    // `slots[s * ways..][..ways]`, whose first `filled[s]` hold its lines
+    // in LRU order (front = most recent). Packing the dirty bit into the
+    // line word keeps one word per resident line.
+    slots: Vec<usize>,
+    filled: Vec<usize>,
     counters: triarch_simcore::metrics::CacheCounters,
 }
 
 impl Cache {
     /// Builds an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inconsistent geometry (see [`CacheConfig::sets`]).
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         Cache {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.ways); sets],
+            line_of: Divisor::new(cfg.line_words as u64),
+            set_of: Divisor::new(sets as u64),
+            slots: vec![0; sets * cfg.ways],
+            filled: vec![0; sets],
             counters: triarch_simcore::metrics::CacheCounters::default(),
         }
     }
@@ -111,32 +133,33 @@ impl Cache {
     /// penalty, so cycle totals are unchanged by the dirty-bit model.
     #[inline]
     pub fn access_rw(&mut self, word_addr: usize, is_write: bool) -> bool {
-        let line = word_addr / self.cfg.line_words;
-        let set = line % self.sets.len();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| (t >> 1) == line) {
+        // Both values are below the `usize` they were divided from.
+        let line = self.line_of.div_rem(word_addr as u64).0;
+        let set = self.set_of.div_rem(line).1 as usize;
+        let line = line as usize;
+        let ways = self.cfg.ways;
+        let slots = &mut self.slots[set * ways..][..ways];
+        let filled = &mut self.filled[set];
+        if let Some(pos) = slots[..*filled].iter().position(|&t| (t >> 1) == line) {
             // Move-to-front via a prefix rotate: one memmove over
             // `[0..=pos]` instead of remove+insert shuffling the whole set.
-            let tag = ways[pos] | usize::from(is_write);
-            ways[..=pos].rotate_right(1);
-            ways[0] = tag;
+            let tag = slots[pos] | usize::from(is_write);
+            slots[..=pos].rotate_right(1);
+            slots[0] = tag;
             self.counters.hits += 1;
             false
         } else {
             self.counters.misses += 1;
-            let packed = (line << 1) | usize::from(is_write);
-            if ways.len() == self.cfg.ways {
-                // Steady state: replace the LRU tail in place with one
-                // full rotate (the pre-eviction pop+insert did two).
-                if let Some(&evicted) = ways.last() {
-                    self.counters.evictions += 1;
-                    self.counters.writebacks += u64::from(evicted & 1 == 1);
-                }
-                ways.rotate_right(1);
-                ways[0] = packed;
+            if *filled == ways {
+                // Steady state: the LRU tail is evicted and the rotate
+                // below overwrites it.
+                self.counters.evictions += 1;
+                self.counters.writebacks += u64::from(slots[ways - 1] & 1 == 1);
             } else {
-                ways.insert(0, packed);
+                *filled += 1;
             }
+            slots[..*filled].rotate_right(1);
+            slots[0] = (line << 1) | usize::from(is_write);
             true
         }
     }
@@ -347,5 +370,128 @@ mod tests {
     #[should_panic(expected = "inconsistent")]
     fn bad_geometry_panics() {
         let _ = CacheConfig { size_words: 100, line_words: 8, ways: 3 }.sets();
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle [`Cache`] is checked against: one `Vec` per set, found
+    /// by plain division, as the cache was before its slots were
+    /// flattened.
+    struct ListCache {
+        cfg: CacheConfig,
+        // Per set: packed `(tag << 1) | dirty` entries in LRU order
+        // (front = most recent).
+        sets: Vec<Vec<usize>>,
+        counters: triarch_simcore::metrics::CacheCounters,
+    }
+
+    impl ListCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.sets();
+            ListCache {
+                cfg,
+                sets: vec![Vec::with_capacity(cfg.ways); sets],
+                counters: triarch_simcore::metrics::CacheCounters::default(),
+            }
+        }
+
+        fn access_rw(&mut self, word_addr: usize, is_write: bool) -> bool {
+            let line = word_addr / self.cfg.line_words;
+            let set = line % self.sets.len();
+            let ways = &mut self.sets[set];
+            if let Some(pos) = ways.iter().position(|&t| (t >> 1) == line) {
+                let tag = ways[pos] | usize::from(is_write);
+                ways[..=pos].rotate_right(1);
+                ways[0] = tag;
+                self.counters.hits += 1;
+                false
+            } else {
+                self.counters.misses += 1;
+                let packed = (line << 1) | usize::from(is_write);
+                if ways.len() == self.cfg.ways {
+                    if let Some(&evicted) = ways.last() {
+                        self.counters.evictions += 1;
+                        self.counters.writebacks += u64::from(evicted & 1 == 1);
+                    }
+                    ways.rotate_right(1);
+                    ways[0] = packed;
+                } else {
+                    ways.insert(0, packed);
+                }
+                true
+            }
+        }
+    }
+
+    impl Cache {
+        /// Set `set`'s resident lines with their dirty bits, most recent
+        /// first.
+        fn resident(&self, set: usize) -> &[usize] {
+            &self.slots[set * self.cfg.ways..][..self.filled[set]]
+        }
+    }
+
+    fn counts(c: &triarch_simcore::metrics::CacheCounters) -> [u64; 4] {
+        [c.hits, c.misses, c.evictions, c.writebacks]
+    }
+
+    /// A geometry: the G4's two levels, or a random one whose line size
+    /// and set count are mostly not powers of two.
+    fn geometry(preset: usize, line_words: usize, ways: usize, sets: usize) -> CacheConfig {
+        match preset {
+            0 => CacheConfig::g4_l1(),
+            1 => CacheConfig::g4_l2(),
+            _ => CacheConfig { size_words: line_words * ways * sets, line_words, ways },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Each step is a stream of `count` accesses from `base`: unit
+        /// stride, a corner turn's column stride (a power of two, so the
+        /// columns alias into few sets), an arbitrary stride, or
+        /// addresses near the top of the address space. Its writes follow
+        /// `writes`' bits.
+        #[test]
+        fn flat_cache_matches_the_list_oracle(
+            shape in (0usize..6, 1usize..=24, 1usize..=9, 1usize..=70),
+            steps in proptest::collection::vec(
+                (0usize..4, 0usize..1 << 24, 1usize..=400, 1usize..=3_000, any::<u64>()),
+                1..=12,
+            ),
+        ) {
+            let (preset, line_words, ways, sets) = shape;
+            let cfg = geometry(preset, line_words, ways, sets);
+            prop_assert!(cfg.validate().is_ok());
+            let mut flat = Cache::new(cfg);
+            let mut oracle = ListCache::new(cfg);
+            for (i, &(kind, base, count, stride, writes)) in steps.iter().enumerate() {
+                let (start, stride) = match kind {
+                    0 => (base, 1),
+                    1 => (base, 1 << (6 + stride % 7)),
+                    2 => (base, stride),
+                    _ => (usize::MAX - base, stride),
+                };
+                for k in 0..count {
+                    let addr = start.wrapping_add(k.wrapping_mul(stride));
+                    let is_write = (writes >> (k % 64)) & 1 == 1;
+                    let miss = flat.access_rw(addr, is_write);
+                    prop_assert_eq!(
+                        miss,
+                        oracle.access_rw(addr, is_write),
+                        "step {i}, access {k} at {addr} on {cfg:?}"
+                    );
+                    prop_assert_eq!(counts(flat.counters()), counts(&oracle.counters));
+                }
+            }
+            for (set, lines) in oracle.sets.iter().enumerate() {
+                prop_assert_eq!(flat.resident(set), lines.as_slice(), "set {set} of {cfg:?}");
+            }
+        }
     }
 }

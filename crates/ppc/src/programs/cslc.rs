@@ -26,24 +26,28 @@ const WEIGHTS: usize = 1 << 20;
 /// Output region base.
 const OUTPUT: usize = 1 << 22;
 
+/// `n` is a power of two (`CslcWorkload` refuses any other length), so
+/// every address below wraps within the scratch buffer by a mask.
 fn charge_fft<S: TraceSink, F: FaultHook>(m: &mut PpcMachine<S, F>, n: usize, variant: Variant) {
+    debug_assert!(n.is_power_of_two(), "fft length {n} is not a power of two");
     let stages = n.trailing_zeros() as u64;
     let butterflies = (n as u64 / 2) * stages;
+    let (wrap_n, wrap_2n) = (n - 1, 2 * n - 1);
     match variant {
         Variant::Scalar => {
             for b in 0..butterflies {
                 m.trig(2); // sin + cos inside the loop
                 m.alu_ops(10);
                 // Operand loads/stores cycle within the scratch buffer.
-                let k = (b as usize * 2) % n;
+                let k = (b as usize * 2) & wrap_n;
                 m.load(SCRATCH + 2 * k);
                 m.load(SCRATCH + 2 * k + 1);
-                m.load(SCRATCH + (2 * k + n) % (2 * n));
-                m.load(SCRATCH + (2 * k + n + 1) % (2 * n));
+                m.load(SCRATCH + ((2 * k + n) & wrap_2n));
+                m.load(SCRATCH + ((2 * k + n + 1) & wrap_2n));
                 m.store(SCRATCH + 2 * k);
                 m.store(SCRATCH + 2 * k + 1);
-                m.store(SCRATCH + (2 * k + n) % (2 * n));
-                m.store(SCRATCH + (2 * k + n + 1) % (2 * n));
+                m.store(SCRATCH + ((2 * k + n) & wrap_2n));
+                m.store(SCRATCH + ((2 * k + n + 1) & wrap_2n));
                 m.issue(8); // index and loop overhead
             }
         }
@@ -52,15 +56,15 @@ fn charge_fft<S: TraceSink, F: FaultHook>(m: &mut PpcMachine<S, F>, n: usize, va
             // group and splatted.
             for g in 0..butterflies / 4 {
                 m.trig(1); // one shared recurrence step per group
-                let k = (g as usize * 8) % (2 * n);
+                let k = (g as usize * 8) & wrap_2n;
                 m.vector_load(SCRATCH + k);
-                m.vector_load(SCRATCH + (k + n) % (2 * n));
-                m.vector_load(SCRATCH + (k + 4) % (2 * n));
-                m.vector_load(SCRATCH + (k + n + 4) % (2 * n));
+                m.vector_load(SCRATCH + ((k + n) & wrap_2n));
+                m.vector_load(SCRATCH + ((k + 4) & wrap_2n));
+                m.vector_load(SCRATCH + ((k + n + 4) & wrap_2n));
                 m.vector_ops(10);
                 m.issue(6); // vperm data rearrangement
                 m.vector_store(SCRATCH + k);
-                m.vector_store(SCRATCH + (k + n) % (2 * n));
+                m.vector_store(SCRATCH + ((k + n) & wrap_2n));
                 m.issue(2);
             }
         }
@@ -93,27 +97,31 @@ pub fn run<S: TraceSink, F: FaultHook>(
     let mut m = PpcMachine::with_hooks(cfg, sink, faults, budget)?;
 
     let mut out = vec![Cf32::ZERO; c.main_channels * c.subbands * n];
+    // One spectrum per channel, one cancelled spectrum and one word
+    // buffer, reused by every sub-band.
+    let mut spectra = vec![vec![Cf32::ZERO; n]; channels];
+    let mut spec = vec![Cf32::ZERO; n];
+    let mut bits = vec![0u32; 2 * n];
     for s in 0..c.subbands {
         // Forward FFT of each channel's window (charged once per channel,
         // as the C code hoists the shared aux spectra out of the main
         // loop).
-        let mut spectra: Vec<Vec<Cf32>> = Vec::with_capacity(channels);
-        for ch in 0..channels {
+        for (ch, window) in spectra.iter_mut().enumerate() {
             for k in 0..2 * n {
                 m.load(DATA + ch * c.samples * 2 + s * hop * 2 + k);
             }
             charge_fft(&mut m, n, variant);
-            let mut window = if ch < c.main_channels {
-                workload.main_channel(ch)[s * hop..s * hop + n].to_vec()
+            let samples = if ch < c.main_channels {
+                workload.main_channel(ch)
             } else {
-                workload.aux_channel(ch - c.main_channels)[s * hop..s * hop + n].to_vec()
+                workload.aux_channel(ch - c.main_channels)
             };
-            fft_radix2(&mut window);
-            spectra.push(window);
+            window.copy_from_slice(&samples[s * hop..s * hop + n]);
+            fft_radix2(window);
         }
 
         for mc in 0..c.main_channels {
-            let mut spec = spectra[mc].clone();
+            spec.copy_from_slice(&spectra[mc]);
             for a in 0..c.aux_channels {
                 let w = workload.weights(mc, a);
                 for k in 0..n {
@@ -146,13 +154,14 @@ pub fn run<S: TraceSink, F: FaultHook>(
             // The cancelled block crosses the DRAM fault surface as one
             // streamed write-back of its planar bit pattern.
             let base = OUTPUT + (mc * c.subbands + s) * 2 * n;
-            let mut bits: Vec<u32> =
-                spec.iter().flat_map(|v| [v.re.to_bits(), v.im.to_bits()]).collect();
-            m.fault_transfer(base, &mut bits)?;
-            for (k, p) in bits.chunks_exact(2).enumerate() {
-                spec[k] = Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1]));
+            for (p, v) in bits.chunks_exact_mut(2).zip(&spec) {
+                p.copy_from_slice(&[v.re.to_bits(), v.im.to_bits()]);
             }
-            out[(mc * c.subbands + s) * n..(mc * c.subbands + s + 1) * n].copy_from_slice(&spec);
+            m.fault_transfer(base, &mut bits)?;
+            let block = &mut out[(mc * c.subbands + s) * n..][..n];
+            for (v, p) in block.iter_mut().zip(bits.chunks_exact(2)) {
+                *v = Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1]));
+            }
         }
         m.check_budget()?;
         m.checkpoint("subband-done");

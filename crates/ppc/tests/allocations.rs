@@ -1,0 +1,66 @@
+//! Heap allocations of the G4 cache model, counted exactly.
+//!
+//! This binary holds one test, so nothing else allocates while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use triarch_ppc::cache::{CacheConfig, Hierarchy};
+
+/// The system allocator, counting every block it hands out or regrows.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` pass through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+#[test]
+fn a_g4_hierarchy_allocates_once_per_array_and_never_while_filling() {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut h = Hierarchy::g4();
+    let built = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    // One read per L1 line over all of L2: every L1 access misses and
+    // probes L2, and each set of both levels takes at least `ways` lines.
+    let (l1, l2) = (CacheConfig::g4_l1(), CacheConfig::g4_l2());
+    for addr in (0..l2.size_words).step_by(l1.line_words) {
+        h.access(addr);
+    }
+    let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(h.l1.misses(), (l2.size_words / l1.line_words) as u64);
+    assert_eq!(h.l2.misses() - h.l2.evictions(), (l2.sets() * l2.ways) as u64, "L2 is full");
+    assert_eq!(h.l1.evictions() + (l1.sets() * l1.ways) as u64, h.l1.misses(), "L1 is full");
+    assert!(built <= 4, "building the hierarchy made {built} allocations");
+    assert_eq!(total, built, "filling every set allocated");
+}

@@ -33,6 +33,7 @@ use triarch_metrics::MetricsReport;
 use triarch_trace::TraceSink;
 
 use crate::cycles::Cycles;
+use crate::divisor::Divisor;
 use crate::error::SimError;
 
 /// How a transfer walks the address space.
@@ -657,56 +658,6 @@ impl AddressMap {
     }
 }
 
-/// Division by a fixed non-zero `u64` without a divide instruction: two
-/// multiplies by a 128-bit reciprocal (Lemire, Kaser and Kurz, "Faster
-/// Remainder by Direct Computation", 2019).
-///
-/// With `c = ceil(2^128 / d)`, `floor(n · c / 2^128) = floor(n / d)` for
-/// every `n < 2^64`: `c` overshoots `2^128 / d` by less than 1, so
-/// `n · c / 2^128` overshoots `n / d` by less than `n / 2^128 < 1 / d`,
-/// while `n / d` sits at least `1 / d` below the next integer.
-///
-/// A power of two divides by a shift instead, which is exact too and
-/// cheaper; which of the two runs depends only on `d`.
-#[derive(Debug, Clone, Copy)]
-struct Divisor {
-    d: u64,
-    /// `log2(d)` when `d` is a power of two.
-    log2: Option<u32>,
-    /// `c - 1`, which fits in 128 bits even for `d == 1`.
-    c_minus_1: u128,
-}
-
-impl Divisor {
-    fn new(d: u64) -> Self {
-        assert!(d > 0, "divisor must be non-zero");
-        Divisor {
-            d,
-            log2: d.is_power_of_two().then(|| d.trailing_zeros()),
-            c_minus_1: u128::MAX / u128::from(d),
-        }
-    }
-
-    fn get(self) -> u64 {
-        self.d
-    }
-
-    /// `(n / d, n % d)`.
-    #[inline]
-    fn div_rem(self, n: u64) -> (u64, u64) {
-        if let Some(log2) = self.log2 {
-            return (n >> log2, n & (self.d - 1));
-        }
-        // n · c = n · (c - 1) + n, as a 192-bit sum of two 64-bit halves
-        // of `c - 1` times `n`; neither partial sum can overflow 128 bits.
-        let n_wide = u128::from(n);
-        let low = u128::from(self.c_minus_1 as u64) * n_wide + n_wide;
-        let high = (self.c_minus_1 >> 64) * n_wide + (low >> 64);
-        let q = (high >> 64) as u64;
-        (q, n - q * self.d)
-    }
-}
-
 #[cfg(test)]
 impl DramModel {
     /// The oracle [`transfer`](Self::transfer) is checked against: the
@@ -1102,42 +1053,6 @@ mod oracle_tests {
                     }
                 }
                 prop_assert_eq!(walk.state(), oracle.state(), "state after step {i} on {cfg:?}");
-            }
-        }
-
-        /// The reciprocal quotient equals division for any numerator, by
-        /// any divisor and by the small divisors configurations use.
-        #[test]
-        fn divisor_matches_division(n in any::<u64>(), d in 1u64..=u64::MAX, small in 1u64..5_000) {
-            for d in [d, small] {
-                prop_assert_eq!(Divisor::new(d).div_rem(n), (n / d, n % d), "{n} / {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn divisor_is_exact_at_the_edges() {
-        let edges = [
-            1,
-            2,
-            3,
-            7,
-            8,
-            1_032,
-            u64::from(u32::MAX),
-            1 << 32,
-            (1 << 32) + 1,
-            1 << 63,
-            (1 << 63) + 1,
-            u64::MAX - 1,
-            u64::MAX,
-        ];
-        for d in edges {
-            let div = Divisor::new(d);
-            for n in edges.iter().flat_map(|&e| [e - 1, e, e.saturating_add(1)]) {
-                for n in [n, d - 1, d, d.saturating_add(1), d.saturating_mul(3)] {
-                    assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
-                }
             }
         }
     }

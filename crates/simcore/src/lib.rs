@@ -11,6 +11,8 @@
 //! - [`DramModel`] — a banked DRAM timing model with open-row tracking,
 //!   precharge/activate overheads, and address-generator limits; used for
 //!   VIRAM's on-chip DRAM and every machine's off-chip memory.
+//! - [`Divisor`] — division by a divisor a configuration fixes, by shift
+//!   or 128-bit reciprocal, for the memory models' address arithmetic.
 //! - [`WordMemory`] — a paged 32-bit word memory with `f32`/`u32` views so
 //!   that kernels running on the simulators are *data-accurate*; it stores
 //!   only the pages a run writes.
@@ -39,6 +41,7 @@
 
 pub mod budget;
 pub mod cycles;
+pub mod divisor;
 pub mod dram;
 pub mod error;
 pub mod machine;
@@ -52,6 +55,7 @@ pub use triarch_trace as trace;
 
 pub use budget::CycleBudget;
 pub use cycles::{ClockFrequency, Cycles};
+pub use divisor::Divisor;
 pub use dram::{AccessPattern, DramConfig, DramCost, DramModel};
 pub use error::SimError;
 pub use machine::{KernelRun, MachineInfo, Verification};
