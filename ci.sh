@@ -56,6 +56,13 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+# The VIRAM vector unit's lane loops are vectorized only in optimized code,
+# and a strided address that overflows used to wrap in release where it
+# panicked in debug, so its oracle proptest, allocation test and refusal
+# tests also run against the code as shipped.
+echo "== cargo test --release triarch-viram =="
+cargo test --release -q -p triarch-viram
+
 # The host-time benchmark is its own cargo workspace compiled against the
 # crates' public API, so the workspace steps above never build it.
 echo "== benchmark harness (tests, grid-paper, grid-small, attrib-paper and serve-mixed smokes) =="

@@ -37,7 +37,8 @@ static TABLES: [[OnceLock<Box<[Cf32]>>; usize::BITS as usize]; 2] =
 /// # Panics
 ///
 /// Panics if `n` is not a power of two.
-pub(crate) fn table(n: usize, dir: Direction) -> &'static [Cf32] {
+#[must_use]
+pub fn table(n: usize, dir: Direction) -> &'static [Cf32] {
     assert!(n.is_power_of_two(), "twiddle tables require a power-of-two length");
     let slot = &TABLES[dir as usize][n.trailing_zeros() as usize];
     slot.get_or_init(|| (0..3 * n / 4).map(|k| twiddle(k, n, dir)).collect())

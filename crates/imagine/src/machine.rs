@@ -341,6 +341,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 }
             }
             None => {
+                self.refuse_wrapping(pattern, mem_addr, len)?;
                 for i in 0..len {
                     let a = pattern.word(mem_addr, i);
                     let v = self.mem.read_u32(a)?;
@@ -416,6 +417,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 }
             }
             None => {
+                self.refuse_wrapping(pattern, mem_addr, len)?;
                 for i in 0..len {
                     let mut v = self.srf.read_u32(src.start + i)?;
                     if let Some(fault) = stuck {
@@ -453,6 +455,21 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
             self.apply_fault_costs(&fx)?;
         }
         self.budget.check(self.spent)
+    }
+
+    /// Refuses a stream whose memory addresses run past `usize::MAX`
+    /// before its word loop can wrap them back into memory (or, unchecked,
+    /// overflow): no address that large is in memory.
+    fn refuse_wrapping(
+        &self,
+        pattern: AccessPattern,
+        mem_addr: usize,
+        len: usize,
+    ) -> Result<(), SimError> {
+        match pattern.end(mem_addr, len) {
+            Some(_) => Ok(()),
+            None => Err(SimError::OutOfBounds { addr: usize::MAX, size: self.mem.len() }),
+        }
     }
 
     /// Charges a fault verdict's ECC/retry costs and converts a failure
@@ -736,6 +753,29 @@ mod tests {
             let err = m.stream_out(r, 0, 4, pattern).unwrap_err();
             assert!(matches!(err, SimError::InvalidConfig { .. }), "{pattern:?}: {err}");
             assert_eq!(m.memory().read_block_u32(0, 4).unwrap(), vec![5, 6, 7, 8]);
+            assert_eq!(m.srf().read_block_u32(r.start, 4).unwrap(), vec![1, 2, 3, 4]);
+        }
+        assert_eq!(m.cycles(), Cycles::ZERO);
+    }
+
+    #[test]
+    fn streams_whose_addresses_wrap_are_refused_before_any_word_moves() {
+        let mut m = machine();
+        let size = m.memory().len();
+        let words: Vec<u32> = (1000..1200).collect();
+        m.memory_mut().write_block_u32(0, &words).unwrap();
+        let r = m.srf_alloc(4).unwrap();
+        m.srf_mut().write_block_u32(r.start, &[1, 2, 3, 4]).unwrap();
+        // Unchecked, the first wraps to words 100, 99, 98, 97 and the
+        // second's third word to 99.
+        for pattern in [
+            AccessPattern::Strided { stride_words: usize::MAX },
+            AccessPattern::Chunked { chunk_words: 2, stride_words: usize::MAX },
+        ] {
+            let refused = Err(SimError::OutOfBounds { addr: usize::MAX, size });
+            assert_eq!(m.stream_in(100, r, 4, pattern), refused, "{pattern:?}");
+            assert_eq!(m.stream_out(r, 100, 4, pattern), refused, "{pattern:?}");
+            assert_eq!(m.memory().read_block_u32(0, 200).unwrap(), words);
             assert_eq!(m.srf().read_block_u32(r.start, 4).unwrap(), vec![1, 2, 3, 4]);
         }
         assert_eq!(m.cycles(), Cycles::ZERO);

@@ -97,6 +97,37 @@ impl AccessPattern {
         }
     }
 
+    /// One past the highest address an `n`-word transfer from `base`
+    /// touches (`base` itself when `n` is 0), or `None` when that does
+    /// not fit in a `usize`. [`word`](Self::word) does not check, so a
+    /// caller that moves data asks this first and refuses the transfer
+    /// before any word moves. `None` too for a pattern that
+    /// [`check`](Self::check) refuses.
+    #[must_use]
+    pub fn end(self, base: usize, n: usize) -> Option<usize> {
+        let Some(last) = n.checked_sub(1) else {
+            return Some(base);
+        };
+        let highest = match self {
+            AccessPattern::Sequential => last,
+            AccessPattern::Strided { stride_words } => last.checked_mul(stride_words)?,
+            AccessPattern::Chunked { chunk_words, stride_words } => {
+                // The last chunk holds the last word, but when chunks
+                // overlap (stride < chunk) the full chunk before it can
+                // reach further.
+                let chunk = last.checked_div(chunk_words)?;
+                let tail = chunk.checked_mul(stride_words)?.checked_add(last % chunk_words)?;
+                match chunk.checked_sub(1) {
+                    Some(prev) => {
+                        tail.max(prev.checked_mul(stride_words)?.checked_add(chunk_words - 1)?)
+                    }
+                    None => tail,
+                }
+            }
+        };
+        base.checked_add(highest)?.checked_add(1)
+    }
+
     /// Length of the pattern's stretches of consecutive addresses: one
     /// word for a strided stream, unbounded for a sequential one.
     fn chunk_words(self) -> usize {
@@ -1085,5 +1116,46 @@ mod oracle_tests {
         assert_eq!(words, [100, 101, 102, 110, 111, 112, 120]);
         assert_eq!(AccessPattern::Strided { stride_words: 5 }.word(1, 3), 16);
         assert_eq!(AccessPattern::Sequential.word(1, 3), 4);
+    }
+
+    #[test]
+    fn pattern_end_is_one_past_the_highest_word_or_none_past_usize() {
+        use AccessPattern::{Chunked, Sequential, Strided};
+        // One past the highest word, in u128, where nothing overflows.
+        let wide_end = |pattern: AccessPattern, base: usize, n: usize| -> u128 {
+            let word = |i: u128| match pattern {
+                Sequential => i,
+                Strided { stride_words } => i * stride_words as u128,
+                Chunked { chunk_words, stride_words } => {
+                    let chunk = chunk_words as u128;
+                    (i / chunk) * stride_words as u128 + i % chunk
+                }
+            };
+            base as u128 + (0..n as u128).map(word).max().map_or(0, |w| w + 1)
+        };
+        let top = usize::MAX;
+        let patterns = [
+            Sequential,
+            Strided { stride_words: 1 },
+            Strided { stride_words: 3 },
+            Strided { stride_words: top / 2 },
+            Strided { stride_words: top },
+            Chunked { chunk_words: 3, stride_words: 5 },
+            // Overlapping chunks: the highest word is not the last one.
+            Chunked { chunk_words: 4, stride_words: 2 },
+            Chunked { chunk_words: 8, stride_words: 1 },
+            Chunked { chunk_words: 5, stride_words: top / 3 },
+            Chunked { chunk_words: 2, stride_words: top },
+        ];
+        for pattern in patterns {
+            for base in [0, 1, 100, top / 2, top - 40, top - 1, top] {
+                for n in 0..12 {
+                    let want = wide_end(pattern, base, n);
+                    let want = usize::try_from(want).ok();
+                    assert_eq!(pattern.end(base, n), want, "{pattern:?} from {base}, {n} words");
+                }
+            }
+        }
+        assert_eq!(Chunked { chunk_words: 0, stride_words: 8 }.end(0, 4), None);
     }
 }

@@ -193,6 +193,13 @@ impl CycleLedger {
         self.entries.is_empty()
     }
 
+    /// Empties the ledger and keeps its storage, so a ledger reused for
+    /// many short intervals allocates once.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.total = Cycles::ZERO;
+    }
+
     /// Converts into the sorted [`CycleBreakdown`] reported by `finish()`.
     #[must_use]
     pub fn into_breakdown(self) -> CycleBreakdown {
@@ -305,6 +312,8 @@ mod tests {
         // on it), while the converted breakdown is category-sorted.
         let order: Vec<&str> = ledger.iter().map(|(k, _)| k).collect();
         assert_eq!(order, vec!["memory", "compute", "ecc"]);
+        ledger.clear();
+        assert_eq!(ledger, CycleLedger::new());
     }
 
     #[test]

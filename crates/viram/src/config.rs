@@ -104,6 +104,11 @@ impl ViramConfig {
         if self.mvl == 0 || self.vregs == 0 {
             return Err(SimError::invalid_config("viram register file must be non-empty"));
         }
+        if self.vregs.checked_mul(self.mvl).is_none() {
+            return Err(SimError::invalid_config(
+                "viram register file overflows the address space",
+            ));
+        }
         if self.dram_words == 0 {
             return Err(SimError::invalid_config("viram needs on-chip DRAM"));
         }
@@ -150,6 +155,11 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = ViramConfig::paper();
         cfg.int_visibility = 1.5;
+        assert!(cfg.validate().is_err());
+        // A register file of more words than a `usize` can count.
+        let mut cfg = ViramConfig::paper();
+        cfg.mvl = usize::MAX / 2;
+        cfg.vregs = 3;
         assert!(cfg.validate().is_err());
     }
 }

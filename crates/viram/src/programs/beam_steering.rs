@@ -60,12 +60,15 @@ pub fn run<S: TraceSink, F: FaultHook>(
     unit.memory_mut().write_block_u32(cal_b_base, &cal_b)?;
 
     let mvl = cfg.mvl;
+    let mut ramp = vec![0u32; mvl];
     for dwell in 0..workload.dwells() {
         let dwell_base = (dwell as i32).wrapping_mul(workload.dwell_stride());
         for d in 0..workload.directions() {
             let inc = workload.phase_inc()[d];
             // Per-direction phase ramp: inc·1, inc·2, …, inc·mvl.
-            let ramp: Vec<u32> = (0..mvl).map(|i| inc.wrapping_mul(i as i32 + 1) as u32).collect();
+            for (i, step) in ramp.iter_mut().enumerate() {
+                *step = inc.wrapping_mul(i as i32 + 1) as u32;
+            }
             unit.vset_table(V_RAMP, &ramp)?;
             let mut e0 = 0usize;
             while e0 < e {

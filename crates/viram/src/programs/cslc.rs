@@ -168,11 +168,14 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
     // --- extract the output ---------------------------------------------------
     let mut out = Vec::with_capacity(c.main_channels * band_words);
+    let (mut re, mut im) = (vec![0u32; n], vec![0u32; n]);
     for m in 0..c.main_channels {
         for s in 0..c.subbands {
-            let re = unit.memory().read_block_f32(out_at(m, s), n)?;
-            let im = unit.memory().read_block_f32(out_at(m, s) + n, n)?;
-            out.extend(re.iter().zip(&im).map(|(r, i)| Cf32::new(*r, *i)));
+            unit.memory().read_into(out_at(m, s), &mut re)?;
+            unit.memory().read_into(out_at(m, s) + n, &mut im)?;
+            out.extend(
+                re.iter().zip(&im).map(|(&r, &i)| Cf32::new(f32::from_bits(r), f32::from_bits(i))),
+            );
         }
     }
     Ok((unit.finish()?, KernelOutput::Complex(out)))

@@ -8,7 +8,8 @@
 //! measures on VIRAM ("instructions … to perform the FFT shuffles
 //! increase the number of cycles by a factor of 1.67").
 
-use triarch_fft::twiddle::bit_reverse;
+use triarch_fft::twiddle::{self, bit_reverse};
+use triarch_fft::Direction;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::SimError;
@@ -66,6 +67,8 @@ pub struct VfftPlan {
     inverse: bool,
     bitrev_lo: Vec<usize>,
     bitrev_hi: Vec<usize>,
+    /// `0..min(n, mvl)`: copies a result register into bank A.
+    identity: Vec<usize>,
     stages: Vec<StagePlan>,
 }
 
@@ -88,6 +91,8 @@ impl VfftPlan {
         let lo_len = n.min(mvl);
         let bitrev_lo: Vec<usize> = (0..lo_len).map(|i| bit_reverse(i, bits)).collect();
         let bitrev_hi: Vec<usize> = (lo_len..n).map(|i| bit_reverse(i, bits)).collect();
+        let dir = if inverse { Direction::Inverse } else { Direction::Forward };
+        let table = twiddle::table(n, dir);
 
         let mut stages = Vec::new();
         let mut len = 2;
@@ -107,11 +112,9 @@ impl VfftPlan {
                     rank_of[i] = r;
                     gather_a.push(i);
                     gather_b.push(i + half);
-                    let k = (i & (half - 1)) * (n / len);
-                    let sign = if inverse { 1.0 } else { -1.0 };
-                    let theta = sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64;
-                    w_re.push((theta.cos() as f32).to_bits());
-                    w_im.push((theta.sin() as f32).to_bits());
+                    let w = table[(i & (half - 1)) * (n / len)];
+                    w_re.push(w.re.to_bits());
+                    w_im.push(w.im.to_bits());
                 }
             }
             // Scatter: output position p takes S[rank(p)] when the half
@@ -128,7 +131,8 @@ impl VfftPlan {
             stages.push(StagePlan { gather_a, gather_b, scatter_lo, scatter_hi, w_re, w_im });
             len *= 2;
         }
-        Ok(VfftPlan { n, mvl, inverse, bitrev_lo, bitrev_hi, stages })
+        let identity = (0..lo_len).collect();
+        Ok(VfftPlan { n, mvl, inverse, bitrev_lo, bitrev_hi, identity, stages })
     }
 
     /// Transform length.
@@ -245,12 +249,12 @@ impl VfftPlan {
         // Ensure the result ends in bank A (identity copy if the stage
         // count left it in bank B).
         if cur != regs::DATA_A {
-            let identity: Vec<usize> = (0..lo_len).collect();
-            unit.vperm2(regs::DATA_A[0], cur[0], cur[0], &identity)?;
-            unit.vperm2(regs::DATA_A[2], cur[2], cur[2], &identity)?;
+            let identity = &self.identity;
+            unit.vperm2(regs::DATA_A[0], cur[0], cur[0], identity)?;
+            unit.vperm2(regs::DATA_A[2], cur[2], cur[2], identity)?;
             if self.two_regs() {
-                unit.vperm2(regs::DATA_A[1], cur[1], cur[1], &identity)?;
-                unit.vperm2(regs::DATA_A[3], cur[3], cur[3], &identity)?;
+                unit.vperm2(regs::DATA_A[1], cur[1], cur[1], identity)?;
+                unit.vperm2(regs::DATA_A[3], cur[3], cur[3], identity)?;
             }
         }
         Ok(())
@@ -329,6 +333,33 @@ mod tests {
         let plan = VfftPlan::new(128, 64, false).unwrap();
         assert_eq!(plan.n(), 128);
         assert_eq!(plan.stage_count(), 7);
+    }
+
+    /// The per-butterfly twiddle `VfftPlan::new` evaluated before it read
+    /// the shared table.
+    fn oracle_twiddle(k: usize, n: usize, inverse: bool) -> (u32, u32) {
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let theta = sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+        ((theta.cos() as f32).to_bits(), (theta.sin() as f32).to_bits())
+    }
+
+    #[test]
+    fn stage_twiddles_match_the_per_butterfly_formula() {
+        for n in [4, 8, 16, 32, 64, 128] {
+            for inverse in [false, true] {
+                let plan = VfftPlan::new(n, 64, inverse).unwrap();
+                for (s, stage) in plan.stages.iter().enumerate() {
+                    let (len, half) = (2 << s, 1 << s);
+                    let (re, im): (Vec<u32>, Vec<u32>) = stage
+                        .gather_a
+                        .iter()
+                        .map(|&i| oracle_twiddle((i & (half - 1)) * (n / len), n, inverse))
+                        .unzip();
+                    assert_eq!(stage.w_re, re, "n = {n}, inverse {inverse}, stage {s}");
+                    assert_eq!(stage.w_im, im, "n = {n}, inverse {inverse}, stage {s}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! larger is charged, modeling the deep decoupling between the DRAM
 //! interface and the vector pipeline.
 
+use std::ops::Range;
+
 use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults, TransferFaults};
 use triarch_simcore::metrics::{Histogram, Metric, MetricsReport};
 use triarch_simcore::trace::{NullSink, TraceSink};
@@ -73,7 +75,13 @@ struct OverlapAcc {
 #[derive(Debug, Clone)]
 pub struct VectorUnit<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     cfg: ViramConfig,
-    regs: Vec<Vec<u32>>,
+    /// The register file, flat: register `v`'s lanes are words
+    /// `v·mvl .. (v+1)·mvl`.
+    regs: Vec<u32>,
+    /// One register of scratch. Lane ops and permutes build their result
+    /// here and then copy it into `dst`, so a destination that is also a
+    /// source reads its old lanes.
+    scratch: Vec<u32>,
     mem: WordMemory,
     dram: DramModel,
     tlb: Tlb,
@@ -82,6 +90,9 @@ pub struct VectorUnit<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     ops: u64,
     mem_words: u64,
     overlap: Option<OverlapAcc>,
+    /// The last closed region's accumulator, emptied: the next region
+    /// charges into storage it already has.
+    spare_overlap: Option<OverlapAcc>,
     /// Fixed-bucket histogram of per-transfer DRAM occupancy cycles.
     mem_hist: Histogram,
     budget: CycleBudget,
@@ -120,7 +131,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(VectorUnit {
-            regs: vec![vec![0; cfg.mvl]; cfg.vregs],
+            regs: vec![0; cfg.vregs * cfg.mvl],
+            scratch: vec![0; cfg.mvl],
             mem: WordMemory::new(cfg.dram_words),
             dram: DramModel::new(cfg.dram)?,
             tlb: Tlb::new(cfg.tlb_entries, cfg.page_words),
@@ -129,6 +141,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             ops: 0,
             mem_words: 0,
             overlap: None,
+            spare_overlap: None,
             mem_hist: Histogram::cycles(),
             budget,
             spent: 0,
@@ -156,10 +169,15 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ///
     /// Returns [`SimError::InvalidConfig`] for an out-of-range register.
     pub fn reg(&self, vr: usize) -> Result<&[u32], SimError> {
-        self.regs
-            .get(vr)
-            .map(Vec::as_slice)
-            .ok_or_else(|| SimError::invalid_config(format!("vector register v{vr} out of range")))
+        self.check_reg(vr)?;
+        Ok(&self.regs[self.lanes(vr, self.cfg.mvl)])
+    }
+
+    /// Where register `vr`'s first `vl` lanes sit in the flat file; the
+    /// caller has checked both.
+    fn lanes(&self, vr: usize, vl: usize) -> Range<usize> {
+        let start = vr * self.cfg.mvl;
+        start..start + vl
     }
 
     fn check_vl(&self, vl: usize) -> Result<(), SimError> {
@@ -220,7 +238,9 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         if self.sink.is_enabled() {
             self.sink.instant(TRACK_VEC, "overlap-begin", start);
         }
-        self.overlap = Some(OverlapAcc { start, ..OverlapAcc::default() });
+        let mut acc = self.spare_overlap.take().unwrap_or_default();
+        acc.start = start;
+        self.overlap = Some(acc);
         Ok(())
     }
 
@@ -236,7 +256,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ///
     /// Returns [`SimError::Unsupported`] if no region is open.
     pub fn end_overlap(&mut self) -> Result<(), SimError> {
-        let acc = self
+        let mut acc = self
             .overlap
             .take()
             .ok_or_else(|| SimError::unsupported("end_overlap without begin_overlap"))?;
@@ -259,6 +279,9 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             self.ledger.charge(category, cycles);
         }
         self.hidden += hidden;
+        acc.mem.clear();
+        acc.compute.clear();
+        self.spare_overlap = Some(acc);
         self.budget.check(self.spent)
     }
 
@@ -330,12 +353,19 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         }
         if let Some(fault) = self.faults.stuck(FaultDomain::VectorLane) {
             let lanes = self.cfg.lanes.max(1);
-            let mut i = fault.index % lanes;
-            while i < vl {
-                self.regs[dst][i] = fault.force(self.regs[dst][i]);
-                i += lanes;
+            let range = self.lanes(dst, vl);
+            for word in self.regs[range].iter_mut().skip(fault.index % lanes).step_by(lanes) {
+                *word = fault.force(*word);
             }
         }
+    }
+
+    /// Copies a lane op's `vl` results from the scratch row into `dst` and
+    /// applies any stuck lane to them.
+    fn commit(&mut self, dst: usize, vl: usize) {
+        let range = self.lanes(dst, vl);
+        self.regs[range].copy_from_slice(&self.scratch[..vl]);
+        self.apply_stuck_lane(dst, vl);
     }
 
     /// Current cycle position of the memory pipeline (for span placement).
@@ -355,8 +385,30 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     pub fn vload_unit(&mut self, vr: usize, addr: usize, vl: usize) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        self.mem.read_into(addr, &mut self.regs[vr][..vl])?;
+        let range = self.lanes(vr, vl);
+        self.mem.read_into(addr, &mut self.regs[range])?;
         self.mem_op(addr, AccessPattern::Sequential, vl, "vload.unit")
+    }
+
+    /// The pattern of a strided access of `vl` words from `addr`, refused
+    /// unless every word lies in memory: checked before any word moves,
+    /// the TLB is touched or a cycle is charged. The error names the
+    /// first word past the end, as a word-by-word walk meets it, or
+    /// `usize::MAX` when that word's address overflows.
+    fn strided(&self, addr: usize, stride: usize, vl: usize) -> Result<AccessPattern, SimError> {
+        let pattern = AccessPattern::Strided { stride_words: stride };
+        pattern.check()?;
+        let size = self.mem.len();
+        if pattern.end(addr, vl).is_some_and(|end| end <= size) {
+            return Ok(pattern);
+        }
+        let first = (0..vl)
+            .map(|i| {
+                i.checked_mul(stride).and_then(|off| addr.checked_add(off)).unwrap_or(usize::MAX)
+            })
+            .find(|&word| word >= size)
+            .unwrap_or(usize::MAX);
+        Err(SimError::OutOfBounds { addr: first, size })
     }
 
     /// Strided vector load (one element every `stride` words).
@@ -364,7 +416,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     /// # Errors
     ///
     /// Returns [`SimError`] for bad registers/lengths/strides or
-    /// out-of-bounds addresses.
+    /// out-of-bounds addresses; a refused load leaves the register,
+    /// the TLB and the cycles as they were.
     pub fn vload_strided(
         &mut self,
         vr: usize,
@@ -374,10 +427,10 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        let pattern = AccessPattern::Strided { stride_words: stride };
-        pattern.check()?;
-        for i in 0..vl {
-            self.regs[vr][i] = self.mem.read_u32(pattern.word(addr, i))?;
+        let pattern = self.strided(addr, stride, vl)?;
+        let range = self.lanes(vr, vl);
+        for (i, word) in self.regs[range].iter_mut().enumerate() {
+            *word = self.mem.read_u32(pattern.word(addr, i))?;
         }
         self.mem_op(addr, pattern, vl, "vload.strided")
     }
@@ -391,7 +444,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     pub fn vstore_unit(&mut self, vr: usize, addr: usize, vl: usize) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        self.mem.write_block_u32(addr, &self.regs[vr][..vl])?;
+        let range = self.lanes(vr, vl);
+        self.mem.write_block_u32(addr, &self.regs[range])?;
         self.mem_op(addr, AccessPattern::Sequential, vl, "vstore.unit")
     }
 
@@ -400,7 +454,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     /// # Errors
     ///
     /// Returns [`SimError`] for bad registers/lengths/strides or
-    /// out-of-bounds addresses.
+    /// out-of-bounds addresses; a refused store leaves memory, the TLB
+    /// and the cycles as they were.
     pub fn vstore_strided(
         &mut self,
         vr: usize,
@@ -410,11 +465,10 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        let pattern = AccessPattern::Strided { stride_words: stride };
-        pattern.check()?;
-        for i in 0..vl {
-            let v = self.regs[vr][i];
-            self.mem.write_u32(pattern.word(addr, i), v)?;
+        let pattern = self.strided(addr, stride, vl)?;
+        let range = self.lanes(vr, vl);
+        for (i, &word) in self.regs[range].iter().enumerate() {
+            self.mem.write_u32(pattern.word(addr, i), word)?;
         }
         self.mem_op(addr, pattern, vl, "vstore.strided")
     }
@@ -437,17 +491,14 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.check_reg(a)?;
         self.check_reg(b)?;
         self.check_vl(vl)?;
-        for i in 0..vl {
-            let x = f32::from_bits(self.regs[a][i]);
-            let y = f32::from_bits(self.regs[b][i]);
-            let r = match op {
-                FpOp::Add => x + y,
-                FpOp::Sub => x - y,
-                FpOp::Mul => x * y,
-            };
-            self.regs[dst][i] = r.to_bits();
+        let (xs, ys) = (&self.regs[self.lanes(a, vl)], &self.regs[self.lanes(b, vl)]);
+        let out = &mut self.scratch[..vl];
+        match op {
+            FpOp::Add => zip_f32_lanes(out, xs, ys, |x, y| x + y),
+            FpOp::Sub => zip_f32_lanes(out, xs, ys, |x, y| x - y),
+            FpOp::Mul => zip_f32_lanes(out, xs, ys, |x, y| x * y),
         }
-        self.apply_stuck_lane(dst, vl);
+        self.commit(dst, vl);
         self.ops += vl as u64;
         let data = vl.div_ceil(self.cfg.fp_ops_per_cycle()) as u64;
         self.charge(false, "compute", "vfp", Cycles::new(data));
@@ -475,17 +526,16 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.check_reg(a)?;
         self.check_reg(b)?;
         self.check_vl(vl)?;
-        for i in 0..vl {
-            let x = self.regs[a][i] as i32;
-            let y = self.regs[b][i] as i32;
-            let r = match op {
-                IntOp::Add => x.wrapping_add(y),
-                IntOp::Sub => x.wrapping_sub(y),
-                IntOp::Shr => x >> (imm & 31),
-            };
-            self.regs[dst][i] = r as u32;
+        let (xs, ys) = (&self.regs[self.lanes(a, vl)], &self.regs[self.lanes(b, vl)]);
+        let out = &mut self.scratch[..vl];
+        // Two's-complement addition and subtraction give the same bits on
+        // `u32` as on `i32`; the shift is arithmetic.
+        match op {
+            IntOp::Add => zip_lanes(out, xs, ys, u32::wrapping_add),
+            IntOp::Sub => zip_lanes(out, xs, ys, u32::wrapping_sub),
+            IntOp::Shr => zip_lanes(out, xs, ys, |x, _| ((x as i32) >> (imm & 31)) as u32),
         }
-        self.apply_stuck_lane(dst, vl);
+        self.commit(dst, vl);
         self.ops += vl as u64;
         let data = vl.div_ceil(self.cfg.int_ops_per_cycle()) as u64;
         self.charge(false, "compute", "vint", Cycles::new(data));
@@ -501,9 +551,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     pub fn vsplat(&mut self, dst: usize, value: u32, vl: usize) -> Result<(), SimError> {
         self.check_reg(dst)?;
         self.check_vl(vl)?;
-        for i in 0..vl {
-            self.regs[dst][i] = value;
-        }
+        let range = self.lanes(dst, vl);
+        self.regs[range].fill(value);
         self.charge(false, "startup", "vsplat", Cycles::new(self.cfg.vector_startup));
         self.budget.check(self.spent)
     }
@@ -517,7 +566,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     pub fn vset_table(&mut self, dst: usize, values: &[u32]) -> Result<(), SimError> {
         self.check_reg(dst)?;
         self.check_vl(values.len())?;
-        self.regs[dst][..values.len()].copy_from_slice(values);
+        let range = self.lanes(dst, values.len());
+        self.regs[range].copy_from_slice(values);
         // Tables live in DRAM; loading one costs a unit-stride burst.
         self.charge(
             true,
@@ -539,7 +589,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for bad registers, lengths, or indices.
+    /// Returns [`SimError`] for bad registers, lengths, or indices; an
+    /// out-of-range index leaves `dst` and the cycles as they were.
     pub fn vperm2(
         &mut self,
         dst: usize,
@@ -552,17 +603,15 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.check_reg(b)?;
         self.check_vl(idx.len())?;
         let mvl = self.cfg.mvl;
-        let mut out = vec![0u32; idx.len()];
-        for (i, &j) in idx.iter().enumerate() {
-            out[i] = if j < mvl {
-                self.regs[a][j]
-            } else if j < 2 * mvl {
-                self.regs[b][j - mvl]
-            } else {
-                return Err(SimError::invalid_config(format!("permute index {j} out of range")));
-            };
+        let (xs, ys) = (&self.regs[self.lanes(a, mvl)], &self.regs[self.lanes(b, mvl)]);
+        for (out, &j) in self.scratch.iter_mut().zip(idx) {
+            let lane = if j < mvl { xs.get(j) } else { ys.get(j - mvl) };
+            *out = *lane.ok_or_else(|| {
+                SimError::invalid_config(format!("permute index {j} out of range"))
+            })?;
         }
-        self.regs[dst][..idx.len()].copy_from_slice(&out);
+        let range = self.lanes(dst, idx.len());
+        self.regs[range].copy_from_slice(&self.scratch[..idx.len()]);
         let raw = idx.len().div_ceil(self.cfg.int_ops_per_cycle()) as u64;
         let visible = ((raw as f64) * self.cfg.int_visibility).ceil() as u64;
         self.charge(false, "shuffle", "vperm2", Cycles::new(visible));
@@ -645,6 +694,22 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             metrics,
         })
     }
+}
+
+/// `out[i] = f(xs[i], ys[i])` for every lane of `out`: one slice loop,
+/// with no bounds check or dispatch per lane, that the compiler can
+/// vectorize.
+#[inline(always)]
+fn zip_lanes(out: &mut [u32], xs: &[u32], ys: &[u32], f: impl Fn(u32, u32) -> u32) {
+    for ((out, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+        *out = f(x, y);
+    }
+}
+
+/// [`zip_lanes`] over lanes that hold `f32` bits.
+#[inline(always)]
+fn zip_f32_lanes(out: &mut [u32], xs: &[u32], ys: &[u32], f: impl Fn(f32, f32) -> f32) {
+    zip_lanes(out, xs, ys, |x, y| f(f32::from_bits(x), f32::from_bits(y)).to_bits());
 }
 
 #[cfg(test)]
@@ -768,6 +833,37 @@ mod tests {
     }
 
     #[test]
+    fn strided_accesses_past_memory_are_refused_before_anything_moves() {
+        let mut u = unit();
+        let size = u.memory().len();
+        let words: Vec<u32> = (1000..1200).collect();
+        u.memory_mut().write_block_u32(0, &words).unwrap();
+        u.memory_mut().write_block_u32(size - 8, &words[..8]).unwrap();
+        u.vsplat(0, 7, 8).unwrap();
+        let (regs, mem, cycles) = (u.regs.clone(), u.memory().clone(), u.cycles());
+        let far = 1 << (usize::BITS - 2);
+        // `(start, stride, the word the error names)`.
+        let cases = [
+            // The second word's address overflows; unchecked, it wraps to
+            // word 99, and the rest to 98, 97, …
+            (100, usize::MAX, usize::MAX),
+            // An overrun: the fourth word is the first past the end.
+            (size - 5, 2, size + 1),
+            // The second word is past the end, and the fifth overflows.
+            (100, far, 100 + far),
+        ];
+        for (addr, stride, bad) in cases {
+            let refused = Err(SimError::OutOfBounds { addr: bad, size });
+            assert_eq!(u.vload_strided(0, addr, stride, 8), refused, "load from {addr}");
+            assert_eq!(u.vstore_strided(0, addr, stride, 8), refused, "store to {addr}");
+            assert_eq!(u.regs, regs);
+            assert_eq!(u.memory(), &mem);
+            assert_eq!(u.cycles(), cycles);
+            assert_eq!(u.tlb_misses(), 0);
+        }
+    }
+
+    #[test]
     fn finish_reports_ops_and_words() {
         let mut u = unit();
         u.memory_mut().write_block_u32(0, &[1; 64]).unwrap();
@@ -784,5 +880,402 @@ mod tests {
         assert_eq!(run.metrics.counter_value("viram.run.mem_words"), Some(64));
         assert!(run.metrics.get("viram.dram.achieved_bw").is_some());
         assert!(run.metrics.get("viram.mem.xfer_cycles").is_some());
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle the flat register file is checked against: one `Vec`
+    /// per register and the lane loops the unit ran before its file was
+    /// flattened, kept as they were. It has no timing. A strided access
+    /// lists its words, each checked, before it moves any: the unit
+    /// refuses an access that leaves memory.
+    struct RowUnit {
+        cfg: ViramConfig,
+        regs: Vec<Vec<u32>>,
+        mem: WordMemory,
+    }
+
+    #[allow(clippy::needless_range_loop)] // the lane loops are kept as they were
+    impl RowUnit {
+        fn new(cfg: &ViramConfig) -> Self {
+            RowUnit {
+                regs: vec![vec![0; cfg.mvl]; cfg.vregs],
+                mem: WordMemory::new(cfg.dram_words),
+                cfg: cfg.clone(),
+            }
+        }
+
+        fn check_vl(&self, vl: usize) -> Result<(), SimError> {
+            if vl == 0 || vl > self.cfg.mvl {
+                return Err(SimError::invalid_config(format!(
+                    "vector length {vl} outside 1..={}",
+                    self.cfg.mvl
+                )));
+            }
+            Ok(())
+        }
+
+        fn check_reg(&self, vr: usize) -> Result<(), SimError> {
+            if vr >= self.cfg.vregs {
+                return Err(SimError::invalid_config(format!(
+                    "vector register v{vr} out of range"
+                )));
+            }
+            Ok(())
+        }
+
+        /// The words of a strided access, or an error naming the first
+        /// one past the end (`usize::MAX` when its address overflows).
+        fn strided_words(
+            &self,
+            addr: usize,
+            stride: usize,
+            vl: usize,
+        ) -> Result<Vec<usize>, SimError> {
+            AccessPattern::Strided { stride_words: stride }.check()?;
+            let size = self.mem.len();
+            (0..vl)
+                .map(|i| {
+                    let word = i.checked_mul(stride).and_then(|off| addr.checked_add(off));
+                    match word {
+                        Some(word) if word < size => Ok(word),
+                        _ => Err(SimError::OutOfBounds { addr: word.unwrap_or(usize::MAX), size }),
+                    }
+                })
+                .collect()
+        }
+
+        fn vload_unit(&mut self, vr: usize, addr: usize, vl: usize) -> Result<(), SimError> {
+            self.check_reg(vr)?;
+            self.check_vl(vl)?;
+            self.mem.read_into(addr, &mut self.regs[vr][..vl])
+        }
+
+        fn vload_strided(
+            &mut self,
+            vr: usize,
+            addr: usize,
+            stride: usize,
+            vl: usize,
+        ) -> Result<(), SimError> {
+            self.check_reg(vr)?;
+            self.check_vl(vl)?;
+            let words = self.strided_words(addr, stride, vl)?;
+            for i in 0..vl {
+                self.regs[vr][i] = self.mem.read_u32(words[i])?;
+            }
+            Ok(())
+        }
+
+        fn vstore_unit(&mut self, vr: usize, addr: usize, vl: usize) -> Result<(), SimError> {
+            self.check_reg(vr)?;
+            self.check_vl(vl)?;
+            self.mem.write_block_u32(addr, &self.regs[vr][..vl])
+        }
+
+        fn vstore_strided(
+            &mut self,
+            vr: usize,
+            addr: usize,
+            stride: usize,
+            vl: usize,
+        ) -> Result<(), SimError> {
+            self.check_reg(vr)?;
+            self.check_vl(vl)?;
+            let words = self.strided_words(addr, stride, vl)?;
+            for i in 0..vl {
+                let v = self.regs[vr][i];
+                self.mem.write_u32(words[i], v)?;
+            }
+            Ok(())
+        }
+
+        fn vfp(
+            &mut self,
+            op: FpOp,
+            dst: usize,
+            a: usize,
+            b: usize,
+            vl: usize,
+        ) -> Result<(), SimError> {
+            self.check_reg(dst)?;
+            self.check_reg(a)?;
+            self.check_reg(b)?;
+            self.check_vl(vl)?;
+            for i in 0..vl {
+                let x = f32::from_bits(self.regs[a][i]);
+                let y = f32::from_bits(self.regs[b][i]);
+                let r = match op {
+                    FpOp::Add => x + y,
+                    FpOp::Sub => x - y,
+                    FpOp::Mul => x * y,
+                };
+                self.regs[dst][i] = r.to_bits();
+            }
+            Ok(())
+        }
+
+        fn vint(
+            &mut self,
+            op: IntOp,
+            dst: usize,
+            a: usize,
+            b: usize,
+            imm: u32,
+            vl: usize,
+        ) -> Result<(), SimError> {
+            self.check_reg(dst)?;
+            self.check_reg(a)?;
+            self.check_reg(b)?;
+            self.check_vl(vl)?;
+            for i in 0..vl {
+                let x = self.regs[a][i] as i32;
+                let y = self.regs[b][i] as i32;
+                let r = match op {
+                    IntOp::Add => x.wrapping_add(y),
+                    IntOp::Sub => x.wrapping_sub(y),
+                    IntOp::Shr => x >> (imm & 31),
+                };
+                self.regs[dst][i] = r as u32;
+            }
+            Ok(())
+        }
+
+        fn vsplat(&mut self, dst: usize, value: u32, vl: usize) -> Result<(), SimError> {
+            self.check_reg(dst)?;
+            self.check_vl(vl)?;
+            for i in 0..vl {
+                self.regs[dst][i] = value;
+            }
+            Ok(())
+        }
+
+        fn vset_table(&mut self, dst: usize, values: &[u32]) -> Result<(), SimError> {
+            self.check_reg(dst)?;
+            self.check_vl(values.len())?;
+            self.regs[dst][..values.len()].copy_from_slice(values);
+            Ok(())
+        }
+
+        fn vperm2(
+            &mut self,
+            dst: usize,
+            a: usize,
+            b: usize,
+            idx: &[usize],
+        ) -> Result<(), SimError> {
+            self.check_reg(dst)?;
+            self.check_reg(a)?;
+            self.check_reg(b)?;
+            self.check_vl(idx.len())?;
+            let mvl = self.cfg.mvl;
+            let mut out = vec![0u32; idx.len()];
+            for (i, &j) in idx.iter().enumerate() {
+                out[i] = if j < mvl {
+                    self.regs[a][j]
+                } else if j < 2 * mvl {
+                    self.regs[b][j - mvl]
+                } else {
+                    return Err(SimError::invalid_config(format!(
+                        "permute index {j} out of range"
+                    )));
+                };
+            }
+            self.regs[dst][..idx.len()].copy_from_slice(&out);
+            Ok(())
+        }
+    }
+
+    /// One instruction, with its operands.
+    #[derive(Debug)]
+    enum Step {
+        Fp(FpOp, usize, usize, usize, usize),
+        Int(IntOp, usize, usize, usize, u32, usize),
+        Perm(usize, usize, usize, Vec<usize>),
+        Splat(usize, u32, usize),
+        Table(usize, Vec<u32>),
+        LoadUnit(usize, usize, usize),
+        LoadStrided(usize, usize, usize, usize),
+        StoreUnit(usize, usize, usize),
+        StoreStrided(usize, usize, usize, usize),
+    }
+
+    /// A step's own stream of arbitrary values (SplitMix64).
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    impl Step {
+        /// Step `kind` (0–8) on `cfg`'s unit, its operands drawn from
+        /// `seed`: registers are sometimes out of range, `dst` is
+        /// sometimes `a`, `b` or both, `vl` is mostly in `1..=mvl`, and
+        /// addresses, strides and permute indices sometimes leave their
+        /// range, overflowing `usize` included.
+        fn draw(kind: usize, seed: u64, cfg: &ViramConfig) -> Step {
+            let (mvl, size) = (cfg.mvl, cfg.dram_words);
+            let mut d = Draw(seed);
+            let reg = |d: &mut Draw| d.below(cfg.vregs + 1);
+            let (mut a, mut b) = (reg(&mut d), reg(&mut d));
+            let dst = match d.below(4) {
+                0 => reg(&mut d),
+                1 => a,
+                2 => b,
+                _ => {
+                    b = a;
+                    a
+                }
+            };
+            if d.below(8) == 0 {
+                std::mem::swap(&mut a, &mut b);
+            }
+            let vl = match d.below(16) {
+                0 => 0,
+                1 => mvl + 1,
+                _ => 1 + d.below(mvl),
+            };
+            let addr = match d.below(8) {
+                0 => size - d.below(2 * mvl + 2).min(size),
+                1 => usize::MAX - d.below(4 * mvl),
+                _ => d.below(size),
+            };
+            let stride = match d.below(8) {
+                0 => 0,
+                1 => usize::MAX - d.below(3),
+                2 => (1 << (usize::BITS - 2)) + d.below(3),
+                _ => 1 + d.below(70),
+            };
+            match kind {
+                0 => {
+                    let op = [FpOp::Add, FpOp::Sub, FpOp::Mul][d.below(3)];
+                    Step::Fp(op, dst, a, b, vl)
+                }
+                1 => {
+                    let op = [IntOp::Add, IntOp::Sub, IntOp::Shr][d.below(3)];
+                    let imm = if d.below(2) == 0 { d.below(40) as u32 } else { d.next() as u32 };
+                    Step::Int(op, dst, a, b, imm, vl)
+                }
+                2 => {
+                    let mut idx: Vec<usize> = (0..vl).map(|_| d.below(2 * mvl)).collect();
+                    if vl > 0 && d.below(4) == 0 {
+                        let lane = d.below(vl);
+                        idx[lane] = [2 * mvl, 2 * mvl + d.below(9), usize::MAX][d.below(3)];
+                    }
+                    Step::Perm(dst, a, b, idx)
+                }
+                3 => Step::Splat(dst, d.next() as u32, vl),
+                4 => Step::Table(dst, (0..vl).map(|_| d.next() as u32).collect()),
+                5 => Step::LoadUnit(dst, addr, vl),
+                6 => Step::LoadStrided(dst, addr, stride, vl),
+                7 => Step::StoreUnit(a, addr, vl),
+                _ => Step::StoreStrided(a, addr, stride, vl),
+            }
+        }
+
+        fn run(&self, unit: &mut VectorUnit) -> Result<(), SimError> {
+            match *self {
+                Step::Fp(op, dst, a, b, vl) => unit.vfp(op, dst, a, b, vl),
+                Step::Int(op, dst, a, b, imm, vl) => unit.vint(op, dst, a, b, imm, vl),
+                Step::Perm(dst, a, b, ref idx) => unit.vperm2(dst, a, b, idx),
+                Step::Splat(dst, value, vl) => unit.vsplat(dst, value, vl),
+                Step::Table(dst, ref values) => unit.vset_table(dst, values),
+                Step::LoadUnit(vr, addr, vl) => unit.vload_unit(vr, addr, vl),
+                Step::LoadStrided(vr, addr, stride, vl) => unit.vload_strided(vr, addr, stride, vl),
+                Step::StoreUnit(vr, addr, vl) => unit.vstore_unit(vr, addr, vl),
+                Step::StoreStrided(vr, addr, stride, vl) => {
+                    unit.vstore_strided(vr, addr, stride, vl)
+                }
+            }
+        }
+
+        fn run_oracle(&self, oracle: &mut RowUnit) -> Result<(), SimError> {
+            match *self {
+                Step::Fp(op, dst, a, b, vl) => oracle.vfp(op, dst, a, b, vl),
+                Step::Int(op, dst, a, b, imm, vl) => oracle.vint(op, dst, a, b, imm, vl),
+                Step::Perm(dst, a, b, ref idx) => oracle.vperm2(dst, a, b, idx),
+                Step::Splat(dst, value, vl) => oracle.vsplat(dst, value, vl),
+                Step::Table(dst, ref values) => oracle.vset_table(dst, values),
+                Step::LoadUnit(vr, addr, vl) => oracle.vload_unit(vr, addr, vl),
+                Step::LoadStrided(vr, addr, stride, vl) => {
+                    oracle.vload_strided(vr, addr, stride, vl)
+                }
+                Step::StoreUnit(vr, addr, vl) => oracle.vstore_unit(vr, addr, vl),
+                Step::StoreStrided(vr, addr, stride, vl) => {
+                    oracle.vstore_strided(vr, addr, stride, vl)
+                }
+            }
+        }
+    }
+
+    /// Checks every lane of every register. A lane may differ only where
+    /// both sides hold a NaN, whose payload Rust does not pin; the unit's
+    /// lane then takes the oracle's bits, so later steps start equal.
+    fn sync_registers(unit: &mut VectorUnit, oracle: &RowUnit) -> Result<(), TestCaseError> {
+        let rows = unit.regs.chunks_exact_mut(oracle.cfg.mvl);
+        for (v, (row, want)) in rows.zip(&oracle.regs).enumerate() {
+            for (lane, (got, &want)) in row.iter_mut().zip(want).enumerate() {
+                if *got != want {
+                    let nan = f32::from_bits(*got).is_nan() && f32::from_bits(want).is_nan();
+                    prop_assert!(nan, "v{v}[{lane}]: {:#010x} vs {want:#010x}", *got);
+                    *got = want;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Register files of 1–32 registers of 1, 3, 8 or 64 lanes over a
+        /// 2,100-word memory (three pages) of arbitrary bits, every
+        /// register first filled with arbitrary bits by `vset_table`; then
+        /// up to 48 steps of every instruction. After each step the
+        /// outcome (errors included), every register's lanes and the
+        /// memory must be equal.
+        #[test]
+        fn flat_registers_match_the_row_oracle(
+            shape in (0usize..4, 1usize..=32, any::<u64>()),
+            steps in proptest::collection::vec((0usize..9, any::<u64>()), 1..=48),
+        ) {
+            let (lanes, vregs, fill) = shape;
+            let mut cfg = ViramConfig::paper();
+            cfg.mvl = [1, 3, 8, 64][lanes];
+            cfg.vregs = vregs;
+            cfg.dram_words = 2_100;
+            let mut unit = VectorUnit::new(&cfg).unwrap();
+            let mut oracle = RowUnit::new(&cfg);
+            let mut d = Draw(fill);
+            let words: Vec<u32> = (0..cfg.dram_words).map(|_| d.next() as u32).collect();
+            unit.memory_mut().write_block_u32(0, &words).unwrap();
+            oracle.mem.write_block_u32(0, &words).unwrap();
+            for v in 0..vregs {
+                let lanes: Vec<u32> = (0..cfg.mvl).map(|_| d.next() as u32).collect();
+                unit.vset_table(v, &lanes).unwrap();
+                oracle.vset_table(v, &lanes).unwrap();
+            }
+            for (i, &(kind, seed)) in steps.iter().enumerate() {
+                let step = Step::draw(kind, seed, &cfg);
+                let got = step.run(&mut unit);
+                prop_assert_eq!(&got, &step.run_oracle(&mut oracle), "step {i}: {step:?}");
+                sync_registers(&mut unit, &oracle)?;
+                prop_assert!(unit.mem == oracle.mem, "step {i}: {step:?}: memory differs");
+            }
+        }
     }
 }
