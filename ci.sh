@@ -341,15 +341,21 @@ done
 ./target/release/servectl tail "$obs_log" | grep -q "req-" \
   || obs_fail "servectl tail did not render the records"
 
-echo "== perf gate (fresh BENCH_table3.json vs committed baseline) =="
+echo "== perf gate (fresh paper and small artifacts vs committed baselines) =="
 # The gate is exact and has no knobs: the simulators are deterministic,
 # so every cell's cycles and breakdown must equal the baseline's. A change
-# that moves them on purpose refreshes the baseline with `repro -- bench`
-# in the same change.
+# that moves them on purpose refreshes the baselines with `repro -- bench`
+# in the same change. The small set is gated too: its CSLC runs take
+# other paths through the G4 cache model (each replays its first FFT and
+# settles the rest) at other sizes than the paper set's.
 cargo run --release -q -p triarch-bench --bin repro -- \
   bench target/BENCH_fresh.json >/dev/null 2>&1
 cargo run --release -q -p triarch-bench --bin perfgate -- \
   BENCH_table3.json target/BENCH_fresh.json
+cargo run --release -q -p triarch-bench --bin repro -- \
+  bench target/BENCH_small_fresh.json --small >/dev/null 2>&1
+cargo run --release -q -p triarch-bench --bin perfgate -- \
+  BENCH_small.json target/BENCH_small_fresh.json
 
 echo "== perfgate rejects a malformed artifact =="
 echo '{"schema_version": 1}' > target/BENCH_bad.json

@@ -1,4 +1,6 @@
-//! `perfgate` — the CI perf-regression gate over `BENCH_table3.json`.
+//! `perfgate` — the CI perf-regression gate over the committed cycle
+//! baselines, `BENCH_table3.json` (paper set) and `BENCH_small.json`
+//! (small set).
 //!
 //! ```sh
 //! cargo run --release -p triarch-bench --bin perfgate -- \
@@ -12,8 +14,9 @@
 //! is the differential profile of `repro -- profdiff`, and a failure
 //! prints it, naming every category that moved. The gate has no
 //! tolerance and no skip switch; an intentional change refreshes the
-//! baseline with `repro -- bench` in the same change. The git revision
-//! is printed but never compared.
+//! baseline with `repro -- bench <file>` (adding `--small` for the small
+//! set) in the same change. The git revision is printed but never
+//! compared.
 //!
 //! Exit codes: `0` pass, `1` regression or malformed artifact, `2` usage
 //! error.
@@ -59,9 +62,10 @@ fn main() {
     };
     eprintln!("perfgate: FAIL — fresh {} vs baseline {}:", fresh.git_rev, baseline.git_rev);
     eprint!("{failure}");
+    let small = if baseline.workload == "small" { " --small" } else { "" };
     eprintln!(
         "refresh intentionally with: \
-         cargo run --release -p triarch-bench --bin repro -- bench"
+         cargo run --release -p triarch-bench --bin repro -- bench {baseline_path}{small}"
     );
     process::exit(1);
 }

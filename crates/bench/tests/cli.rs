@@ -15,6 +15,11 @@ fn baseline_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_table3.json")
 }
 
+/// The committed CI baseline of the small set.
+fn small_baseline_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_small.json")
+}
+
 /// A scratch directory scoped to this test binary.
 fn tmp(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -183,6 +188,20 @@ fn repro_bench_writes_a_v3_artifact_that_perfgate_passes() {
     let out = perfgate(&[path, path]);
     assert!(out.status.success(), "{}", stderr_of(&out));
     assert!(stderr_of(&out).contains("perfgate: PASS — 18 cells identical"), "{}", stderr_of(&out));
+
+    // The committed small-set baseline holds the same cycles.
+    let committed = small_baseline_path();
+    let out = perfgate(&[committed.to_str().unwrap(), path]);
+    assert!(stderr_of(&out).contains("perfgate: PASS — 18 cells identical"), "{}", stderr_of(&out));
+
+    // Against the paper set it fails, and the refresh hint names the
+    // baseline it would rewrite, without `--small`.
+    let paper = baseline_path();
+    let paper = paper.to_str().unwrap();
+    let out = perfgate(&[paper, path]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let hint = format!("repro -- bench {paper}\n");
+    assert!(stderr_of(&out).ends_with(&hint), "{}", stderr_of(&out));
 
     // The removed `--json` flag is a usage error, not silently ignored.
     let out = repro(&["bench", path, "--json"]);

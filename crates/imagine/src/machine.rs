@@ -321,7 +321,8 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on out-of-bounds addresses or a bad pattern.
+    /// Returns [`SimError`] on out-of-bounds addresses or a bad pattern;
+    /// a refused stream moves no word and charges nothing.
     pub fn stream_in(
         &mut self,
         mem_addr: usize,
@@ -333,7 +334,8 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         if len > dst.len {
             return Err(SimError::capacity("srf stream range", len, dst.len));
         }
-        match block_runs(pattern, mem_addr, len, self.mem.len(), dst.start, self.srf.len()) {
+        self.check_stream(pattern, mem_addr, dst.start, len, true)?;
+        match block_runs(pattern, len) {
             Some((chunk, stride)) => {
                 for (c, at) in (0..len).step_by(chunk).enumerate() {
                     let n = chunk.min(len - at);
@@ -341,7 +343,6 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 }
             }
             None => {
-                self.refuse_wrapping(pattern, mem_addr, len)?;
                 for i in 0..len {
                     let a = pattern.word(mem_addr, i);
                     let v = self.mem.read_u32(a)?;
@@ -380,7 +381,8 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on out-of-bounds addresses or a bad pattern.
+    /// Returns [`SimError`] on out-of-bounds addresses or a bad pattern;
+    /// a refused stream moves no word and charges nothing.
     pub fn stream_out(
         &mut self,
         src: SrfRange,
@@ -392,12 +394,13 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         if len > src.len {
             return Err(SimError::capacity("srf stream range", len, src.len));
         }
+        self.check_stream(pattern, mem_addr, src.start, len, false)?;
         // An active stuck-at fault in a cluster's output port corrupts
         // every `clusters`-th word it emits into the outgoing stream.
         let stuck =
             if self.faults.is_enabled() { self.faults.stuck(FaultDomain::Cluster) } else { None };
         let clusters = self.cfg.clusters.max(1);
-        match block_runs(pattern, mem_addr, len, self.mem.len(), src.start, self.srf.len()) {
+        match block_runs(pattern, len) {
             Some((chunk, stride)) => {
                 for (c, at) in (0..len).step_by(chunk).enumerate() {
                     let n = chunk.min(len - at);
@@ -417,7 +420,6 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 }
             }
             None => {
-                self.refuse_wrapping(pattern, mem_addr, len)?;
                 for i in 0..len {
                     let mut v = self.srf.read_u32(src.start + i)?;
                     if let Some(fault) = stuck {
@@ -457,19 +459,40 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         self.budget.check(self.spent)
     }
 
-    /// Refuses a stream whose memory addresses run past `usize::MAX`
-    /// before its word loop can wrap them back into memory (or, unchecked,
-    /// overflow): no address that large is in memory.
-    fn refuse_wrapping(
+    /// Refuses a stream of `len` words unless every one lies in memory
+    /// and in the SRF, before any word moves. The error names the first
+    /// word out of range in the order the word loop meets them: word by
+    /// word, memory before SRF for a stream in (`incoming`) and SRF before
+    /// memory for a stream out, with an address past `usize::MAX` named
+    /// as `usize::MAX`.
+    fn check_stream(
         &self,
         pattern: AccessPattern,
         mem_addr: usize,
+        srf_start: usize,
         len: usize,
+        incoming: bool,
     ) -> Result<(), SimError> {
-        match pattern.end(mem_addr, len) {
-            Some(_) => Ok(()),
-            None => Err(SimError::OutOfBounds { addr: usize::MAX, size: self.mem.len() }),
+        let (mem_len, srf_len) = (self.mem.len(), self.srf.len());
+        let mem_fits = pattern.end(mem_addr, len).is_some_and(|end| end <= mem_len);
+        let srf_fits = srf_start.checked_add(len).is_some_and(|end| end <= srf_len);
+        if mem_fits && srf_fits {
+            return Ok(());
         }
+        let out_of = |addr: Option<usize>, size: usize| {
+            let addr = addr.unwrap_or(usize::MAX);
+            (addr >= size).then_some(SimError::OutOfBounds { addr, size })
+        };
+        let first = (0..len).find_map(|i| {
+            let mem = out_of(pattern.checked_word(mem_addr, i), mem_len);
+            let srf = out_of(srf_start.checked_add(i), srf_len);
+            if incoming {
+                mem.or(srf)
+            } else {
+                srf.or(mem)
+            }
+        });
+        first.map_or(Ok(()), Err)
     }
 
     /// Charges a fault verdict's ECC/retry costs and converts a failure
@@ -570,34 +593,16 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     }
 }
 
-/// `(chunk, stride)` of a stream's stretches of consecutive memory
-/// addresses — one stretch for a sequential stream, one per chunk for a
-/// chunked one — when every stretch ends inside the memory's `mem_len`
-/// words and the stream's `len` SRF words from `srf_start` end inside the
-/// SRF's `srf_len`. `None` for a strided stream, whose stretches are
-/// single words, and for a stream that would overrun: those move word by
-/// word, so an error stops them at the same word as ever.
-fn block_runs(
-    pattern: AccessPattern,
-    mem_addr: usize,
-    len: usize,
-    mem_len: usize,
-    srf_start: usize,
-    srf_len: usize,
-) -> Option<(usize, usize)> {
-    let (chunk, stride) = match pattern {
-        AccessPattern::Sequential => (len.max(1), len.max(1)),
-        AccessPattern::Chunked { chunk_words, stride_words } => (chunk_words, stride_words),
-        AccessPattern::Strided { .. } => return None,
-    };
-    let srf_fits = srf_start.checked_add(len).is_some_and(|end| end <= srf_len);
-    let mem_fits = (0..len).step_by(chunk).enumerate().all(|(c, at)| {
-        c.checked_mul(stride)
-            .and_then(|off| off.checked_add(mem_addr))
-            .and_then(|base| base.checked_add(chunk.min(len - at)))
-            .is_some_and(|end| end <= mem_len)
-    });
-    (srf_fits && mem_fits).then_some((chunk, stride))
+/// `(chunk, stride)` of a `len`-word stream's stretches of consecutive
+/// memory addresses — one stretch for a sequential stream, one per chunk
+/// for a chunked one — or `None` for a strided stream, whose stretches
+/// are single words and move word by word.
+fn block_runs(pattern: AccessPattern, len: usize) -> Option<(usize, usize)> {
+    match pattern {
+        AccessPattern::Sequential => Some((len.max(1), len.max(1))),
+        AccessPattern::Chunked { chunk_words, stride_words } => Some((chunk_words, stride_words)),
+        AccessPattern::Strided { .. } => None,
+    }
 }
 
 #[cfg(test)]
@@ -657,21 +662,29 @@ mod tests {
 
     /// The word-by-word rule a stream follows, on flat copies of the two
     /// memories: word `i` moves between `mem[pattern.word(mem_addr, i)]`
-    /// and `srf[srf_start + i]`, and the first word out of range stops the
-    /// stream with the words before it moved. Outgoing words of the stuck
-    /// cluster lane are forced. Returns whether the stream completed.
+    /// and `srf[srf_start + i]`. A stream with a word out of range moves
+    /// nothing and fails on the first one, taking each word's memory side
+    /// first on the way in and its SRF side first on the way out.
+    /// Outgoing words of the stuck cluster lane are forced.
     fn word_rule(
         mem: &mut [u32],
         srf: &mut [u32],
         (mem_addr, srf_start, len, pattern): (usize, usize, usize, AccessPattern),
         outgoing: bool,
         stuck: Option<(usize, StuckFault)>,
-    ) -> bool {
+    ) -> Result<(), SimError> {
+        for i in 0..len {
+            let (a, s) = (pattern.word(mem_addr, i), srf_start + i);
+            let mem_bad =
+                (a >= mem.len()).then_some(SimError::OutOfBounds { addr: a, size: mem.len() });
+            let srf_bad =
+                (s >= srf.len()).then_some(SimError::OutOfBounds { addr: s, size: srf.len() });
+            if let Some(err) = if outgoing { srf_bad.or(mem_bad) } else { mem_bad.or(srf_bad) } {
+                return Err(err);
+            }
+        }
         for i in 0..len {
             let a = pattern.word(mem_addr, i);
-            if a >= mem.len() || srf_start + i >= srf.len() {
-                return false;
-            }
             if outgoing {
                 mem[a] = match stuck {
                     Some((lanes, f)) if i % lanes == f.index % lanes => f.force(srf[srf_start + i]),
@@ -681,7 +694,7 @@ mod tests {
                 srf[srf_start + i] = mem[a];
             }
         }
-        true
+        Ok(())
     }
 
     #[test]
@@ -701,9 +714,16 @@ mod tests {
             AccessPattern::Strided { stride_words: 3 },
         ];
         // `(memory address, SRF start, words)`: in range across page
-        // boundaries, overrunning the memory, overrunning the SRF, empty.
-        let placements =
-            [(1_000, 1_000, 1_100), (10, 100, 64), (4_990, 0, 40), (900, 2_990, 20), (0, 0, 0)];
+        // boundaries, overrunning the memory, overrunning the SRF,
+        // overrunning both at the same word, empty.
+        let placements = [
+            (1_000, 1_000, 1_100),
+            (10, 100, 64),
+            (4_990, 0, 40),
+            (900, 2_990, 20),
+            (4_990, 2_990, 20),
+            (0, 0, 0),
+        ];
         let faults = [None, Some(StuckFault { index: 13, bit: 3, stuck_one: true })];
         for pattern in patterns {
             for (mem_addr, srf_start, len) in placements {
@@ -719,17 +739,17 @@ mod tests {
                     m.memory_mut().write_block_u32(0, &mem).unwrap();
                     m.srf_mut().write_block_u32(0, &srf).unwrap();
                     let (mut want_mem, mut want_srf) = (mem.clone(), srf.clone());
-                    let ok = word_rule(&mut want_mem, &mut want_srf, run, false, None);
+                    let want = word_rule(&mut want_mem, &mut want_srf, run, false, None);
                     let got = m.stream_in(mem_addr, range, len, pattern);
-                    assert_eq!(got.is_ok(), ok, "in: {what}");
+                    assert_eq!(got, want, "in: {what}");
                     assert_eq!(m.srf().read_block_u32(0, 3_000).unwrap(), want_srf, "in: {what}");
 
                     m.srf_mut().write_block_u32(0, &srf).unwrap();
                     let (mut want_mem, mut want_srf) = (mem.clone(), srf.clone());
                     let stuck = fault.map(|f| (cfg.clusters, f));
-                    let ok = word_rule(&mut want_mem, &mut want_srf, run, true, stuck);
+                    let want = word_rule(&mut want_mem, &mut want_srf, run, true, stuck);
                     let got = m.stream_out(range, mem_addr, len, pattern);
-                    assert_eq!(got.is_ok(), ok, "out: {what}");
+                    assert_eq!(got, want, "out: {what}");
                     let memory = m.memory().read_block_u32(0, 5_000).unwrap();
                     assert_eq!(memory, want_mem, "out: {what}");
                 }
@@ -779,6 +799,56 @@ mod tests {
             assert_eq!(m.srf().read_block_u32(r.start, 4).unwrap(), vec![1, 2, 3, 4]);
         }
         assert_eq!(m.cycles(), Cycles::ZERO);
+    }
+
+    #[test]
+    fn an_overrunning_stream_changes_nothing() {
+        // Both runs stream the same words; one also offers streams that
+        // overrun the memory or the SRF, which must leave the two
+        // memories, the cycles and every counter as they were.
+        let mut cfg = ImagineConfig::paper();
+        cfg.mem_words = 5_000;
+        cfg.srf_words = 3_000;
+        let words: Vec<u32> = (0..5_000).collect();
+        let run = |overrun: bool| {
+            let mut m = ImagineMachine::new(&cfg).unwrap();
+            m.memory_mut().write_block_u32(0, &words).unwrap();
+            let all = SrfRange { start: 0, len: 3_000 };
+            m.stream_in(0, all, 2_000, AccessPattern::Sequential).unwrap();
+            if overrun {
+                for (mem_addr, start, len, pattern) in [
+                    (4_990, 0, 40, AccessPattern::Sequential),
+                    (0, 2_990, 20, AccessPattern::Sequential),
+                    (4_000, 0, 100, AccessPattern::Strided { stride_words: 11 }),
+                    (
+                        2_000,
+                        100,
+                        64,
+                        AccessPattern::Chunked { chunk_words: 16, stride_words: 1_030 },
+                    ),
+                ] {
+                    let range = SrfRange { start, len };
+                    let what = format!("{pattern:?} at {mem_addr}, srf {start}, {len} words");
+                    assert!(m.stream_in(mem_addr, range, len, pattern).is_err(), "in: {what}");
+                    assert!(m.stream_out(range, mem_addr, len, pattern).is_err(), "out: {what}");
+                }
+            }
+            m.stream_out(all, 1_000, 3_000, AccessPattern::Sequential).unwrap();
+            let mem = m.memory().read_block_u32(0, 5_000).unwrap();
+            let srf = m.srf().read_block_u32(0, 3_000).unwrap();
+            (mem, srf, m.finish().unwrap())
+        };
+        let (refused, plain) = (run(true), run(false));
+        assert_eq!(refused.0, plain.0);
+        assert_eq!(refused.1, plain.1);
+        let (refused, plain) = (refused.2, plain.2);
+        assert_eq!(refused.cycles, plain.cycles);
+        assert_eq!(refused.breakdown, plain.breakdown);
+        assert_eq!(refused.metrics, plain.metrics);
+        assert_eq!(
+            (refused.ops_executed, refused.mem_words),
+            (plain.ops_executed, plain.mem_words)
+        );
     }
 
     #[test]

@@ -11,8 +11,29 @@
 //! never reallocated. The `Vec`-per-set model this replaced is kept as a
 //! test-only oracle (`ListCache`), and a property test holds the two to
 //! equal results, counters and contents.
+//!
+//! A replay that can only hit need not be walked access by access:
+//! [`Cache::settle_resident`] applies what such a run leaves in one pass
+//! over the lines it touches, when every line is resident and each sits in
+//! a set of its own (so no hit can evict, and no two lines race for the
+//! front of a set). Anything else is replayed through `access_rw`.
 
 use triarch_simcore::Divisor;
+
+/// The words an access sequence covers: it stays inside
+/// `first_word..first_word + words` and touches every word of that block
+/// whose address is a multiple of `grain` (and, when it stores, writes
+/// every such word). [`Cache::settle_resident`] derives from it which
+/// lines the sequence touches and dirties.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block {
+    /// First word of the block; a multiple of `grain`.
+    pub first_word: usize,
+    /// Words in the block.
+    pub words: usize,
+    /// Spacing of the words the sequence is known to touch.
+    pub grain: usize,
+}
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +185,51 @@ impl Cache {
         }
     }
 
+    /// Settles `accesses` accesses that cover `block` (writes among them
+    /// when `write`) as their replay through [`access_rw`](Self::access_rw)
+    /// would, when every access is sure to hit: each line of the block
+    /// moves to the front of its set, dirtied when `write`, and `hits`
+    /// grows by `accesses`. Returns `false`, having changed nothing, unless
+    /// the block covers every one of its lines (the line size and the
+    /// block's start are multiples of its grain), every line is resident,
+    /// and the lines are at most as many as the sets, so no two share one.
+    pub fn settle_resident(&mut self, block: Block, accesses: u64, write: bool) -> bool {
+        let Block { first_word, words, grain } = block;
+        // No line size is a multiple of a zero grain.
+        let covered = self.cfg.line_words.is_multiple_of(grain) && first_word.is_multiple_of(grain);
+        let Some(last_word) = words.checked_sub(1).and_then(|w| first_word.checked_add(w)) else {
+            return false;
+        };
+        // Each value is below the `usize` it was divided from.
+        let first = self.line_of.div_rem(first_word as u64).0 as usize;
+        let last = self.line_of.div_rem(last_word as u64).0 as usize;
+        let sets = self.filled.len();
+        if !covered || last - first >= sets {
+            return false;
+        }
+        // Consecutive lines fall in consecutive sets, wrapping after the
+        // last.
+        let first_set = self.set_of.div_rem(first as u64).1 as usize;
+        let ways = self.cfg.ways;
+        let lines_and_sets = || (first..=last).zip((first_set..sets).chain(0..first_set));
+        for (line, set) in lines_and_sets() {
+            let resident = &self.slots[set * ways..][..self.filled[set]];
+            if !resident.iter().any(|&t| (t >> 1) == line) {
+                return false;
+            }
+        }
+        for (line, set) in lines_and_sets() {
+            let slots = &mut self.slots[set * ways..][..self.filled[set]];
+            if let Some(pos) = slots.iter().position(|&t| (t >> 1) == line) {
+                let tag = slots[pos] | usize::from(write);
+                slots[..=pos].rotate_right(1);
+                slots[0] = tag;
+            }
+        }
+        self.counters.hits += accesses;
+        true
+    }
+
     /// Hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -198,6 +264,13 @@ impl Cache {
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
+    }
+
+    /// Set `set`'s resident lines with their dirty bits, most recent
+    /// first.
+    #[cfg(test)]
+    pub(crate) fn resident(&self, set: usize) -> &[usize] {
+        &self.slots[set * self.cfg.ways..][..self.filled[set]]
     }
 }
 
@@ -367,6 +440,32 @@ mod tests {
     }
 
     #[test]
+    fn settle_refuses_a_block_with_two_lines_in_one_set() {
+        // 4 sets of 2 ways: lines 0 and 4 share set 0. A block of 4
+        // resident lines settles; one of 5, all resident, is refused,
+        // because the replay's order, not the settle's, decides which of
+        // the two ends up in front.
+        let cfg = CacheConfig { size_words: 64, line_words: 8, ways: 2 };
+        let block = |words| Block { first_word: 0, words, grain: 8 };
+        let mut c = Cache::new(cfg);
+        for addr in (0..40).step_by(8) {
+            c.access(addr);
+        }
+        let state = |c: &Cache| {
+            let sets: Vec<Vec<usize>> = (0..4).map(|s| c.resident(s).to_vec()).collect();
+            (c.hits(), c.misses(), sets)
+        };
+        let before = state(&c);
+        assert!(!c.settle_resident(block(40), 5, true));
+        assert_eq!(state(&c), before);
+        assert!(c.settle_resident(block(32), 4, true));
+        assert_eq!(c.hits(), before.0 + 4);
+        // Lines 0–3 are dirty and in front of their sets (packed as
+        // `line << 1 | dirty`); line 4 stays clean behind line 0.
+        assert_eq!(state(&c).2, [vec![1, 8], vec![3], vec![5], vec![7]]);
+    }
+
+    #[test]
     #[should_panic(expected = "inconsistent")]
     fn bad_geometry_panics() {
         let _ = CacheConfig { size_words: 100, line_words: 8, ways: 3 }.sets();
@@ -427,14 +526,6 @@ mod oracle_tests {
         }
     }
 
-    impl Cache {
-        /// Set `set`'s resident lines with their dirty bits, most recent
-        /// first.
-        fn resident(&self, set: usize) -> &[usize] {
-            &self.slots[set * self.cfg.ways..][..self.filled[set]]
-        }
-    }
-
     fn counts(c: &triarch_simcore::metrics::CacheCounters) -> [u64; 4] {
         [c.hits, c.misses, c.evictions, c.writebacks]
     }
@@ -491,6 +582,63 @@ mod oracle_tests {
             }
             for (set, lines) in oracle.sets.iter().enumerate() {
                 prop_assert_eq!(flat.resident(set), lines.as_slice(), "set {set} of {cfg:?}");
+            }
+        }
+
+        /// A settle leaves exactly what replaying its accesses leaves, and
+        /// it settles whenever that replay only hits a covered block that
+        /// fits in the sets; refused, it changes nothing. The replayed
+        /// sequence covers the block: every `grain`-th word (written when
+        /// the sequence writes), then words drawn from the whole block.
+        /// A random stream warms the cache first, over the sequence's
+        /// words read once when `prime` is set.
+        #[test]
+        fn settling_a_resident_block_matches_its_replay(
+            shape in (0usize..6, 1usize..=24, 1usize..=9, 1usize..=70),
+            block in (0usize..300, 1usize..=160, 0usize..6),
+            warm in proptest::collection::vec((0usize..3_000, any::<bool>()), 0..=60),
+            extra in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..=40),
+            prime_write in (any::<bool>(), any::<bool>()),
+        ) {
+            let (preset, line_words, ways, sets) = shape;
+            let cfg = geometry(preset, line_words, ways, sets);
+            let (prime, write) = prime_write;
+            let (start, words, grain) = block;
+            let grain = [1, 2, 4, 8, 3, 5][grain];
+            let block = Block { first_word: start / grain * grain, words, grain };
+            let mut sequence: Vec<(usize, bool)> = (block.first_word..block.first_word + words)
+                .step_by(grain)
+                .map(|w| (w, write))
+                .collect();
+            sequence.extend(extra.iter().map(|&(x, w)| (block.first_word + x % words, w && write)));
+
+            // Priming reads, so that a settle must dirty the lines itself.
+            let mut before = Cache::new(cfg);
+            if prime {
+                for &(addr, _) in &sequence {
+                    before.access(addr);
+                }
+            }
+            for &(addr, w) in &warm {
+                before.access_rw(addr, w);
+            }
+            let mut replayed = before.clone();
+            let mut all_hit = true;
+            for &(addr, w) in &sequence {
+                all_hit &= !replayed.access_rw(addr, w);
+            }
+            let mut settled = before.clone();
+            let did = settled.settle_resident(block, sequence.len() as u64, write);
+
+            let line = |w: usize| w / cfg.line_words;
+            let last = block.first_word + words - 1;
+            let fits = line(last) - line(block.first_word) < cfg.sets();
+            let covered = cfg.line_words.is_multiple_of(grain);
+            prop_assert_eq!(did, covered && fits && all_hit, "{block:?} on {cfg:?}");
+            let want = if did { &replayed } else { &before };
+            prop_assert_eq!(counts(settled.counters()), counts(want.counters()));
+            for set in 0..cfg.sets() {
+                prop_assert_eq!(settled.resident(set), want.resident(set), "set {set} of {cfg:?}");
             }
         }
     }

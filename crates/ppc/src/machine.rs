@@ -6,7 +6,7 @@ use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::trace::{NullSink, TraceSink};
 use triarch_simcore::{CycleBudget, CycleLedger, Cycles, KernelRun, SimError, Verification};
 
-use crate::cache::Hierarchy;
+use crate::cache::{Block, Hierarchy};
 use crate::config::PpcConfig;
 
 /// Trace track for the scalar/vector core.
@@ -172,6 +172,31 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
         if l2 {
             self.store_stall += self.cfg.l2_store_miss_penalty;
         }
+    }
+
+    /// Charges `loads` loads and `stores` stores that cover `block`
+    /// (AltiVec ones, of `vector_lanes` words each, when `vector`) without
+    /// replaying them, when every one is sure to hit L1 (see
+    /// [`Cache::settle_resident`](crate::cache::Cache::settle_resident)).
+    /// Hits stall nothing and never reach L2, so only L1, the issue slots
+    /// and the words moved change, as they would in the replay. Returns
+    /// `false`, having changed nothing, when L1 refuses; the caller then
+    /// replays the accesses.
+    pub fn settle_resident(&mut self, block: Block, loads: u64, stores: u64, vector: bool) -> bool {
+        let accesses = loads + stores;
+        if !self.hier.l1.settle_resident(block, accesses, stores > 0) {
+            return false;
+        }
+        let words = if vector { self.cfg.vector_lanes as u64 } else { 1 };
+        self.instrs += accesses;
+        self.mem_words += accesses * words;
+        true
+    }
+
+    /// The cache hierarchy, for tests that compare its contents.
+    #[cfg(test)]
+    pub(crate) fn caches(&self) -> &Hierarchy {
+        &self.hier
     }
 
     /// Total cycles so far.

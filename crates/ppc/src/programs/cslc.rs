@@ -14,6 +14,7 @@ use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, SimError};
 
 use super::Variant;
+use crate::cache::Block;
 use crate::config::PpcConfig;
 use crate::machine::PpcMachine;
 
@@ -26,12 +27,57 @@ const WEIGHTS: usize = 1 << 20;
 /// Output region base.
 const OUTPUT: usize = 1 << 22;
 
-/// `n` is a power of two (`CslcWorkload` refuses any other length), so
-/// every address below wraps within the scratch buffer by a mask.
-fn charge_fft<S: TraceSink, F: FaultHook>(m: &mut PpcMachine<S, F>, n: usize, variant: Variant) {
+/// Radix-2 butterflies of an `n`-point FFT, and the AltiVec loop's groups
+/// of four (the last one partial: a 2-point FFT is one group).
+fn butterflies_and_groups(n: usize) -> (u64, u64) {
+    let butterflies = (n as u64 / 2) * u64::from(n.trailing_zeros());
+    (butterflies, butterflies.div_ceil(4))
+}
+
+/// Charges one `n`-point FFT over the `2n`-word scratch block; returns
+/// whether its loads and stores were settled rather than replayed.
+///
+/// Both loops of [`replay_fft`] stay inside the block and store to every
+/// word of it at a multiple of their grain (4 words for `Scalar`, 8 for
+/// `Altivec`). Once a run's first FFT has pulled the block into L1, each
+/// line in a set of its own, every later FFT only hits it, so the machine
+/// settles those hits in one pass over the block's lines and the other
+/// costs are charged in bulk. Otherwise — the cold first FFT, a line
+/// evicted since, an L1 with fewer sets than block lines or lines the
+/// grain does not divide — the loops replay every access.
+fn charge_fft<S: TraceSink, F: FaultHook>(
+    m: &mut PpcMachine<S, F>,
+    n: usize,
+    variant: Variant,
+) -> bool {
+    let (butterflies, groups) = butterflies_and_groups(n);
+    let block = |grain| Block { first_word: SCRATCH, words: 2 * n, grain };
+    let settled = match variant {
+        Variant::Scalar => m.settle_resident(block(4), 4 * butterflies, 4 * butterflies, false),
+        Variant::Altivec => m.settle_resident(block(8), 4 * groups, 2 * groups, true),
+    };
+    match (settled, variant) {
+        (false, _) => replay_fft(m, n, variant),
+        (true, Variant::Scalar) => {
+            m.trig(2 * butterflies);
+            m.alu_ops(10 * butterflies);
+            m.issue(8 * butterflies);
+        }
+        (true, Variant::Altivec) => {
+            m.trig(groups);
+            m.vector_ops(10 * groups);
+            m.issue(8 * groups);
+        }
+    }
+    settled
+}
+
+/// Replays one FFT's loop access by access. `n` is a power of two
+/// (`CslcWorkload` refuses any other length), so every address below
+/// wraps within the scratch buffer by a mask.
+fn replay_fft<S: TraceSink, F: FaultHook>(m: &mut PpcMachine<S, F>, n: usize, variant: Variant) {
     debug_assert!(n.is_power_of_two(), "fft length {n} is not a power of two");
-    let stages = n.trailing_zeros() as u64;
-    let butterflies = (n as u64 / 2) * stages;
+    let (butterflies, groups) = butterflies_and_groups(n);
     let (wrap_n, wrap_2n) = (n - 1, 2 * n - 1);
     match variant {
         Variant::Scalar => {
@@ -54,7 +100,7 @@ fn charge_fft<S: TraceSink, F: FaultHook>(m: &mut PpcMachine<S, F>, n: usize, va
         Variant::Altivec => {
             // Four butterflies per iteration; twiddles evaluated once per
             // group and splatted.
-            for g in 0..butterflies / 4 {
+            for g in 0..groups {
                 m.trig(1); // one shared recurrence step per group
                 let k = (g as usize * 8) & wrap_2n;
                 m.vector_load(SCRATCH + k);
@@ -173,6 +219,8 @@ pub fn run<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
+    use proptest::prelude::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::{check, CSLC_TOLERANCE};
     use triarch_kernels::KernelInput;
@@ -216,5 +264,129 @@ mod tests {
         let w = CslcWorkload::new(CslcConfig::small(), 9).unwrap();
         let run = plain(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
         assert!(run.breakdown.fraction("libm") > 0.4, "{}", run.breakdown);
+    }
+
+    #[test]
+    fn a_two_point_altivec_fft_is_charged_one_group() {
+        // One group: a trig call, 10 four-lane ops, 4 vector loads and 2
+        // vector stores of 4 words each; replayed cold, then settled.
+        let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
+        assert!(!charge_fft(&mut m, 2, Variant::Altivec));
+        assert!(charge_fft(&mut m, 2, Variant::Altivec));
+        let run = m.finish();
+        assert_eq!(run.metrics.counter_value("ppc.run.trig_calls"), Some(2));
+        assert_eq!(run.ops_executed, 2 * 40);
+        assert_eq!(run.mem_words, 2 * 24);
+
+        // A 1-main, 1-aux, 1-sub-band run does three FFTs, one group each.
+        let c =
+            CslcConfig { main_channels: 1, aux_channels: 1, samples: 2, subbands: 1, fft_len: 2 };
+        let w = CslcWorkload::new(c, 9).unwrap();
+        let run = plain(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
+        assert_eq!(run.breakdown.get("libm").get(), 3 * PpcConfig::paper().trig_cycles);
+    }
+
+    #[test]
+    fn warm_scratch_blocks_settle_where_the_loops_cover_every_line() {
+        // The G4's L1 has 128 sets of 8-word lines: a block of up to 1,024
+        // words has a set per line, a 2,048-word one (n = 1024) does not.
+        for variant in [Variant::Scalar, Variant::Altivec] {
+            for n in [2, 4, 8, 64, 128, 512] {
+                let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
+                assert!(!charge_fft(&mut m, n, variant), "{variant:?}, n = {n}: cold");
+                assert!(charge_fft(&mut m, n, variant), "{variant:?}, n = {n}: warm");
+            }
+            let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
+            charge_fft(&mut m, 1024, variant);
+            assert!(!charge_fft(&mut m, 1024, variant), "{variant:?}: 256 lines in 128 sets");
+        }
+        // On 4-word lines the scalar loop, which stores every fourth word,
+        // still writes every line; the AltiVec loop stores every eighth,
+        // so it replays.
+        let mut cfg = PpcConfig::paper();
+        cfg.l1 = CacheConfig { size_words: 4 * 8 * 128, line_words: 4, ways: 8 };
+        for (variant, settles) in [(Variant::Scalar, true), (Variant::Altivec, false)] {
+            let mut m = PpcMachine::new(&cfg).unwrap();
+            charge_fft(&mut m, 64, variant);
+            assert_eq!(charge_fft(&mut m, 64, variant), settles, "{variant:?} on 4-word lines");
+        }
+    }
+
+    /// Line sizes for drawn L1 and L2 geometries: the scalar loop's grain
+    /// (4 words) divides 4, 8, 12, 16 and 32, the AltiVec loop's (8) only
+    /// 8, 16 and 32, and neither divides 1, 2, 3, 5 or 6.
+    const LINE_WORDS: [usize; 10] = [1, 2, 3, 4, 5, 6, 8, 12, 16, 32];
+
+    /// A drawn geometry, or `None` to keep the G4's.
+    fn geometry(g4: bool, line: usize, ways: usize, sets: usize) -> Option<CacheConfig> {
+        let line_words = LINE_WORDS[line];
+        (!g4).then_some(CacheConfig { size_words: line_words * ways * sets, line_words, ways })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Settle-or-replay FFTs leave a machine exactly as replay-only
+        /// ones do: cycles after every FFT, every L1 and L2 set's contents,
+        /// and at the end the breakdown and the full metrics report. Each
+        /// round streams loads and stores (into the scratch block, into
+        /// addresses that share its sets, or anywhere below 2^24) through
+        /// both machines, then charges one FFT of either variant. One
+        /// access in four is a store, so most scratch lines an FFT only
+        /// loads stay clean, and a settle that dirtied them would show.
+        #[test]
+        fn settled_ffts_match_their_replay(
+            l1 in (any::<bool>(), 0usize..10, 1usize..=9, 1usize..=70),
+            l2 in (any::<bool>(), 0usize..10, 1usize..=9, 1usize..=300),
+            log_n in 1u32..=10,
+            rounds in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..3, any::<usize>(), 0usize..4), 0..=40),
+                    any::<bool>(),
+                ),
+                1..=6,
+            ),
+        ) {
+            let mut cfg = PpcConfig::paper();
+            if let Some(g) = geometry(l1.0, l1.1, l1.2, l1.3) {
+                cfg.l1 = g;
+            }
+            if let Some(g) = geometry(l2.0, l2.1, l2.2, l2.3) {
+                cfg.l2 = g;
+            }
+            let n = 1usize << log_n;
+            let mut settling = PpcMachine::new(&cfg).unwrap();
+            let mut replaying = PpcMachine::new(&cfg).unwrap();
+            for (i, (stream, altivec)) in rounds.iter().enumerate() {
+                for &(kind, x, op) in stream {
+                    let addr = match kind {
+                        0 => SCRATCH + x % (2 * n),
+                        // Lines a whole L1 apart alias the scratch sets.
+                        1 => SCRATCH + (1 + x % 8) * cfg.l1.size_words + x % (2 * n),
+                        _ => x % (1 << 24),
+                    };
+                    for m in [&mut settling, &mut replaying] {
+                        if op == 0 { m.store(addr) } else { m.load(addr) }
+                    }
+                }
+                let variant = if *altivec { Variant::Altivec } else { Variant::Scalar };
+                charge_fft(&mut settling, n, variant);
+                replay_fft(&mut replaying, n, variant);
+                let what = format!("round {i}, {variant:?}, n = {n}, {cfg:?}");
+                prop_assert_eq!(settling.cycles(), replaying.cycles(), "{}", what);
+                let (a, b) = (settling.caches(), replaying.caches());
+                for set in 0..cfg.l1.sets() {
+                    prop_assert_eq!(a.l1.resident(set), b.l1.resident(set), "L1 set {set}, {what}");
+                }
+                for set in 0..cfg.l2.sets() {
+                    prop_assert_eq!(a.l2.resident(set), b.l2.resident(set), "L2 set {set}, {what}");
+                }
+            }
+            let (a, b) = (settling.finish(), replaying.finish());
+            prop_assert_eq!(a.cycles, b.cycles);
+            prop_assert_eq!(&a.breakdown, &b.breakdown);
+            prop_assert_eq!(&a.metrics, &b.metrics);
+            prop_assert_eq!((a.ops_executed, a.mem_words), (b.ops_executed, b.mem_words));
+        }
     }
 }

@@ -484,6 +484,29 @@ mod tests {
     }
 
     #[test]
+    fn dram_traffic_whose_addresses_wrap_is_refused_before_anything_moves() {
+        // Both runs move the same words; one also offers a transfer whose
+        // addresses wrap past `usize::MAX`, which must change nothing.
+        let run = |wrap: bool| {
+            let mut m = machine();
+            m.begin_phase().unwrap();
+            m.dram_traffic(0, 64, AccessPattern::Sequential).unwrap();
+            if wrap {
+                let wraps = AccessPattern::Strided { stride_words: usize::MAX };
+                let err = m.dram_traffic(100, 4, wraps).unwrap_err();
+                assert_eq!(err, SimError::OutOfBounds { addr: usize::MAX, size: usize::MAX });
+            }
+            m.end_phase(false).unwrap();
+            m.finish().unwrap()
+        };
+        let (refused, plain) = (run(true), run(false));
+        assert_eq!(refused.cycles, plain.cycles);
+        assert_eq!(refused.breakdown, plain.breakdown);
+        assert_eq!(refused.metrics, plain.metrics);
+        assert_eq!(refused.mem_words, plain.mem_words);
+    }
+
+    #[test]
     fn network_stream_charges_occupancy_and_latency() {
         let mut m = machine();
         m.begin_phase().unwrap();

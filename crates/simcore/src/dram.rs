@@ -97,6 +97,24 @@ impl AccessPattern {
         }
     }
 
+    /// [`word`](Self::word) without overflow: `None` when the address
+    /// does not fit in a `usize`, and for a `Chunked` pattern with
+    /// `chunk_words == 0`. For reporting the word a refused transfer
+    /// fails on; a transfer that [`end`](Self::end) accepts can use
+    /// `word`.
+    #[must_use]
+    pub fn checked_word(self, base: usize, idx: usize) -> Option<usize> {
+        let offset = match self {
+            AccessPattern::Sequential => idx,
+            AccessPattern::Strided { stride_words } => idx.checked_mul(stride_words)?,
+            AccessPattern::Chunked { chunk_words, stride_words } => idx
+                .checked_div(chunk_words)?
+                .checked_mul(stride_words)?
+                .checked_add(idx % chunk_words)?,
+        };
+        base.checked_add(offset)
+    }
+
     /// One past the highest address an `n`-word transfer from `base`
     /// touches (`base` itself when `n` is 0), or `None` when that does
     /// not fit in a `usize`. [`word`](Self::word) does not check, so a
@@ -458,7 +476,11 @@ impl DramModel {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a zero stride or chunk
-    /// length (see [`AccessPattern::check`]).
+    /// length (see [`AccessPattern::check`]), and
+    /// [`SimError::OutOfBounds`] naming address `usize::MAX` for a
+    /// transfer whose addresses run past it ([`AccessPattern::end`] is
+    /// `None`). A refused transfer moves neither the clock, nor any bank,
+    /// nor any counter.
     pub fn transfer(
         &mut self,
         start_word: usize,
@@ -466,6 +488,11 @@ impl DramModel {
         pattern: AccessPattern,
     ) -> Result<DramCost, SimError> {
         pattern.check()?;
+        if pattern.end(start_word, n_words).is_none() {
+            // The address space is the `usize` range: no word lies at or
+            // past `usize::MAX`.
+            return Err(SimError::OutOfBounds { addr: usize::MAX, size: usize::MAX });
+        }
         if n_words == 0 {
             return Ok(DramCost::default());
         }
@@ -586,7 +613,8 @@ impl DramModel {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for a zero stride.
+    /// Refuses what [`transfer`](Self::transfer) refuses, before it emits
+    /// anything.
     pub fn transfer_observed<S: TraceSink + ?Sized>(
         &mut self,
         start_word: usize,
@@ -1089,6 +1117,30 @@ mod oracle_tests {
     }
 
     #[test]
+    fn transfers_whose_addresses_wrap_are_refused_before_anything_moves() {
+        use AccessPattern::{Chunked, Sequential, Strided};
+        let top = usize::MAX;
+        let refused = Err(SimError::OutOfBounds { addr: top, size: top });
+        for cfg in [DramConfig::viram_onchip(), DramConfig::raw_offchip()] {
+            let mut d = DramModel::new(cfg).unwrap();
+            d.transfer(1 << 20, 300, Strided { stride_words: 1_032 }).unwrap();
+            d.idle(Cycles::new(7));
+            let before = d.clone();
+            for (start, n, pattern) in [
+                (100, 4, Strided { stride_words: top }),
+                (100, 3, Chunked { chunk_words: 2, stride_words: top }),
+                (top - 3, 8, Sequential),
+                (top, 1, Sequential),
+            ] {
+                assert_eq!(d.transfer(start, n, pattern), refused, "{pattern:?} from {start}");
+                assert_eq!(d.state(), before.state(), "{pattern:?} from {start}");
+            }
+            // The highest word below `usize::MAX` is still in range.
+            assert!(d.transfer(top - 4, 4, Sequential).is_ok());
+        }
+    }
+
+    #[test]
     fn row_stripes_that_overflow_are_refused() {
         let mut cfg = DramConfig::raw_offchip();
         cfg.row_words = usize::MAX / 2;
@@ -1121,17 +1173,19 @@ mod oracle_tests {
     #[test]
     fn pattern_end_is_one_past_the_highest_word_or_none_past_usize() {
         use AccessPattern::{Chunked, Sequential, Strided};
-        // One past the highest word, in u128, where nothing overflows.
+        // Word offsets, and one past the highest word, in u128, where
+        // nothing overflows.
+        let wide_word = |pattern: AccessPattern, i: u128| match pattern {
+            Sequential => i,
+            Strided { stride_words } => i * stride_words as u128,
+            Chunked { chunk_words, stride_words } => {
+                let chunk = chunk_words as u128;
+                (i / chunk) * stride_words as u128 + i % chunk
+            }
+        };
         let wide_end = |pattern: AccessPattern, base: usize, n: usize| -> u128 {
-            let word = |i: u128| match pattern {
-                Sequential => i,
-                Strided { stride_words } => i * stride_words as u128,
-                Chunked { chunk_words, stride_words } => {
-                    let chunk = chunk_words as u128;
-                    (i / chunk) * stride_words as u128 + i % chunk
-                }
-            };
-            base as u128 + (0..n as u128).map(word).max().map_or(0, |w| w + 1)
+            let highest = (0..n as u128).map(|i| wide_word(pattern, i)).max();
+            base as u128 + highest.map_or(0, |w| w + 1)
         };
         let top = usize::MAX;
         let patterns = [
@@ -1153,9 +1207,16 @@ mod oracle_tests {
                     let want = wide_end(pattern, base, n);
                     let want = usize::try_from(want).ok();
                     assert_eq!(pattern.end(base, n), want, "{pattern:?} from {base}, {n} words");
+                    let word = usize::try_from(base as u128 + wide_word(pattern, n as u128)).ok();
+                    assert_eq!(
+                        pattern.checked_word(base, n),
+                        word,
+                        "{pattern:?} from {base}, word {n}"
+                    );
                 }
             }
         }
         assert_eq!(Chunked { chunk_words: 0, stride_words: 8 }.end(0, 4), None);
+        assert_eq!(Chunked { chunk_words: 0, stride_words: 8 }.checked_word(0, 4), None);
     }
 }

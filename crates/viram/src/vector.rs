@@ -403,9 +403,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             return Ok(pattern);
         }
         let first = (0..vl)
-            .map(|i| {
-                i.checked_mul(stride).and_then(|off| addr.checked_add(off)).unwrap_or(usize::MAX)
-            })
+            .map(|i| pattern.checked_word(addr, i).unwrap_or(usize::MAX))
             .find(|&word| word >= size)
             .unwrap_or(usize::MAX);
         Err(SimError::OutOfBounds { addr: first, size })
