@@ -63,6 +63,14 @@ cargo test -q --workspace
 echo "== cargo test --release triarch-viram =="
 cargo test --release -q -p triarch-viram
 
+# The G4 cache settles runs of accesses that can only hit or only miss
+# instead of replaying them. Its settle oracles and the full-size
+# corner-turn pins also run against the code as shipped, and in release
+# the full-size oracle covers every L2 size of the design-space sweep,
+# where debug covers the G4's alone.
+echo "== cargo test --release triarch-ppc =="
+cargo test --release -q -p triarch-ppc
+
 # The host-time benchmark is its own cargo workspace compiled against the
 # crates' public API, so the workspace steps above never build it.
 echo "== benchmark harness (tests, grid-paper, grid-small, attrib-paper and serve-mixed smokes) =="

@@ -16,7 +16,12 @@
 //! [`Cache::settle_resident`] applies what such a run leaves in one pass
 //! over the lines it touches, when every line is resident and each sits in
 //! a set of its own (so no hit can evict, and no two lines race for the
-//! front of a set). Anything else is replayed through `access_rw`.
+//! front of a set). Nor need one that can only miss: [`Cache::settle_misses`]
+//! applies a run of accesses to distinct lines a fixed step apart, none of
+//! them resident, in O(ways) per set the run touches. Anything else is
+//! replayed through `access_rw`.
+
+use std::ops::Range;
 
 use triarch_simcore::Divisor;
 
@@ -66,15 +71,16 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`triarch_simcore::SimError::InvalidConfig`] when any dimension is zero or
-    /// the capacity is not a whole number of sets.
+    /// Returns [`triarch_simcore::SimError::InvalidConfig`] when any dimension is zero,
+    /// a set's words overflow `usize`, or the capacity is not a whole
+    /// number of sets.
     pub fn validate(&self) -> Result<(), triarch_simcore::SimError> {
         if self.line_words == 0 || self.ways == 0 || self.size_words == 0 {
             return Err(triarch_simcore::SimError::invalid_config(
                 "cache geometry dimensions must be positive",
             ));
         }
-        if !self.size_words.is_multiple_of(self.line_words * self.ways) {
+        if self.set_words().is_none_or(|set| !self.size_words.is_multiple_of(set)) {
             return Err(triarch_simcore::SimError::invalid_config(
                 "cache capacity must be a whole number of sets",
             ));
@@ -82,20 +88,23 @@ impl CacheConfig {
         Ok(())
     }
 
+    /// Words in one set, or `None` when that overflows `usize`.
+    fn set_words(&self) -> Option<usize> {
+        self.line_words.checked_mul(self.ways)
+    }
+
     /// Number of sets.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (zero or non-dividing).
+    /// Panics if the geometry is inconsistent (zero, overflowing or
+    /// non-dividing), as [`Self::validate`] reports.
     #[must_use]
     pub fn sets(&self) -> usize {
-        assert!(
-            self.line_words > 0
-                && self.ways > 0
-                && self.size_words.is_multiple_of(self.line_words * self.ways),
-            "inconsistent cache geometry"
-        );
-        self.size_words / (self.line_words * self.ways)
+        match self.set_words() {
+            Some(set) if set > 0 && self.size_words.is_multiple_of(set) => self.size_words / set,
+            _ => panic!("inconsistent cache geometry"),
+        }
     }
 }
 
@@ -230,6 +239,114 @@ impl Cache {
         true
     }
 
+    /// Settles `count` accesses to the distinct lines `first + j·step`,
+    /// `j` in `0..count` (writes when `write`), as their replay through
+    /// [`access_rw`](Self::access_rw) would, when every one is sure to
+    /// miss. The run's lines fall in the sets `(first + j·step) mod sets`,
+    /// which repeat with period `sets / gcd(step mod sets, sets)`, so each
+    /// set it touches is settled once, in O(ways): `misses` grows by that
+    /// set's `k` accesses; the LRU tail is evicted (the set's old lines
+    /// first, then the run's earliest), counting a writeback for every
+    /// dirty old line evicted and, when `write`, every evicted run line;
+    /// and the set is left holding the run's last `min(k, ways)` lines,
+    /// newest first and dirty when `write`, followed by the old lines that
+    /// survive. Returns `false`, having changed nothing, when `step` is
+    /// zero, a line does not fit a slot (`usize::MAX >> 1` at most), or any
+    /// line of the run is resident.
+    pub fn settle_misses(&mut self, first: usize, step: usize, count: usize, write: bool) -> bool {
+        if step == 0 {
+            return false;
+        }
+        let Some(last) = count.checked_sub(1) else {
+            return true;
+        };
+        // A slot keeps a line shifted left by one: a run line must fit.
+        let last = match last.checked_mul(step).and_then(|span| first.checked_add(span)) {
+            Some(last) if last <= usize::MAX >> 1 => last,
+            _ => return false,
+        };
+        let (sets, ways, set_of) = (self.filled.len(), self.cfg.ways, self.set_of);
+        // Access `i` of the first `period` is the first in its set. Each
+        // value is below the `usize` it was divided from.
+        let period = sets / gcd(set_of.div_rem(step as u64).1 as usize, sets);
+        let (touched, (rounds, extra)) = (count.min(period), (count / period, count % period));
+        let set = |i: usize| set_of.div_rem((first + i * step) as u64).1 as usize;
+        // A resident line is the run's when it lies in `first..=last` a
+        // whole number of steps from `first`.
+        let in_run = |t: usize| {
+            (first..=last).contains(&(t >> 1)) && ((t >> 1) - first).is_multiple_of(step)
+        };
+        if (0..touched).any(|i| self.resident(set(i)).iter().any(|&t| in_run(t))) {
+            return false;
+        }
+        for i in 0..touched {
+            // This set takes the accesses `i, i + period, …` below `count`.
+            let k = rounds + usize::from(i < extra);
+            let set = set(i);
+            let slots = &mut self.slots[set * ways..][..ways];
+            let filled = &mut self.filled[set];
+            let inserted = k.min(ways);
+            let kept = (*filled).min(ways - inserted);
+            let dirty_old = slots[kept..*filled].iter().filter(|&&t| t & 1 == 1).count();
+            let evicted_run = k - inserted;
+            self.counters.misses += k as u64;
+            self.counters.evictions += (*filled - kept + evicted_run) as u64;
+            self.counters.writebacks += (dirty_old + if write { evicted_run } else { 0 }) as u64;
+            slots.copy_within(..kept, inserted);
+            for (age, slot) in slots[..inserted].iter_mut().enumerate() {
+                let line = first + (i + (k - 1 - age) * period) * step;
+                *slot = (line << 1) | usize::from(write);
+            }
+            *filled = inserted + kept;
+        }
+        true
+    }
+
+    /// The line holding `word_addr`; of a stride in words, the stride in
+    /// lines.
+    #[must_use]
+    pub fn line(&self, word_addr: usize) -> usize {
+        // The quotient is below the `usize` it was divided from.
+        self.line_of.div_rem(word_addr as u64).0 as usize
+    }
+
+    /// Whether the line holding `word_addr` is resident.
+    #[must_use]
+    pub fn holds(&self, word_addr: usize) -> bool {
+        // Both values are below the `usize` they were divided from.
+        let line = self.line_of.div_rem(word_addr as u64).0;
+        let set = self.set_of.div_rem(line).1;
+        self.resident(set as usize).iter().any(|&t| (t >> 1) == line as usize)
+    }
+
+    /// The shortest stretch of `words` that holds every word whose line
+    /// can share a set with a line `first + j·step`, or an empty range at
+    /// `words.end` when no word's line can. Such lines stay in the residue
+    /// class of `first` modulo `gcd(step mod sets, sets)`, so the stretch
+    /// runs from the first of `words`' lines in that class to the last.
+    #[must_use]
+    pub fn meeting_span(&self, words: Range<usize>, first: usize, step: usize) -> Range<usize> {
+        let none = words.end..words.end;
+        let Some(last_word) = words.end.checked_sub(1).filter(|&w| w >= words.start) else {
+            return none;
+        };
+        let class = gcd(self.set_of.div_rem(step as u64).1 as usize, self.filled.len());
+        let line_words = self.cfg.line_words;
+        // Both values are below the `usize` they were divided from.
+        let low = self.line_of.div_rem(words.start as u64).0 as usize;
+        let high = self.line_of.div_rem(last_word as u64).0 as usize;
+        let (low_skip, high_skip) = (
+            (first % class + class - low % class) % class,
+            (high % class + class - first % class) % class,
+        );
+        if low_skip > high - low {
+            return none;
+        }
+        let (low, high) = (low + low_skip, high - high_skip);
+        (low * line_words).max(words.start)
+            ..(high * line_words).saturating_add(line_words).min(words.end)
+    }
+
     /// Hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -266,12 +383,19 @@ impl Cache {
         &self.cfg
     }
 
-    /// Set `set`'s resident lines with their dirty bits, most recent
-    /// first.
-    #[cfg(test)]
+    /// Set `set`'s resident lines, packed `(line << 1) | dirty`, most
+    /// recent first.
     pub(crate) fn resident(&self, set: usize) -> &[usize] {
         &self.slots[set * self.cfg.ways..][..self.filled[set]]
     }
+}
+
+/// Greatest common divisor, with `gcd(0, b) = b`.
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while a != 0 {
+        (a, b) = (b % a, a);
+    }
+    b
 }
 
 /// A two-level hierarchy: every L1 miss probes L2.
@@ -307,6 +431,17 @@ impl Hierarchy {
     #[inline]
     pub fn access(&mut self, word_addr: usize) -> (bool, bool) {
         self.access_rw(word_addr, false)
+    }
+
+    /// Reads the line containing `word_addr` `1 + again` times in a row:
+    /// the first read as [`access`](Self::access) does it, and the rest as
+    /// L1 hits on the line it left at the front of its L1 set. Returns
+    /// `(l1_miss, l2_miss)` of the first.
+    #[inline]
+    pub fn access_again(&mut self, word_addr: usize, again: u64) -> (bool, bool) {
+        let misses = self.access(word_addr);
+        self.l1.counters.hits += again;
+        misses
     }
 
     /// Touches an address through both levels; returns
@@ -470,10 +605,85 @@ mod tests {
     fn bad_geometry_panics() {
         let _ = CacheConfig { size_words: 100, line_words: 8, ways: 3 }.sets();
     }
+
+    /// A set of `3 · 2^63` words: its capacity is a whole number of
+    /// sets only if the product wraps.
+    const OVERFLOWING: CacheConfig = CacheConfig {
+        size_words: 1 << (usize::BITS - 1),
+        line_words: 3,
+        ways: 1 << (usize::BITS - 1),
+    };
+
+    #[test]
+    fn a_set_whose_words_overflow_is_refused() {
+        let err = OVERFLOWING.validate().unwrap_err();
+        assert!(matches!(err, triarch_simcore::SimError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent")]
+    fn a_set_whose_words_overflow_has_no_set_count() {
+        let _ = OVERFLOWING.sets();
+    }
+
+    #[test]
+    fn a_miss_settle_refuses_what_it_cannot_replay() {
+        // 4 sets of 2 ways with 8-word lines; line 5 is resident.
+        let cfg = CacheConfig { size_words: 64, line_words: 8, ways: 2 };
+        let mut c = Cache::new(cfg);
+        c.access_rw(40, true);
+        let state = |c: &Cache| {
+            let sets: Vec<Vec<usize>> = (0..4).map(|s| c.resident(s).to_vec()).collect();
+            (counts(c.counters()), sets)
+        };
+        let before = state(&c);
+        let top = usize::MAX >> 1;
+        for (first, step, count) in [
+            (1, 0, 3),              // no step: one line three times
+            (1, 2, 3),              // lines 1, 3, 5: 5 is resident
+            (1, usize::MAX / 2, 3), // the third line overflows
+            (top - 1, 1, 3),        // the third line does not fit a slot
+        ] {
+            assert!(!c.settle_misses(first, step, count, true), "{first} + j·{step}, j < {count}");
+            assert_eq!(state(&c), before);
+        }
+        // Nothing to settle is settled; the highest line a slot holds is
+        // settled like any other.
+        assert!(c.settle_misses(1, 2, 0, true));
+        assert_eq!(state(&c), before);
+        assert!(c.settle_misses(top - 2, 1, 3, false));
+        assert_eq!(c.misses(), before.0[1] + 3);
+    }
+
+    /// Hits, misses, evictions and writebacks.
+    pub(super) fn counts(c: &triarch_simcore::metrics::CacheCounters) -> [u64; 4] {
+        [c.hits, c.misses, c.evictions, c.writebacks]
+    }
+
+    #[test]
+    fn a_miss_settle_evicts_old_lines_first_then_the_run_s_earliest() {
+        // One set of 3 ways holding dirty line 7 in front of clean line 9.
+        // Four stores to lines 1, 2, 3 and 4 evict 9 and 7 (one
+        // writeback), then lines 1 (a second writeback), leaving 4, 3, 2.
+        let cfg = CacheConfig { size_words: 3, line_words: 1, ways: 3 };
+        let mut replayed = Cache::new(cfg);
+        replayed.access(9);
+        replayed.access_rw(7, true);
+        let mut settled = replayed.clone();
+        for line in 1..=4 {
+            assert!(replayed.access_rw(line, true));
+        }
+        assert!(settled.settle_misses(1, 1, 4, true));
+        for c in [&settled, &replayed] {
+            assert_eq!(counts(c.counters()), [0, 6, 3, 2]);
+            assert_eq!(c.resident(0), [9, 7, 5]);
+        }
+    }
 }
 
 #[cfg(test)]
 mod oracle_tests {
+    use super::tests::counts;
     use super::*;
     use proptest::prelude::*;
 
@@ -524,10 +734,6 @@ mod oracle_tests {
                 true
             }
         }
-    }
-
-    fn counts(c: &triarch_simcore::metrics::CacheCounters) -> [u64; 4] {
-        [c.hits, c.misses, c.evictions, c.writebacks]
     }
 
     /// A geometry: the G4's two levels, or a random one whose line size
@@ -639,6 +845,85 @@ mod oracle_tests {
             prop_assert_eq!(counts(settled.counters()), counts(want.counters()));
             for set in 0..cfg.sets() {
                 prop_assert_eq!(settled.resident(set), want.resident(set), "set {set} of {cfg:?}");
+            }
+        }
+
+        /// A miss settle leaves exactly what replaying its accesses leaves
+        /// when none of the run's lines is resident, and otherwise changes
+        /// nothing (even where the replay would evict a resident run line
+        /// before reaching it). A random stream warms the cache first;
+        /// some of it reads or writes lines of the run's sets, and in half
+        /// the cases the run's own lines.
+        #[test]
+        fn settling_misses_matches_their_replay(
+            shape in (0usize..6, 1usize..=24, 1usize..=9, 1usize..=70),
+            run in (0usize..1 << 20, 1usize..=300, 0usize..=200, any::<bool>()),
+            warm in proptest::collection::vec((0usize..3, any::<usize>(), any::<bool>()), 0..=60),
+            touch_run in any::<bool>(),
+        ) {
+            let (preset, line_words, ways, sets) = shape;
+            let cfg = geometry(preset, line_words, ways, sets);
+            let (first, step, count, write) = run;
+            let line = |j: usize| first + j * step;
+            let mut before = Cache::new(cfg);
+            for &(kind, x, w) in &warm {
+                let warm_line = match kind {
+                    0 if touch_run => line(x % count.max(1)),
+                    0 | 1 => line(x % count.max(1)) + cfg.sets() * (1 + x % 3),
+                    _ => x % (1 << 22),
+                };
+                before.access_rw(warm_line * cfg.line_words + x % cfg.line_words, w);
+            }
+            let none_resident = (0..count).all(|j| !before.holds(line(j) * cfg.line_words));
+            let mut replayed = before.clone();
+            let mut all_miss = true;
+            for j in 0..count {
+                all_miss &= replayed.access_rw(line(j) * cfg.line_words, write);
+            }
+            let mut settled = before.clone();
+            let did = settled.settle_misses(first, step, count, write);
+            let what = format!("{count} lines from {first} by {step} on {cfg:?}");
+            prop_assert_eq!(did, none_resident, "{}", what);
+            prop_assert!(all_miss || !did, "{}", what);
+            let want = if did { &replayed } else { &before };
+            prop_assert_eq!(counts(settled.counters()), counts(want.counters()));
+            for set in 0..cfg.sets() {
+                prop_assert_eq!(settled.resident(set), want.resident(set), "set {set} of {cfg:?}");
+            }
+        }
+
+        /// A meeting span holds every word of its range whose line shares
+        /// a set with some line `first + j·step`, and begins and ends on
+        /// such words; with none, it is empty at the range's end.
+        #[test]
+        fn a_meeting_span_spans_the_words_a_run_can_meet(
+            shape in (0usize..6, 1usize..=24, 1usize..=9, 1usize..=70),
+            words in (0usize..1 << 20, 0usize..=600),
+            run in (0usize..1 << 20, 0usize..=5_000),
+        ) {
+            let (preset, line_words, ways, sets) = shape;
+            let cfg = geometry(preset, line_words, ways, sets);
+            let (first, step) = run;
+            let words = words.0..words.0 + words.1;
+            let sets = cfg.sets();
+            // A run's sets repeat within `sets` lines.
+            let reached: Vec<bool> = {
+                let mut reached = vec![false; sets];
+                for j in 0..sets {
+                    reached[(first + j * step) % sets] = true;
+                }
+                reached
+            };
+            let meets = |w: usize| reached[(w / cfg.line_words) % sets];
+            let span = Cache::new(cfg).meeting_span(words.clone(), first, step);
+            for w in words.clone() {
+                prop_assert_eq!(span.contains(&w) || !meets(w), true, "word {w}, {span:?}");
+            }
+            if span.is_empty() {
+                prop_assert_eq!(span, words.end..words.end);
+            } else {
+                prop_assert!(words.start <= span.start && span.end <= words.end, "{span:?}");
+                prop_assert!(meets(span.start) && meets(span.end - 1), "{span:?} of {words:?}");
             }
         }
     }

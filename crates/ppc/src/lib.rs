@@ -148,6 +148,22 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_set_too_large_for_usize_is_an_invalid_config() {
+        // 3 · 2^63 words a set: the capacity divides only the wrapped
+        // product.
+        let top = 1 << (usize::BITS - 1);
+        let huge = cache::CacheConfig { size_words: top, line_words: 3, ways: top };
+        for level in 0..2 {
+            let mut config = PpcConfig::paper();
+            *[&mut config.l1, &mut config.l2][level] = huge;
+            for variant in [Variant::Scalar, Variant::Altivec] {
+                let err = Ppc::with_config(config.clone(), variant).unwrap_err();
+                assert!(matches!(err, SimError::InvalidConfig { .. }), "L{}: {err}", level + 1);
+            }
+        }
+    }
+
+    #[test]
     fn small_workloads_verify_on_both_variants() {
         for mut m in [Ppc::scalar().unwrap(), Ppc::altivec().unwrap()] {
             let w = WorkloadSet::small(4).unwrap();

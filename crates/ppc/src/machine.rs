@@ -1,6 +1,8 @@
 //! Timing accumulator for the G4 baseline: superscalar issue plus
 //! trace-driven cache stalls.
 
+use std::ops::Range;
+
 use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults};
 use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::trace::{NullSink, TraceSink};
@@ -126,9 +128,17 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     /// A load from `word_addr`: one issue slot plus any cache stalls.
     #[inline]
     pub fn load(&mut self, word_addr: usize) {
-        self.instrs += 1;
-        self.mem_words += 1;
-        let (l1, l2) = self.hier.access(word_addr);
+        self.loads(word_addr, 1, 1);
+    }
+
+    /// `times` loads in a row, of `words` words each, from the line
+    /// holding `word_addr`: an issue slot each, and the stalls of the
+    /// first, since the rest hit the line it left in L1.
+    #[inline]
+    fn loads(&mut self, word_addr: usize, times: u64, words: u64) {
+        self.instrs += times;
+        self.mem_words += times * words;
+        let (l1, l2) = self.hier.access_again(word_addr, times - 1);
         if l1 {
             self.load_stall += self.cfg.l1_miss_penalty;
         }
@@ -152,15 +162,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     /// A 4-lane vector load (one instruction touching `lanes` words).
     #[inline]
     pub fn vector_load(&mut self, word_addr: usize) {
-        self.instrs += 1;
-        self.mem_words += self.cfg.vector_lanes as u64;
-        let (l1, l2) = self.hier.access(word_addr);
-        if l1 {
-            self.load_stall += self.cfg.l1_miss_penalty;
-        }
-        if l2 {
-            self.load_stall += self.cfg.l2_load_miss_penalty;
-        }
+        self.loads(word_addr, 1, self.cfg.vector_lanes as u64);
     }
 
     /// A 4-lane vector store.
@@ -191,6 +193,154 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
         self.instrs += accesses;
         self.mem_words += accesses * words;
         true
+    }
+
+    /// Charges one source row of a naive corner turn exactly as its
+    /// per-element loop would: per column a load from `src + c` (or, when
+    /// `vector`, per `vector_lanes` columns one AltiVec vector load, the
+    /// last group partial when the lanes do not divide `cols`), followed by
+    /// the stores to `dst + c·stride` of the columns it loaded. Returns how
+    /// many stores were settled in L1 rather than replayed.
+    ///
+    /// Accesses to different sets of a level do not affect each other, so
+    /// only the loads whose L1 or L2 set a store of the row can reach must
+    /// keep their place among the stores. When `stride` is a whole number
+    /// of lines in both levels and the first store's line is not in L1,
+    /// the stores' lines step through each level's sets in one residue
+    /// class ([`Cache::meeting_span`](crate::cache::Cache::meeting_span)),
+    /// and the loads in that class lie in one span of columns, which is
+    /// replayed in order. On either side of it the loads are charged first
+    /// — the first access to each L1 line replayed, the rest hits on it at
+    /// the front of its set — and then the stores, settled as misses in L1
+    /// and L2 ([`Cache::settle_misses`](crate::cache::Cache::settle_misses)),
+    /// replayed through L2 alone when L2 refuses and through both levels
+    /// when L1 does. Any other row is replayed in order.
+    pub fn transpose_row(
+        &mut self,
+        src: usize,
+        cols: usize,
+        dst: usize,
+        stride: usize,
+        vector: bool,
+    ) -> usize {
+        let Some(span) = self.ordered_span(src, cols, dst, stride, vector) else {
+            self.replay_row(src, 0..cols, dst, stride, vector);
+            return 0;
+        };
+        self.charge_loads(src, 0..span.start, vector);
+        let before = self.charge_stores(dst, 0..span.start, stride);
+        self.replay_row(src, span.clone(), dst, stride, vector);
+        self.charge_loads(src, span.end..cols, vector);
+        before + self.charge_stores(dst, span.end..cols, stride)
+    }
+
+    /// The columns of a [`transpose_row`](Self::transpose_row) row whose
+    /// loads can share an L1 or L2 set with its stores, widened to whole
+    /// load groups; empty at `cols` when there are none. `None` when the
+    /// whole row must be replayed in order: the stride is not a positive
+    /// whole number of lines in both levels, an address overflows, or the
+    /// first store's line is already in L1 (so the stores may hit).
+    fn ordered_span(
+        &self,
+        src: usize,
+        cols: usize,
+        dst: usize,
+        stride: usize,
+        vector: bool,
+    ) -> Option<Range<usize>> {
+        let (l1, l2) = (&self.hier.l1, &self.hier.l2);
+        let (w1, w2) = (l1.config().line_words, l2.config().line_words);
+        let lines_apart = stride > 0 && stride.is_multiple_of(w1) && stride.is_multiple_of(w2);
+        let loads = src..src.checked_add(cols)?;
+        cols.checked_sub(1)?.checked_mul(stride)?.checked_add(dst)?;
+        if !lines_apart || l1.holds(dst) {
+            return None;
+        }
+        let span = [
+            l1.meeting_span(loads.clone(), l1.line(dst), l1.line(stride)),
+            l2.meeting_span(loads.clone(), l2.line(dst), l2.line(stride)),
+        ]
+        .into_iter()
+        .filter(|span| !span.is_empty())
+        .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
+        .unwrap_or(loads.end..loads.end);
+        let grain = if vector { self.cfg.vector_lanes } else { 1 };
+        let (start, end) = (span.start - src, span.end - src);
+        Some(start / grain * grain..end.div_ceil(grain).saturating_mul(grain).min(cols))
+    }
+
+    /// Replays columns `cols` of a [`transpose_row`](Self::transpose_row)
+    /// row in program order; `cols` starts a load group and ends one or
+    /// the row.
+    fn replay_row(
+        &mut self,
+        src: usize,
+        cols: Range<usize>,
+        dst: usize,
+        stride: usize,
+        vector: bool,
+    ) {
+        if !vector {
+            for c in cols {
+                self.load(src + c);
+                self.store(dst + c * stride);
+            }
+            return;
+        }
+        let mut c = cols.start;
+        while c < cols.end {
+            let group = c..(c + self.cfg.vector_lanes).min(cols.end);
+            self.vector_load(src + c);
+            c = group.end;
+            for c in group {
+                self.store(dst + c * stride);
+            }
+        }
+    }
+
+    /// Charges the loads of columns `cols` from `src` on, which share no
+    /// set with the stores they are charged ahead of, one L1 line at a
+    /// time: the first load of a line is replayed, and the ones after it
+    /// hit the line it left at the front of its set.
+    fn charge_loads(&mut self, src: usize, cols: Range<usize>, vector: bool) {
+        // A load moves one word, a vector load one word a lane.
+        let grain = if vector { self.cfg.vector_lanes } else { 1 };
+        let line_words = self.cfg.l1.line_words;
+        let mut c = cols.start;
+        while c < cols.end {
+            let addr = src + c;
+            let left = line_words - (addr - self.hier.l1.line(addr) * line_words);
+            let in_line = left.min(cols.end - c).div_ceil(grain);
+            self.loads(addr, in_line as u64, grain as u64);
+            c += in_line * grain;
+        }
+    }
+
+    /// Charges the stores of columns `cols` to `dst + c·stride`, which
+    /// share no set with the loads charged beside them; returns how many
+    /// were settled in L1 (all of them, or none).
+    fn charge_stores(&mut self, dst: usize, cols: Range<usize>, stride: usize) -> usize {
+        let (count, first) = (cols.len(), dst + cols.start * stride);
+        let l1 = &mut self.hier.l1;
+        if !l1.settle_misses(l1.line(first), l1.line(stride), count, true) {
+            for c in cols {
+                self.store(dst + c * stride);
+            }
+            return 0;
+        }
+        // Every store missed L1, so each one probes L2, in order.
+        let l2 = &mut self.hier.l2;
+        let mut l2_misses = count as u64;
+        if !l2.settle_misses(l2.line(first), l2.line(stride), count, true) {
+            l2_misses = 0;
+            for c in cols {
+                l2_misses += u64::from(l2.access_rw(dst + c * stride, true));
+            }
+        }
+        self.instrs += count as u64;
+        self.mem_words += count as u64;
+        self.store_stall += l2_misses * self.cfg.l2_store_miss_penalty;
+        count
     }
 
     /// The cache hierarchy, for tests that compare its contents.

@@ -1,4 +1,4 @@
-//! Heap allocations of the G4 cache model, counted exactly.
+//! Heap allocations of the G4 cache model and machine, counted exactly.
 //!
 //! This binary holds one test, so nothing else allocates while it counts.
 
@@ -6,6 +6,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use triarch_ppc::cache::{CacheConfig, Hierarchy};
+use triarch_ppc::{PpcConfig, PpcMachine};
 
 /// The system allocator, counting every block it hands out or regrows.
 struct Counting;
@@ -63,4 +64,19 @@ fn a_g4_hierarchy_allocates_once_per_array_and_never_while_filling() {
     assert_eq!(h.l1.evictions() + (l1.sets() * l1.ways) as u64, h.l1.misses(), "L1 is full");
     assert!(built <= 4, "building the hierarchy made {built} allocations");
     assert_eq!(total, built, "filling every set allocated");
+
+    // Once a G4 machine is built, charging every row of a 1024×1024 corner
+    // turn, settled or replayed, allocates nothing.
+    let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
+    let n = 1024;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut settled = 0;
+    for vector in [false, true] {
+        for r in 0..n {
+            settled += m.transpose_row(r * n, n, n * n + r, n, vector);
+        }
+    }
+    let charged = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(settled > 0, "no store was settled");
+    assert_eq!(charged, 0, "charging the corner turn's rows allocated");
 }
