@@ -56,6 +56,20 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+# Each allocation test counts its own thread's heap blocks. Before they
+# did, libtest's main thread could allocate while a test counted, so the
+# count depended on another thread's timing and a single run passed only
+# some of the time; 20 more debug runs each keep that from coming back.
+echo "== allocation tests, 20 more runs each =="
+for run in $(seq 20); do
+  for package in triarch-ppc triarch-viram triarch-fft; do
+    cargo test -q -p "$package" --test allocations >/dev/null || {
+      echo "allocation test of $package failed on repeat $run" >&2
+      exit 1
+    }
+  done
+done
+
 # The VIRAM vector unit's lane loops are vectorized only in optimized code,
 # and a strided address that overflows used to wrap in release where it
 # panicked in debug, so its oracle proptest, allocation test and refusal

@@ -575,18 +575,6 @@ fn select_workloads(
     Ok((driver::workloads(kind)?, kind.name()))
 }
 
-/// The hierarchical prefix under which an architecture's engine exports
-/// its cycle-category counters (Altivec shares the PPC engine).
-fn cycles_prefix(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::Ppc | Architecture::Altivec => "ppc.cycles.",
-        Architecture::Viram => "viram.cycles.",
-        Architecture::Imagine => "imagine.cycles.",
-        Architecture::Raw => "raw.cycles.",
-        Architecture::Dpu => "dpu.cycles.",
-    }
-}
-
 /// Runs the grid and writes per-cell metrics JSON + a Prometheus dump.
 fn run_metrics(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let dir = Path::new(&opts.metrics_dir);
@@ -610,9 +598,11 @@ fn run_metrics(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         }
         // Conservation law: the exported cycle-category counters must
         // re-add to the engine's breakdown and total cycle count exactly.
-        let prefix = cycles_prefix(cell.arch);
+        let engine = cell.arch.engine();
         let drift = run.breakdown_drift(report.iter().filter_map(|(name, metric)| match metric {
-            Metric::Counter(cycles) => Some((name.strip_prefix(prefix)?, *cycles)),
+            Metric::Counter(cycles) => {
+                Some((name.strip_prefix(engine)?.strip_prefix(".cycles.")?, *cycles))
+            }
             _ => None,
         }));
         println!("  {base}: {} metrics, cycle conservation drift {drift}", report.len());

@@ -83,7 +83,7 @@ pub fn ppc_blocked_corner_turn(
     }
     // The tiled loop writes the workload's blocked transpose; check those
     // bits against the golden output.
-    let blocked = (m.finish(), KernelOutput::Words(workload.blocked_transpose(block)?));
+    let blocked = (m.finish()?, KernelOutput::Words(workload.blocked_transpose(block)?));
     let run = verified("PPC tiled corner turn", KernelInput::CornerTurn(workload), blocked)?;
     Ok((naive, run.cycles))
 }

@@ -74,6 +74,20 @@ impl Architecture {
         }
     }
 
+    /// The engine that simulates the machine, and the prefix of the
+    /// metrics its runs export (`"ppc.cycles.issue"`): both G4 rows run
+    /// on `"ppc"`.
+    #[must_use]
+    pub fn engine(self) -> &'static str {
+        match self {
+            Architecture::Ppc | Architecture::Altivec => "ppc",
+            Architecture::Viram => "viram",
+            Architecture::Imagine => "imagine",
+            Architecture::Raw => "raw",
+            Architecture::Dpu => "dpu",
+        }
+    }
+
     /// Parses a display name back into the architecture (the inverse of
     /// [`Architecture::name`], matched case-insensitively). `None` for
     /// anything that is not one of the study's six rows.

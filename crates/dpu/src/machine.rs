@@ -11,12 +11,10 @@
 //! host transfers serialize on the single host↔module interface and are
 //! charged in full as they happen.
 
-use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults, TransferFaults};
+use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults};
 use triarch_simcore::metrics::{Histogram, Metric, MetricsReport};
 use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{
-    CycleBudget, CycleLedger, Cycles, KernelRun, SimError, Verification, WordMemory,
-};
+use triarch_simcore::{CycleBudget, Cycles, KernelRun, RunAccount, SimError, WordMemory};
 
 use crate::config::DpuConfig;
 
@@ -68,21 +66,12 @@ pub struct DpuMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     wram_peak: usize,
     /// Fixed-bucket histogram of per-transfer host↔MRAM cycles.
     host_hist: Histogram,
-    ledger: CycleLedger,
     phase: Option<PhaseAcc>,
-    /// Parallel work hidden under the per-phase makespan.
-    hidden: Cycles,
-    ops: u64,
-    /// Words moved by WRAM↔MRAM DMA (the on-chip interface).
-    mem_words: u64,
-    /// Words moved over the host↔MRAM interface.
+    /// Words moved over the host↔MRAM interface. The run's `mem_words`
+    /// are the words WRAM↔MRAM DMA moves (the on-chip interface).
     host_words: u64,
     launches: u64,
-    budget: CycleBudget,
-    /// Watchdog activity counter: charged cycles plus the parallel DPU
-    /// work hidden under each phase makespan.
-    spent: u64,
-    sink: S,
+    account: RunAccount<S>,
     faults: F,
 }
 
@@ -118,17 +107,11 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             wram_next: 0,
             wram_peak: 0,
             host_hist: Histogram::cycles(),
-            ledger: CycleLedger::new(),
             phase: None,
-            hidden: Cycles::ZERO,
-            ops: 0,
-            mem_words: 0,
             host_words: 0,
             launches: 0,
-            budget,
-            spent: 0,
+            account: RunAccount::new("dpu", sink, budget).hiding(),
             cfg: cfg.clone(),
-            sink,
             faults,
         })
     }
@@ -201,25 +184,6 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         self.wram_next = 0;
     }
 
-    /// Emits a counted span and charges the breakdown.
-    fn charge(
-        &mut self,
-        track: &'static str,
-        category: &'static str,
-        name: &'static str,
-        cycles: Cycles,
-    ) {
-        if cycles == Cycles::ZERO {
-            return;
-        }
-        self.spent += cycles.get();
-        if self.sink.is_enabled() {
-            let at = self.ledger.total().get();
-            self.sink.span(track, category, name, at, cycles.get());
-        }
-        self.ledger.charge(category, cycles);
-    }
-
     /// Cycles for one host↔MRAM bulk transfer of `len` words.
     fn host_cost(&self, len: usize) -> u64 {
         self.cfg.host_startup + (len as u64).div_ceil(self.cfg.host_words_per_cycle)
@@ -248,7 +212,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         let cost = self.host_cost(len);
         self.host_hist.observe(cost);
         self.host_words += len as u64;
-        self.charge(TRACK_HOST, "host_xfer", "host-to-mram", Cycles::new(cost));
+        self.account.charge(TRACK_HOST, "host_xfer", "host-to-mram", Cycles::new(cost));
         if self.faults.is_enabled() {
             // Words crossing the host↔module interface: flips corrupt the
             // MRAM copy (the data in flight), not the host original.
@@ -258,9 +222,9 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
                 let word = self.mram.read_u32(a)?;
                 self.mram.write_u32(a, word ^ flip.xor_mask)?;
             }
-            self.apply_fault_costs(&fx)?;
+            self.account.charge_faults(TRACK_HOST, "transfer-retry", &fx)?;
         }
-        self.budget.check(self.spent)
+        self.account.check()
     }
 
     /// Bulk-pulls `len` words of one DPU's MRAM bank back to host memory.
@@ -293,7 +257,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         let cost = self.host_cost(len);
         self.host_hist.observe(cost);
         self.host_words += len as u64;
-        self.charge(TRACK_HOST, "host_xfer", "mram-to-host", Cycles::new(cost));
+        self.account.charge(TRACK_HOST, "host_xfer", "mram-to-host", Cycles::new(cost));
         if self.faults.is_enabled() {
             // Words leaving over the interface: flips corrupt the host
             // destination.
@@ -303,9 +267,9 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
                 let word = self.host.read_u32(a)?;
                 self.host.write_u32(a, word ^ flip.xor_mask)?;
             }
-            self.apply_fault_costs(&fx)?;
+            self.account.charge_faults(TRACK_HOST, "transfer-retry", &fx)?;
         }
-        self.budget.check(self.spent)
+        self.account.check()
     }
 
     /// Boots the tasklets: opens a parallel DPU phase.
@@ -319,16 +283,15 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             return Err(SimError::unsupported("launch inside an open DPU phase"));
         }
         self.launches += 1;
-        self.charge(TRACK_HOST, "launch", "tasklet-boot", Cycles::new(self.cfg.launch_cycles));
-        if self.sink.is_enabled() {
-            self.sink.instant(TRACK_PIPELINE, "phase-begin", self.ledger.total().get());
-        }
+        let boot = Cycles::new(self.cfg.launch_cycles);
+        self.account.charge(TRACK_HOST, "launch", "tasklet-boot", boot);
+        self.account.mark(TRACK_PIPELINE, "phase-begin");
         self.phase = Some(PhaseAcc {
             dma: vec![0; self.cfg.dpus()],
             instrs: vec![0; self.cfg.dpus()],
             dma_spent: 0,
         });
-        self.budget.check(self.spent)
+        self.account.check()
     }
 
     /// The open phase, or a typed error naming the misused operation.
@@ -355,12 +318,11 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         let base = self.mram_addr(dpu, mram_off, len)?;
         self.wram.copy_from(dst.start, &self.mram, base, len)?;
         let cost = self.dma_cost(len);
-        self.mem_words += len as u64;
-        let spent = self.spent;
+        self.account.add_words(len as u64);
         let acc = self.phase_mut("dma_read outside a launched phase")?;
         acc.dma[dpu] += cost;
         acc.dma_spent += cost;
-        let bound = spent + acc.dma_spent;
+        let pending = acc.dma_spent;
         if self.faults.is_enabled() {
             // Words crossing the bank interface: flips corrupt the WRAM
             // copy.
@@ -370,9 +332,9 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
                 let word = self.wram.read_u32(a)?;
                 self.wram.write_u32(a, word ^ flip.xor_mask)?;
             }
-            self.apply_fault_costs(&fx)?;
+            self.account.charge_faults(TRACK_HOST, "transfer-retry", &fx)?;
         }
-        self.budget.check(bound)
+        self.account.check_with(pending)
     }
 
     /// DMA `len` words from one DPU's WRAM back into its MRAM bank.
@@ -394,12 +356,11 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         let base = self.mram_addr(dpu, mram_off, len)?;
         self.mram.copy_from(base, &self.wram, src.start, len)?;
         let cost = self.dma_cost(len);
-        self.mem_words += len as u64;
-        let spent = self.spent;
+        self.account.add_words(len as u64);
         let acc = self.phase_mut("dma_write outside a launched phase")?;
         acc.dma[dpu] += cost;
         acc.dma_spent += cost;
-        let bound = spent + acc.dma_spent;
+        let pending = acc.dma_spent;
         if self.faults.is_enabled() {
             // Words landing in the bank: flips corrupt the MRAM copy.
             let fx = self.faults.transfer(FaultDomain::Dram, base, len);
@@ -408,9 +369,9 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
                 let word = self.mram.read_u32(a)?;
                 self.mram.write_u32(a, word ^ flip.xor_mask)?;
             }
-            self.apply_fault_costs(&fx)?;
+            self.account.charge_faults(TRACK_HOST, "transfer-retry", &fx)?;
         }
-        self.budget.check(bound)
+        self.account.check_with(pending)
     }
 
     /// Issues `instrs` pipeline instructions on one DPU, of which `ops`
@@ -424,7 +385,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         if dpu >= self.cfg.dpus() {
             return Err(SimError::capacity("dpu index", dpu + 1, self.cfg.dpus()));
         }
-        self.ops += ops;
+        self.account.add_ops(ops);
         let acc = self.phase_mut("exec outside a launched phase")?;
         acc.instrs[dpu] += instrs;
         Ok(())
@@ -448,43 +409,23 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         let dma_sum: u64 = acc.dma.iter().sum();
         let pipe_max = pipe.iter().copied().max().unwrap_or(0);
         let pipe_sum: u64 = pipe.iter().sum();
-        self.charge(TRACK_DMA, "mram_dma", "wram-mram-dma", Cycles::new(dma_max));
-        self.charge(TRACK_PIPELINE, "tasklet", "revolving-pipeline", Cycles::new(pipe_max));
-        if self.sink.is_enabled() {
-            self.sink.instant(TRACK_PIPELINE, "phase-end", self.ledger.total().get());
-        }
-        let hidden = (dma_sum - dma_max) + (pipe_sum - pipe_max);
-        self.spent += hidden;
-        self.hidden += Cycles::new(hidden);
-        self.budget.check(self.spent)
-    }
-
-    /// Charges a fault verdict's ECC/retry costs and converts a failure
-    /// into [`SimError::DetectedFault`].
-    fn apply_fault_costs(&mut self, fx: &TransferFaults) -> Result<(), SimError> {
-        self.charge(TRACK_HOST, "ecc", "ecc-correct", Cycles::new(fx.ecc_cycles));
-        self.charge(TRACK_HOST, "retry", "transfer-retry", Cycles::new(fx.retry_cycles));
-        match &fx.failure {
-            Some(what) => Err(SimError::detected_fault(what.clone())),
-            None => Ok(()),
-        }
+        let account = &mut self.account;
+        account.charge(TRACK_DMA, "mram_dma", "wram-mram-dma", Cycles::new(dma_max));
+        account.charge(TRACK_PIPELINE, "tasklet", "revolving-pipeline", Cycles::new(pipe_max));
+        account.mark(TRACK_PIPELINE, "phase-end");
+        account.hide((dma_sum - dma_max) + (pipe_sum - pipe_max));
+        account.check()
     }
 
     /// Total cycles charged so far.
     #[must_use]
     pub fn cycles(&self) -> Cycles {
-        self.ledger.total()
+        self.account.cycles()
     }
 
-    /// Parallel DPU cycles hidden under the phase makespans.
-    #[must_use]
-    pub fn hidden_cycles(&self) -> Cycles {
-        self.hidden
-    }
-
-    /// Consumes the machine into a [`KernelRun`] whose verification is
-    /// left [`Verification::Unchecked`]: the program returns its output
-    /// beside the run, and the blanket `SignalMachine` impl checks it.
+    /// Consumes the machine into its [`KernelRun`] (see
+    /// [`RunAccount::finish`]): the program returns its output beside the
+    /// run, and the blanket `SignalMachine` impl checks it.
     ///
     /// # Errors
     ///
@@ -493,36 +434,20 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         if self.phase.is_some() {
             return Err(SimError::unsupported("finish with open DPU phase"));
         }
-        let breakdown = self.ledger.into_breakdown();
-        let total = breakdown.total();
         let mut metrics = MetricsReport::new();
-        breakdown.export_metrics(&mut metrics, "dpu.cycles");
-        self.budget.export_metrics(&mut metrics, "dpu.budget", self.spent);
         metrics.ratio("dpu.wram.occupancy", self.wram_peak as u64, self.cfg.wram_words as u64);
         metrics.counter("dpu.wram.peak_words", self.wram_peak as u64);
-        metrics.counter("dpu.run.ops", self.ops);
-        metrics.counter("dpu.run.mem_words", self.mem_words);
-        metrics.counter("dpu.run.hidden_cycles", self.hidden.get());
         metrics.counter("dpu.host.words", self.host_words);
         metrics.counter("dpu.host.launches", self.launches);
-        metrics.bandwidth("dpu.run.achieved_bw", self.mem_words, total.get());
-        metrics.bandwidth("dpu.run.achieved_ops", self.ops, total.get());
         metrics.set("dpu.host.xfer_cycles", Metric::Histogram(self.host_hist));
-        Ok(KernelRun {
-            cycles: total,
-            breakdown,
-            ops_executed: self.ops,
-            mem_words: self.mem_words,
-            verification: Verification::Unchecked,
-            metrics,
-        })
+        self.account.finish(metrics)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triarch_simcore::faults::StuckFault;
+    use triarch_simcore::faults::{StuckFault, TransferFaults};
 
     fn machine() -> DpuMachine {
         DpuMachine::new(&DpuConfig::paper()).unwrap()
@@ -555,7 +480,7 @@ mod tests {
         m.host_pull(3, 100, 500, 4).unwrap();
         assert_eq!(m.host().read_block_u32(500, 4).unwrap(), vec![1, 2, 3, 4]);
         assert!(m.cycles() > Cycles::ZERO);
-        assert_eq!(m.ledger.get("host_xfer").get(), 2 * (64 + 1));
+        assert_eq!(m.finish().unwrap().breakdown.get("host_xfer").get(), 2 * (64 + 1));
     }
 
     #[test]
@@ -567,11 +492,12 @@ mod tests {
         let r = m.wram_alloc(8).unwrap();
         m.dma_read(0, 0, r, 8).unwrap();
         m.dma_write(0, r, 64, 8).unwrap();
-        assert_eq!(m.ledger.get("mram_dma"), Cycles::ZERO, "charged only at sync");
+        let launched = m.cycles();
         m.sync().unwrap();
-        assert_eq!(m.ledger.get("mram_dma").get(), 2 * (32 + 8));
+        assert_eq!(m.cycles() - launched, Cycles::new(2 * (32 + 8)), "charged only at sync");
         m.host_pull(0, 64, 100, 8).unwrap();
         assert_eq!(m.host().read_block_u32(100, 8).unwrap(), vec![9; 8]);
+        assert_eq!(m.finish().unwrap().breakdown.get("mram_dma").get(), 2 * (32 + 8));
     }
 
     #[test]
@@ -581,7 +507,7 @@ mod tests {
         m.launch().unwrap();
         m.exec(0, 1100, 0).unwrap();
         m.sync().unwrap();
-        assert_eq!(m.ledger.get("tasklet").get(), 1100);
+        assert_eq!(m.finish().unwrap().breakdown.get("tasklet").get(), 1100);
         // 2 tasklets leave 9 of 11 slots revolving empty.
         let mut cfg = DpuConfig::paper();
         cfg.tasklets = 2;
@@ -589,7 +515,7 @@ mod tests {
         m.launch().unwrap();
         m.exec(0, 1100, 0).unwrap();
         m.sync().unwrap();
-        assert_eq!(m.ledger.get("tasklet").get(), 1100 * 11 / 2);
+        assert_eq!(m.finish().unwrap().breakdown.get("tasklet").get(), 1100 * 11 / 2);
     }
 
     #[test]
@@ -599,8 +525,9 @@ mod tests {
         m.exec(0, 100, 0).unwrap();
         m.exec(1, 300, 0).unwrap();
         m.sync().unwrap();
-        assert_eq!(m.ledger.get("tasklet").get(), 300);
-        assert_eq!(m.hidden_cycles().get(), 100);
+        let run = m.finish().unwrap();
+        assert_eq!(run.breakdown.get("tasklet").get(), 300);
+        assert_eq!(run.metrics.counter_value("dpu.run.hidden_cycles"), Some(100));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The Imagine execution engine: SRF, memory streams, and cluster kernels.
 
-use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults, TransferFaults};
+use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults};
 use triarch_simcore::metrics::{Histogram, Metric, MetricsReport};
 use triarch_simcore::trace::{NullSink, TraceSink};
 use triarch_simcore::{
-    AccessPattern, CycleBudget, CycleLedger, Cycles, DramModel, KernelRun, SimError, Verification,
+    AccessPattern, CycleBudget, Cycles, DramModel, KernelRun, Residue, RunAccount, SimError,
     WordMemory,
 };
 
@@ -59,18 +59,6 @@ pub struct SrfRange {
     pub len: usize,
 }
 
-#[derive(Debug, Default, Clone)]
-struct OverlapAcc {
-    /// Per-category totals for each side of the region: [`CycleLedger`]s
-    /// keep `&'static str` keys in first-charge order so the winner can
-    /// be replayed as counted trace spans at
-    /// [`ImagineMachine::end_overlap`].
-    mem: CycleLedger,
-    kernel: CycleLedger,
-    /// Cycle cursor (== charged total) when the region opened.
-    start: u64,
-}
-
 /// The Imagine machine state: off-chip DRAM, SRF, clusters, accounting.
 ///
 /// Generic over a [`TraceSink`] and a [`FaultHook`]; the defaults
@@ -88,16 +76,7 @@ pub struct ImagineMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     srf_peak: usize,
     /// Fixed-bucket histogram of per-stream DRAM occupancy cycles.
     mem_hist: Histogram,
-    ledger: CycleLedger,
-    hidden: Cycles,
-    ops: u64,
-    mem_words: u64,
-    overlap: Option<OverlapAcc>,
-    budget: CycleBudget,
-    /// Watchdog activity counter: all charged cycles, including both sides
-    /// of an overlap region.
-    spent: u64,
-    sink: S,
+    account: RunAccount<S>,
     faults: F,
 }
 
@@ -133,15 +112,8 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
             srf_next: 0,
             srf_peak: 0,
             mem_hist: Histogram::cycles(),
-            ledger: CycleLedger::new(),
-            hidden: Cycles::ZERO,
-            ops: 0,
-            mem_words: 0,
-            overlap: None,
-            budget,
-            spent: 0,
+            account: RunAccount::new("imagine", sink, budget).hiding(),
             cfg: cfg.clone(),
-            sink,
             faults,
         })
     }
@@ -213,57 +185,13 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         Ok(())
     }
 
-    fn charge(&mut self, is_mem: bool, category: &'static str, name: &'static str, cycles: Cycles) {
-        if cycles == Cycles::ZERO {
-            return;
-        }
-        self.spent += cycles.get();
-        let track = if is_mem { TRACK_MEM } else { TRACK_CLUSTER };
-        match &mut self.overlap {
-            Some(acc) => {
-                let side = if is_mem { &mut acc.mem } else { &mut acc.kernel };
-                if self.sink.is_enabled() {
-                    // Inside an overlap region only the slower side will be
-                    // charged (at end_overlap); per-op spans here are
-                    // uncounted detail on each side's own timeline.
-                    let at = acc.start + side.total().get();
-                    self.sink.span_uncounted(track, category, name, at, cycles.get());
-                }
-                side.charge(category, cycles);
-            }
-            None => {
-                if self.sink.is_enabled() {
-                    let at = self.ledger.total().get();
-                    self.sink.span(track, category, name, at, cycles.get());
-                }
-                self.ledger.charge(category, cycles);
-            }
-        }
-    }
-
-    /// Cycle cursor for the memory side (used to position DRAM detail spans).
-    fn mem_cursor(&self) -> u64 {
-        match &self.overlap {
-            Some(acc) => acc.start + acc.mem.total().get(),
-            None => self.ledger.total().get(),
-        }
-    }
-
     /// Opens a stream/kernel overlap region.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if one is already open.
     pub fn begin_overlap(&mut self) -> Result<(), SimError> {
-        if self.overlap.is_some() {
-            return Err(SimError::unsupported("nested overlap regions"));
-        }
-        let start = self.ledger.total().get();
-        if self.sink.is_enabled() {
-            self.sink.instant(TRACK_CLUSTER, "overlap-begin", start);
-        }
-        self.overlap = Some(OverlapAcc { start, ..OverlapAcc::default() });
-        Ok(())
+        self.account.begin_region(TRACK_MEM, TRACK_CLUSTER)
     }
 
     /// Closes the overlap region. The slower side is charged in full; a
@@ -271,50 +199,12 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     /// `"unoverlapped"` (the stream-descriptor-register limit), and the
     /// rest is hidden.
     ///
-    /// When tracing, the winning side's per-category totals plus the
-    /// visible `"unoverlapped"` residue are emitted as *counted* spans
-    /// tiling the charged interval, so the trace aggregation reproduces
-    /// the breakdown exactly while the per-op detail recorded during the
-    /// region stays uncounted.
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if no region is open.
     pub fn end_overlap(&mut self) -> Result<(), SimError> {
-        let acc = self
-            .overlap
-            .take()
-            .ok_or_else(|| SimError::unsupported("end_overlap without begin_overlap"))?;
-        let mem_total = acc.mem.total();
-        let kernel_total = acc.kernel.total();
-        let (winner, winner_track, loser_total) = if mem_total >= kernel_total {
-            (&acc.mem, TRACK_MEM, kernel_total)
-        } else {
-            (&acc.kernel, TRACK_CLUSTER, mem_total)
-        };
-        let visible = loser_total.scale(self.cfg.descriptor_penalty);
-        if self.sink.is_enabled() {
-            let mut t = acc.start;
-            for (category, cycles) in winner.iter() {
-                self.sink.span(winner_track, category, "overlap-charged", t, cycles.get());
-                t += cycles.get();
-            }
-            self.sink.span(
-                TRACK_CLUSTER,
-                "unoverlapped",
-                "descriptor-limit-residue",
-                t,
-                visible.get(),
-            );
-            self.sink.instant(TRACK_CLUSTER, "overlap-end", t + visible.get());
-        }
-        for (category, cycles) in winner.iter() {
-            self.ledger.charge(category, cycles);
-        }
-        self.ledger.charge("unoverlapped", visible);
-        self.spent += visible.get();
-        self.hidden += loser_total.saturating_sub(visible);
-        self.budget.check(self.spent)
+        let fraction = self.cfg.descriptor_penalty;
+        self.account.end_region(Some(Residue { fraction, name: "descriptor-limit-residue" }))
     }
 
     /// Streams `len` words from off-chip memory into the SRF.
@@ -350,19 +240,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 }
             }
         }
-        let cursor = self.mem_cursor();
-        let cost = self.dram.transfer_observed(
-            mem_addr,
-            len,
-            pattern,
-            &mut self.sink,
-            TRACK_DRAM,
-            cursor,
-        )?;
-        self.mem_hist.observe(cost.total.get());
-        self.mem_words += len as u64;
-        self.charge(true, "memory", "stream-in", cost.data + cost.startup);
-        self.charge(true, "precharge", "row-precharge-activate", cost.overhead);
+        self.charge_stream(mem_addr, len, pattern, "stream-in")?;
         if self.faults.is_enabled() {
             // Words arriving over the DRAM interface: flips corrupt the SRF
             // copy (the data in flight), not the off-chip original.
@@ -372,9 +250,9 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 let word = self.srf.read_u32(a)?;
                 self.srf.write_u32(a, word ^ flip.xor_mask)?;
             }
-            self.apply_fault_costs(&fx)?;
+            self.account.charge_faults(TRACK_MEM, "dram-retry", &fx)?;
         }
-        self.budget.check(self.spent)
+        self.account.check()
     }
 
     /// Streams `len` words from the SRF out to off-chip memory.
@@ -432,19 +310,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 }
             }
         }
-        let cursor = self.mem_cursor();
-        let cost = self.dram.transfer_observed(
-            mem_addr,
-            len,
-            pattern,
-            &mut self.sink,
-            TRACK_DRAM,
-            cursor,
-        )?;
-        self.mem_hist.observe(cost.total.get());
-        self.mem_words += len as u64;
-        self.charge(true, "memory", "stream-out", cost.data + cost.startup);
-        self.charge(true, "precharge", "row-precharge-activate", cost.overhead);
+        self.charge_stream(mem_addr, len, pattern, "stream-out")?;
         if self.faults.is_enabled() {
             // Words leaving over the DRAM interface: flips corrupt the
             // off-chip destination.
@@ -454,9 +320,9 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
                 let word = self.mem.read_u32(a)?;
                 self.mem.write_u32(a, word ^ flip.xor_mask)?;
             }
-            self.apply_fault_costs(&fx)?;
+            self.account.charge_faults(TRACK_MEM, "dram-retry", &fx)?;
         }
-        self.budget.check(self.spent)
+        self.account.check()
     }
 
     /// Refuses a stream of `len` words unless every one lies in memory
@@ -495,15 +361,22 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         first.map_or(Ok(()), Err)
     }
 
-    /// Charges a fault verdict's ECC/retry costs and converts a failure
-    /// into [`SimError::DetectedFault`].
-    fn apply_fault_costs(&mut self, fx: &TransferFaults) -> Result<(), SimError> {
-        self.charge(true, "ecc", "ecc-correct", Cycles::new(fx.ecc_cycles));
-        self.charge(true, "retry", "dram-retry", Cycles::new(fx.retry_cycles));
-        match &fx.failure {
-            Some(what) => Err(SimError::detected_fault(what.clone())),
-            None => Ok(()),
-        }
+    /// Charges a stream's DRAM transfer on the memory side.
+    fn charge_stream(
+        &mut self,
+        mem_addr: usize,
+        len: usize,
+        pattern: AccessPattern,
+        name: &'static str,
+    ) -> Result<(), SimError> {
+        let cursor = self.account.mem_cursor();
+        let sink = self.account.sink();
+        let cost = self.dram.transfer_observed(mem_addr, len, pattern, sink, TRACK_DRAM, cursor)?;
+        self.mem_hist.observe(cost.total.get());
+        self.account.add_words(len as u64);
+        self.account.charge(TRACK_MEM, "memory", name, cost.data + cost.startup);
+        self.account.charge(TRACK_MEM, "precharge", "row-precharge-activate", cost.overhead);
+        Ok(())
     }
 
     /// Charges one kernel invocation: the inner loop retires at the
@@ -513,19 +386,19 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BudgetExceeded`] once the watchdog budget is
-    /// exhausted.
+    /// Returns [`SimError::Unsupported`], charging nothing, for a division
+    /// on a machine with no dividers, and [`SimError::BudgetExceeded`]
+    /// once the watchdog budget is exhausted.
     pub fn kernel_exec(&mut self, ops: ClusterOps) -> Result<(), SimError> {
+        if ops.divs > 0 && self.cfg.dividers == 0 {
+            return Err(SimError::unsupported(
+                "a kernel that divides, on clusters with no divider",
+            ));
+        }
         let c = self.cfg.clusters as u64;
         let add_cycles = ops.adds.div_ceil(c * self.cfg.adders as u64);
         let mul_cycles = ops.muls.div_ceil(c * self.cfg.multipliers as u64);
-        let div_cycles = if self.cfg.dividers > 0 {
-            ops.divs.div_ceil(c * self.cfg.dividers as u64)
-        } else if ops.divs > 0 {
-            u64::MAX
-        } else {
-            0
-        };
+        let div_cycles = ops.divs.div_ceil(c * (self.cfg.dividers as u64).max(1));
         let comm_cycles = ops.comms.div_ceil(c);
         let loop_cycles = add_cycles.max(mul_cycles).max(div_cycles);
         // Communication shares the VLIW schedule, but data-exchange
@@ -533,63 +406,35 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         // arithmetic bound could hide it.
         let comm_exposed = (comm_cycles as f64 * self.cfg.comm_exposure).ceil() as u64;
         let comm_extra = comm_cycles.saturating_sub(loop_cycles).max(comm_exposed.min(comm_cycles));
-        self.ops += ops.arithmetic();
-        self.charge(false, "kernel", "kernel-loop", Cycles::new(loop_cycles));
-        self.charge(false, "comm", "comm-exposed", Cycles::new(comm_extra));
-        self.charge(
-            false,
-            "prologue",
-            "sw-pipeline-prologue",
-            Cycles::new(self.cfg.kernel_startup),
-        );
-        self.budget.check(self.spent)
+        self.account.add_ops(ops.arithmetic());
+        let account = &mut self.account;
+        account.charge(TRACK_CLUSTER, "kernel", "kernel-loop", Cycles::new(loop_cycles));
+        account.charge(TRACK_CLUSTER, "comm", "comm-exposed", Cycles::new(comm_extra));
+        let prologue = Cycles::new(self.cfg.kernel_startup);
+        account.charge(TRACK_CLUSTER, "prologue", "sw-pipeline-prologue", prologue);
+        account.check()
     }
 
     /// Total cycles charged so far.
     #[must_use]
     pub fn cycles(&self) -> Cycles {
-        self.ledger.total()
+        self.account.cycles()
     }
 
-    /// Cycles hidden by stream/kernel overlap.
-    #[must_use]
-    pub fn hidden_cycles(&self) -> Cycles {
-        self.hidden
-    }
-
-    /// Consumes the machine into a [`KernelRun`] whose verification is
-    /// left [`Verification::Unchecked`]: the program returns its output
-    /// beside the run, and the blanket `SignalMachine` impl checks it.
+    /// Consumes the machine into its [`KernelRun`] (see
+    /// [`RunAccount::finish`]): the program returns its output beside the
+    /// run, and the blanket `SignalMachine` impl checks it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if an overlap region is open.
     pub fn finish(self) -> Result<KernelRun, SimError> {
-        if self.overlap.is_some() {
-            return Err(SimError::unsupported("finish with open overlap region"));
-        }
-        let breakdown = self.ledger.into_breakdown();
-        let total = breakdown.total();
         let mut metrics = MetricsReport::new();
-        breakdown.export_metrics(&mut metrics, "imagine.cycles");
         self.dram.export_metrics(&mut metrics, "imagine.dram");
-        self.budget.export_metrics(&mut metrics, "imagine.budget", self.spent);
         metrics.ratio("imagine.srf.occupancy", self.srf_peak as u64, self.cfg.srf_words as u64);
         metrics.counter("imagine.srf.peak_words", self.srf_peak as u64);
-        metrics.counter("imagine.run.ops", self.ops);
-        metrics.counter("imagine.run.mem_words", self.mem_words);
-        metrics.counter("imagine.run.hidden_cycles", self.hidden.get());
-        metrics.bandwidth("imagine.run.achieved_bw", self.mem_words, total.get());
-        metrics.bandwidth("imagine.run.achieved_ops", self.ops, total.get());
         metrics.set("imagine.mem.xfer_cycles", Metric::Histogram(self.mem_hist));
-        Ok(KernelRun {
-            cycles: total,
-            breakdown,
-            ops_executed: self.ops,
-            mem_words: self.mem_words,
-            verification: Verification::Unchecked,
-            metrics,
-        })
+        self.account.finish(metrics)
     }
 }
 
@@ -608,7 +453,7 @@ fn block_runs(pattern: AccessPattern, len: usize) -> Option<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triarch_simcore::faults::StuckFault;
+    use triarch_simcore::faults::{StuckFault, TransferFaults};
 
     fn machine() -> ImagineMachine {
         ImagineMachine::new(&ImagineConfig::paper()).unwrap()
@@ -851,27 +696,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn kernel_exec_uses_busiest_unit() {
+    /// The breakdown of one kernel invocation on a fresh paper machine.
+    fn kernel_breakdown(ops: ClusterOps) -> triarch_simcore::CycleBreakdown {
         let mut m = machine();
-        // 4800 adds over 8 clusters x 3 adders = 200 cycles.
-        m.kernel_exec(ClusterOps { adds: 4_800, ..Default::default() }).unwrap();
-        assert_eq!(m.breakdown_get("kernel"), 200);
-        // 4800 muls over 8 clusters x 2 multipliers = 300 cycles.
-        let mut m = machine();
-        m.kernel_exec(ClusterOps { muls: 4_800, ..Default::default() }).unwrap();
-        assert_eq!(m.breakdown_get("kernel"), 300);
-        // Communication beyond the arithmetic bound shows separately.
-        let mut m = machine();
-        m.kernel_exec(ClusterOps { adds: 240, comms: 800, ..Default::default() }).unwrap();
-        assert_eq!(m.breakdown_get("kernel"), 10);
-        assert_eq!(m.breakdown_get("comm"), 90);
+        m.kernel_exec(ops).unwrap();
+        m.finish().unwrap().breakdown
     }
 
-    impl ImagineMachine {
-        fn breakdown_get(&self, cat: &str) -> u64 {
-            self.ledger.get(cat).get()
-        }
+    #[test]
+    fn kernel_exec_uses_busiest_unit() {
+        // 4800 adds over 8 clusters x 3 adders = 200 cycles.
+        let b = kernel_breakdown(ClusterOps { adds: 4_800, ..Default::default() });
+        assert_eq!(b.get("kernel").get(), 200);
+        // 4800 muls over 8 clusters x 2 multipliers = 300 cycles.
+        let b = kernel_breakdown(ClusterOps { muls: 4_800, ..Default::default() });
+        assert_eq!(b.get("kernel").get(), 300);
+        // Communication beyond the arithmetic bound shows separately.
+        let b = kernel_breakdown(ClusterOps { adds: 240, comms: 800, ..Default::default() });
+        assert_eq!(b.get("kernel").get(), 10);
+        assert_eq!(b.get("comm").get(), 90);
+    }
+
+    #[test]
+    fn a_division_without_dividers_is_refused_before_anything_is_charged() {
+        let mut cfg = ImagineConfig::paper();
+        cfg.dividers = 0;
+        let budget = CycleBudget::limited(1_000_000);
+        let run = |divide: bool| {
+            let mut m = ImagineMachine::with_hooks(&cfg, NullSink, NoFaults, budget).unwrap();
+            m.kernel_exec(ClusterOps { adds: 96, ..Default::default() }).unwrap();
+            let before = m.cycles();
+            if divide {
+                let err = m.kernel_exec(ClusterOps { divs: 1, ..Default::default() }).unwrap_err();
+                assert!(matches!(err, SimError::Unsupported { .. }), "{err}");
+                assert_eq!(m.cycles(), before);
+            }
+            m.kernel_exec(ClusterOps { muls: 16, ..Default::default() }).unwrap();
+            m.finish().unwrap()
+        };
+        let (refused, plain) = (run(true), run(false));
+        assert_eq!(refused.cycles, plain.cycles);
+        assert_eq!(refused.breakdown, plain.breakdown);
+        assert_eq!(refused.metrics, plain.metrics);
+        assert_eq!(refused.ops_executed, plain.ops_executed);
     }
 
     #[test]
@@ -899,10 +766,10 @@ mod tests {
         m.kernel_exec(ClusterOps { adds: 48, ..Default::default() }).unwrap();
         m.end_overlap().unwrap();
         // Memory dominates; a fraction of the kernel remains visible.
-        assert!(m.breakdown_get("unoverlapped") > 0);
-        assert!(
-            m.hidden_cycles() > Cycles::ZERO || ImagineConfig::paper().descriptor_penalty == 1.0
-        );
+        let run = m.finish().unwrap();
+        assert!(run.breakdown.get("unoverlapped") > Cycles::ZERO);
+        let hidden = run.metrics.counter_value("imagine.run.hidden_cycles");
+        assert!(hidden > Some(0) || ImagineConfig::paper().descriptor_penalty == 1.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::ops::Range;
 use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults};
 use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::trace::{NullSink, TraceSink};
-use triarch_simcore::{CycleBudget, CycleLedger, Cycles, KernelRun, SimError, Verification};
+use triarch_simcore::{CycleBudget, Cycles, KernelRun, RunAccount, SimError};
 
 use crate::cache::{Block, Hierarchy};
 use crate::config::PpcConfig;
@@ -33,11 +33,10 @@ pub struct PpcMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     store_stall: u64,
     ecc_stall: u64,
     retry_stall: u64,
-    ops: u64,
-    mem_words: u64,
-    sink: S,
+    /// Charged only at [`finish`](Self::finish); until then it carries the
+    /// sink, the budget, and the operation and word counts.
+    account: RunAccount<S>,
     faults: F,
-    budget: CycleBudget,
 }
 
 impl PpcMachine<NullSink, NoFaults> {
@@ -75,11 +74,8 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
             store_stall: 0,
             ecc_stall: 0,
             retry_stall: 0,
-            ops: 0,
-            mem_words: 0,
-            sink,
+            account: RunAccount::new("ppc", sink, budget),
             faults,
-            budget,
         })
     }
 
@@ -93,14 +89,14 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     #[inline]
     pub fn serial_ops(&mut self, n: u64) {
         self.serial_cycles += n;
-        self.ops += n;
+        self.account.add_ops(n);
     }
 
     /// Counts `n` arithmetic operations that issue superscalar.
     #[inline]
     pub fn alu_ops(&mut self, n: u64) {
         self.instrs += n;
-        self.ops += n;
+        self.account.add_ops(n);
     }
 
     /// Counts `n` AltiVec vector operations (each is one instruction but
@@ -108,7 +104,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     #[inline]
     pub fn vector_ops(&mut self, n: u64) {
         self.instrs += n;
-        self.ops += n * self.cfg.vector_lanes as u64;
+        self.account.add_ops(n * self.cfg.vector_lanes as u64);
     }
 
     /// Issues `n` dependent AltiVec operations (serial chain, one per
@@ -116,7 +112,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     #[inline]
     pub fn serial_vector_ops(&mut self, n: u64) {
         self.serial_cycles += n;
-        self.ops += n * self.cfg.vector_lanes as u64;
+        self.account.add_ops(n * self.cfg.vector_lanes as u64);
     }
 
     /// Scalar trigonometric library calls.
@@ -137,7 +133,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     #[inline]
     fn loads(&mut self, word_addr: usize, times: u64, words: u64) {
         self.instrs += times;
-        self.mem_words += times * words;
+        self.account.add_words(times * words);
         let (l1, l2) = self.hier.access_again(word_addr, times - 1);
         if l1 {
             self.load_stall += self.cfg.l1_miss_penalty;
@@ -152,7 +148,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     #[inline]
     pub fn store(&mut self, word_addr: usize) {
         self.instrs += 1;
-        self.mem_words += 1;
+        self.account.add_words(1);
         let (_, l2) = self.hier.access_rw(word_addr, true);
         if l2 {
             self.store_stall += self.cfg.l2_store_miss_penalty;
@@ -169,7 +165,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     #[inline]
     pub fn vector_store(&mut self, word_addr: usize) {
         self.instrs += 1;
-        self.mem_words += self.cfg.vector_lanes as u64;
+        self.account.add_words(self.cfg.vector_lanes as u64);
         let (_, l2) = self.hier.access_rw(word_addr, true);
         if l2 {
             self.store_stall += self.cfg.l2_store_miss_penalty;
@@ -191,7 +187,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
         }
         let words = if vector { self.cfg.vector_lanes as u64 } else { 1 };
         self.instrs += accesses;
-        self.mem_words += accesses * words;
+        self.account.add_words(accesses * words);
         true
     }
 
@@ -338,7 +334,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
             }
         }
         self.instrs += count as u64;
-        self.mem_words += count as u64;
+        self.account.add_words(count as u64);
         self.store_stall += l2_misses * self.cfg.l2_store_miss_penalty;
         count
     }
@@ -373,7 +369,7 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     /// Returns [`SimError::BudgetExceeded`] once the budget is passed.
     #[inline]
     pub fn check_budget(&self) -> Result<(), SimError> {
-        self.budget.check(self.cycles().get())
+        self.account.check_with(self.cycles().get())
     }
 
     /// Consults the fault hook for one memory transfer of `data.len()`
@@ -417,27 +413,31 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
     /// counter samples of the stall/instruction totals at the current
     /// cycle count. A no-op when tracing is disabled.
     pub fn checkpoint(&mut self, name: &'static str) {
-        if !self.sink.is_enabled() {
+        let at = self.cycles().get();
+        let sink = self.account.sink();
+        if !sink.is_enabled() {
             return;
         }
-        let at = self.cycles().get();
-        self.sink.instant(TRACK_CORE, name, at);
-        self.sink.counter(TRACK_CORE, "instructions", at, self.instrs as f64);
-        self.sink.counter(TRACK_CORE, "load-stall-cycles", at, self.load_stall as f64);
-        self.sink.counter(TRACK_CORE, "store-stall-cycles", at, self.store_stall as f64);
+        sink.instant(TRACK_CORE, name, at);
+        sink.counter(TRACK_CORE, "instructions", at, self.instrs as f64);
+        sink.counter(TRACK_CORE, "load-stall-cycles", at, self.load_stall as f64);
+        sink.counter(TRACK_CORE, "store-stall-cycles", at, self.store_stall as f64);
     }
 
-    /// Consumes the machine into a [`KernelRun`] whose verification is
-    /// left [`Verification::Unchecked`]: the program returns its output
-    /// beside the run, and the blanket `SignalMachine` impl checks it.
+    /// Consumes the machine into its [`KernelRun`] (see
+    /// [`RunAccount::finish`]): the program returns its output beside the
+    /// run, and the blanket `SignalMachine` impl checks it.
     ///
-    /// When tracing, the per-category totals are emitted as *counted*
-    /// spans tiling `[0, total)` in breakdown order, so the trace
-    /// aggregation reproduces the breakdown exactly.
-    #[must_use]
-    pub fn finish(mut self) -> KernelRun {
+    /// The counters are charged here, as counted spans tiling
+    /// `[0, total)` in the order below. All seven categories are listed in
+    /// the breakdown, those at zero too.
+    ///
+    /// # Errors
+    ///
+    /// Never fails: the G4 opens no overlap region.
+    pub fn finish(mut self) -> Result<KernelRun, SimError> {
         let issue = (self.instrs as f64 / self.cfg.ipc).ceil() as u64;
-        let entries: [(&'static str, &'static str, u64); 7] = [
+        for (category, name, cycles) in [
             ("issue", "superscalar-issue", issue),
             ("serial", "dependent-chain", self.serial_cycles),
             ("libm", "trig-library-calls", self.trig_calls * self.cfg.trig_cycles),
@@ -445,37 +445,16 @@ impl<S: TraceSink, F: FaultHook> PpcMachine<S, F> {
             ("store-stall", "cache-store-miss-stall", self.store_stall),
             ("ecc", "ecc-correct-stall", self.ecc_stall),
             ("retry", "dram-retry-stall", self.retry_stall),
-        ];
-        let mut ledger = CycleLedger::new();
-        let mut t = 0u64;
-        for &(category, name, cycles) in &entries {
-            if self.sink.is_enabled() && cycles > 0 {
-                self.sink.span(TRACK_CORE, category, name, t, cycles);
-            }
-            t += cycles;
-            ledger.charge(category, Cycles::new(cycles));
+        ] {
+            self.account.declare(category);
+            self.account.charge(TRACK_CORE, category, name, Cycles::new(cycles));
         }
-        let breakdown = ledger.into_breakdown();
-        let total = breakdown.total();
         let mut metrics = MetricsReport::new();
-        breakdown.export_metrics(&mut metrics, "ppc.cycles");
         self.hier.l1.counters().export(&mut metrics, "ppc.l1");
         self.hier.l2.counters().export(&mut metrics, "ppc.l2");
-        self.budget.export_metrics(&mut metrics, "ppc.budget", total.get());
         metrics.counter("ppc.run.instructions", self.instrs);
         metrics.counter("ppc.run.trig_calls", self.trig_calls);
-        metrics.counter("ppc.run.ops", self.ops);
-        metrics.counter("ppc.run.mem_words", self.mem_words);
-        metrics.bandwidth("ppc.run.achieved_bw", self.mem_words, total.get());
-        metrics.bandwidth("ppc.run.achieved_ops", self.ops, total.get());
-        KernelRun {
-            cycles: total,
-            breakdown,
-            ops_executed: self.ops,
-            mem_words: self.mem_words,
-            verification: Verification::Unchecked,
-            metrics,
-        }
+        self.account.finish(metrics)
     }
 }
 
@@ -526,7 +505,7 @@ mod tests {
     fn vector_ops_count_lanes() {
         let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
         m.vector_ops(3);
-        let run = m.finish();
+        let run = m.finish().unwrap();
         assert_eq!(run.ops_executed, 12);
     }
 
@@ -535,7 +514,7 @@ mod tests {
         let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
         m.issue(10);
         m.load(0);
-        let run = m.finish();
+        let run = m.finish().unwrap();
         assert!(run.breakdown.get("issue").get() > 0);
         assert!(run.breakdown.get("load-stall").get() > 0);
         assert_eq!(run.cycles, run.breakdown.total());
@@ -547,7 +526,7 @@ mod tests {
         m.load(0); // L1+L2 miss
         m.load(1); // L1 hit
         m.store(0); // hit, dirties the line
-        let run = m.finish();
+        let run = m.finish().unwrap();
         assert_eq!(run.metrics.counter_sum("ppc.cycles."), run.cycles.get());
         assert_eq!(run.metrics.counter_value("ppc.l1.misses"), Some(1));
         assert_eq!(run.metrics.counter_value("ppc.l1.hits"), Some(2));

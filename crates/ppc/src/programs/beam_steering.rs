@@ -88,7 +88,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
         m.checkpoint("dwell-done");
     }
 
-    Ok((m.finish(), KernelOutput::Ints(out)))
+    Ok((m.finish()?, KernelOutput::Ints(out)))
 }
 
 #[cfg(test)]

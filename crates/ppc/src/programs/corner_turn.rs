@@ -97,7 +97,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     let mut dst = workload.blocked_transpose(COPY_TILE)?;
     m.fault_transfer(dst_base, &mut dst)?;
     m.checkpoint("transpose-loop-done");
-    Ok((m.finish(), KernelOutput::Words(dst)))
+    Ok((m.finish()?, KernelOutput::Words(dst)))
 }
 
 #[cfg(test)]
@@ -251,8 +251,8 @@ mod tests {
                 // replay: 8 to 16 a row.
                 assert!(settled >= rows * (cols - 16), "{settled} stores settled, {what}");
                 assert_same_sets(&rowwise, &oracle, &cfg, &what);
-                let oracle = oracle.finish();
-                assert_same_run(&rowwise.finish(), &oracle, &what);
+                let oracle = oracle.finish().unwrap();
+                assert_same_run(&rowwise.finish().unwrap(), &oracle, &what);
                 let budget = CycleBudget::UNLIMITED;
                 let (program, _) = run(&cfg, &w, variant, NullSink, NoFaults, budget).unwrap();
                 assert_same_run(&program, &oracle, &what);
@@ -338,7 +338,7 @@ mod tests {
                     prop_assert_eq!(a.l2.resident(set), b.l2.resident(set), "L2 set {set}, row {r}, {what}");
                 }
             }
-            let (a, b) = (rowwise.finish(), oracle.finish());
+            let (a, b) = (rowwise.finish().unwrap(), oracle.finish().unwrap());
             prop_assert_eq!(a.cycles, b.cycles);
             prop_assert_eq!(&a.breakdown, &b.breakdown);
             prop_assert_eq!(&a.metrics, &b.metrics);

@@ -213,7 +213,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
         m.checkpoint("subband-done");
     }
 
-    Ok((m.finish(), KernelOutput::Complex(out)))
+    Ok((m.finish()?, KernelOutput::Complex(out)))
 }
 
 #[cfg(test)]
@@ -273,7 +273,7 @@ mod tests {
         let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
         assert!(!charge_fft(&mut m, 2, Variant::Altivec));
         assert!(charge_fft(&mut m, 2, Variant::Altivec));
-        let run = m.finish();
+        let run = m.finish().unwrap();
         assert_eq!(run.metrics.counter_value("ppc.run.trig_calls"), Some(2));
         assert_eq!(run.ops_executed, 2 * 40);
         assert_eq!(run.mem_words, 2 * 24);
@@ -382,7 +382,7 @@ mod tests {
                     prop_assert_eq!(a.l2.resident(set), b.l2.resident(set), "L2 set {set}, {what}");
                 }
             }
-            let (a, b) = (settling.finish(), replaying.finish());
+            let (a, b) = (settling.finish().unwrap(), replaying.finish().unwrap());
             prop_assert_eq!(a.cycles, b.cycles);
             prop_assert_eq!(&a.breakdown, &b.breakdown);
             prop_assert_eq!(&a.metrics, &b.metrics);

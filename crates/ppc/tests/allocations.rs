@@ -1,35 +1,53 @@
 //! Heap allocations of the G4 cache model and machine, counted exactly.
 //!
-//! This binary holds one test, so nothing else allocates while it counts.
+//! Each thread counts its own allocations, so the count a test reads is
+//! its own: libtest's main thread allocates while tests run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use triarch_ppc::cache::{CacheConfig, Hierarchy};
 use triarch_ppc::{PpcConfig, PpcMachine};
 
-/// The system allocator, counting every block it hands out or regrows.
+/// The system allocator, counting every block it hands out or regrows on
+/// the thread that asked for it.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Blocks this thread has allocated or regrown. A `const` initializer
+    /// with no destructor, so the allocator can read it without
+    /// allocating.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one block on the calling thread (none once its thread-locals
+/// are gone).
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Blocks the calling thread has allocated or regrown so far.
+fn allocated() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a plain statistic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` was allocated by `System` through this allocator
         // with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -47,9 +65,9 @@ static COUNTING: Counting = Counting;
 
 #[test]
 fn a_g4_hierarchy_allocates_once_per_array_and_never_while_filling() {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated();
     let mut h = Hierarchy::g4();
-    let built = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let built = allocated() - before;
 
     // One read per L1 line over all of L2: every L1 access misses and
     // probes L2, and each set of both levels takes at least `ways` lines.
@@ -57,7 +75,7 @@ fn a_g4_hierarchy_allocates_once_per_array_and_never_while_filling() {
     for addr in (0..l2.size_words).step_by(l1.line_words) {
         h.access(addr);
     }
-    let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let total = allocated() - before;
 
     assert_eq!(h.l1.misses(), (l2.size_words / l1.line_words) as u64);
     assert_eq!(h.l2.misses() - h.l2.evictions(), (l2.sets() * l2.ways) as u64, "L2 is full");
@@ -69,14 +87,14 @@ fn a_g4_hierarchy_allocates_once_per_array_and_never_while_filling() {
     // turn, settled or replayed, allocates nothing.
     let mut m = PpcMachine::new(&PpcConfig::paper()).unwrap();
     let n = 1024;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated();
     let mut settled = 0;
     for vector in [false, true] {
         for r in 0..n {
             settled += m.transpose_row(r * n, n, n * n + r, n, vector);
         }
     }
-    let charged = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let charged = allocated() - before;
     assert!(settled > 0, "no store was settled");
     assert_eq!(charged, 0, "charging the corner turn's rows allocated");
 }

@@ -6,12 +6,11 @@
 //! sub-bands); a phase completes when its slowest resource does:
 //! `max(slowest tile, DRAM-port occupancy, network occupancy)`.
 
-use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults, TransferFaults};
+use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults};
 use triarch_simcore::metrics::{Histogram, Metric, MetricsReport};
 use triarch_simcore::trace::{NullSink, TraceSink};
 use triarch_simcore::{
-    AccessPattern, CycleBudget, CycleLedger, Cycles, DramModel, KernelRun, SimError, Verification,
-    WordMemory,
+    AccessPattern, CycleBudget, Cycles, DramModel, KernelRun, RunAccount, SimError, WordMemory,
 };
 
 use crate::config::RawConfig;
@@ -56,19 +55,13 @@ pub struct RawMachine<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     phases: u64,
     /// Fixed-bucket histogram of per-phase charged cycles.
     phase_hist: Histogram,
-    ledger: CycleLedger,
-    ops: u64,
-    mem_words: u64,
     in_phase: bool,
-    budget: CycleBudget,
-    /// Simulated activity charged so far (watchdog basis).
-    spent: u64,
     /// Activity accrued inside the open phase, before `end_phase` settles
     /// it into the breakdown. Counts every resource's raw demand so a
     /// livelocked loop trips the watchdog without waiting for a phase
     /// boundary.
     phase_activity: u64,
-    sink: S,
+    account: RunAccount<S>,
     faults: F,
 }
 
@@ -109,15 +102,10 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             total_net_words: 0,
             phases: 0,
             phase_hist: Histogram::cycles(),
-            ledger: CycleLedger::new(),
-            ops: 0,
-            mem_words: 0,
             in_phase: false,
-            budget,
-            spent: 0,
             phase_activity: 0,
+            account: RunAccount::new("raw", sink, budget),
             cfg: cfg.clone(),
-            sink,
             faults,
         })
     }
@@ -164,9 +152,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
         self.phase_mem = 0;
         self.phase_mem_overhead = 0;
         self.phase_activity = 0;
-        if self.sink.is_enabled() {
-            self.sink.instant(TRACK_TILES, "phase-begin", self.ledger.total().get());
-        }
+        self.account.mark(TRACK_TILES, "phase-begin");
         Ok(())
     }
 
@@ -180,13 +166,13 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
         self.check_phase()?;
         self.tile_mut(tile)?.issue += instrs;
         self.phase_activity = self.phase_activity.saturating_add(instrs);
-        self.budget.check(self.spent.saturating_add(self.phase_activity))
+        self.account.check_with(self.phase_activity)
     }
 
     /// Counts arithmetic operations for utilization reporting (does not
     /// consume issue slots by itself — pair with [`tile_issue`](Self::tile_issue)).
     pub fn count_ops(&mut self, ops: u64) {
-        self.ops += ops;
+        self.account.add_ops(ops);
     }
 
     /// Charges exposed stall cycles on a tile (cache misses, waits).
@@ -198,7 +184,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
         self.check_phase()?;
         self.tile_mut(tile)?.stall += cycles;
         self.phase_activity = self.phase_activity.saturating_add(cycles);
-        self.budget.check(self.spent.saturating_add(self.phase_activity))
+        self.account.check_with(self.phase_activity)
     }
 
     /// Charges static-network occupancy on a tile: `words` at one word
@@ -215,7 +201,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
         // The pipeline-fill latency is exposed once per stream.
         t.stall += latency;
         self.phase_activity = self.phase_activity.saturating_add(words.saturating_add(latency));
-        self.budget.check(self.spent.saturating_add(self.phase_activity))
+        self.account.check_with(self.phase_activity)
     }
 
     fn check_phase(&self) -> Result<(), SimError> {
@@ -242,16 +228,10 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
         self.check_phase()?;
         // Uncounted DRAM detail on the port's own timeline (phase charges
         // only land at end_phase, on whichever resource binds).
-        let cursor = self.ledger.total().get() + self.phase_mem + self.phase_mem_overhead;
-        let cost = self.dram.transfer_observed(
-            addr,
-            words,
-            pattern,
-            &mut self.sink,
-            TRACK_DRAM,
-            cursor,
-        )?;
-        self.mem_words += words as u64;
+        let cursor = self.account.cycles().get() + self.phase_mem + self.phase_mem_overhead;
+        let sink = self.account.sink();
+        let cost = self.dram.transfer_observed(addr, words, pattern, sink, TRACK_DRAM, cursor)?;
+        self.account.add_words(words as u64);
         self.phase_mem += (cost.data + cost.startup).get();
         self.phase_mem_overhead += cost.overhead.get();
         self.phase_activity =
@@ -281,20 +261,9 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
                     i += tiles;
                 }
             }
-            self.apply_fault_costs(&fx)?;
+            self.account.charge_faults(TRACK_MEM, "dram-retry", &fx)?;
         }
-        self.budget.check(self.spent.saturating_add(self.phase_activity))
-    }
-
-    /// Charges ECC/retry recovery cycles from a transfer's fault effects
-    /// and converts an unrecoverable failure into a typed error.
-    fn apply_fault_costs(&mut self, fx: &TransferFaults) -> Result<(), SimError> {
-        self.charge(TRACK_MEM, "ecc", "ecc-correct", Cycles::new(fx.ecc_cycles));
-        self.charge(TRACK_MEM, "retry", "dram-retry", Cycles::new(fx.retry_cycles));
-        match &fx.failure {
-            Some(what) => Err(SimError::detected_fault(what.clone())),
-            None => Ok(()),
-        }
+        self.account.check_with(self.phase_activity)
     }
 
     /// Closes a phase. The phase costs `max(slowest tile, port occupancy,
@@ -312,7 +281,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             return Err(SimError::unsupported("end_phase without begin_phase"));
         }
         self.in_phase = false;
-        let charged_before = self.ledger.total().get();
+        let charged_before = self.account.cycles().get();
         self.total_issue += self.tiles.iter().map(|t| t.issue).sum::<u64>();
         self.total_stall += self.tiles.iter().map(|t| t.stall).sum::<u64>();
         self.total_net_words += self.tiles.iter().map(|t| t.net_words).sum::<u64>();
@@ -339,57 +308,34 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
                 self.tiles.iter().map(|t| t.issue).max().unwrap_or(0)
             };
             let stall = tile_bound - issue.min(tile_bound);
-            self.charge(TRACK_TILES, "issue", "tile-issue", Cycles::new(issue.min(tile_bound)));
-            self.charge(TRACK_TILES, "stall", "tile-stall", Cycles::new(stall));
+            let account = &mut self.account;
+            account.charge(TRACK_TILES, "issue", "tile-issue", Cycles::new(issue.min(tile_bound)));
+            account.charge(TRACK_TILES, "stall", "tile-stall", Cycles::new(stall));
         } else if mem_bound >= net_bound {
-            self.charge(TRACK_MEM, "memory", "dram-port", Cycles::new(self.phase_mem));
-            self.charge(
-                TRACK_MEM,
-                "precharge",
-                "row-precharge-activate",
-                Cycles::new(self.phase_mem_overhead),
-            );
+            let overhead = Cycles::new(self.phase_mem_overhead);
+            let account = &mut self.account;
+            account.charge(TRACK_MEM, "memory", "dram-port", Cycles::new(self.phase_mem));
+            account.charge(TRACK_MEM, "precharge", "row-precharge-activate", overhead);
         } else {
-            self.charge(TRACK_TILES, "network", "static-network", Cycles::new(net_bound));
+            self.account.charge(TRACK_TILES, "network", "static-network", Cycles::new(net_bound));
         }
-        self.charge(TRACK_TILES, "startup", "phase-startup", Cycles::new(self.cfg.phase_startup));
-        self.phase_hist.observe(self.ledger.total().get() - charged_before);
-        if self.sink.is_enabled() {
-            self.sink.instant(TRACK_TILES, "phase-end", self.ledger.total().get());
-        }
+        let startup = Cycles::new(self.cfg.phase_startup);
+        self.account.charge(TRACK_TILES, "startup", "phase-startup", startup);
+        self.phase_hist.observe(self.account.cycles().get() - charged_before);
+        self.account.mark(TRACK_TILES, "phase-end");
         self.phase_activity = 0;
-        self.budget.check(self.spent)
-    }
-
-    /// Charges the breakdown and mirrors the charge as a counted span, so
-    /// the trace aggregation reproduces the breakdown exactly.
-    fn charge(
-        &mut self,
-        track: &'static str,
-        category: &'static str,
-        name: &'static str,
-        cycles: Cycles,
-    ) {
-        if cycles == Cycles::ZERO {
-            return;
-        }
-        if self.sink.is_enabled() {
-            let at = self.ledger.total().get();
-            self.sink.span(track, category, name, at, cycles.get());
-        }
-        self.spent = self.spent.saturating_add(cycles.get());
-        self.ledger.charge(category, cycles);
+        self.account.check()
     }
 
     /// Total cycles charged so far.
     #[must_use]
     pub fn cycles(&self) -> Cycles {
-        self.ledger.total()
+        self.account.cycles()
     }
 
-    /// Consumes the machine into a [`KernelRun`] whose verification is
-    /// left [`Verification::Unchecked`]: the program returns its output
-    /// beside the run, and the blanket `SignalMachine` impl checks it.
+    /// Consumes the machine into its [`KernelRun`] (see
+    /// [`RunAccount::finish`]): the program returns its output beside the
+    /// run, and the blanket `SignalMachine` impl checks it.
     ///
     /// # Errors
     ///
@@ -398,12 +344,9 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
         if self.in_phase {
             return Err(SimError::unsupported("finish with open phase"));
         }
-        let breakdown = self.ledger.into_breakdown();
-        let total = breakdown.total();
+        let total = self.account.cycles();
         let mut metrics = MetricsReport::new();
-        breakdown.export_metrics(&mut metrics, "raw.cycles");
         self.dram.export_metrics(&mut metrics, "raw.dram");
-        self.budget.export_metrics(&mut metrics, "raw.budget", self.spent);
         metrics.counter("raw.net.words", self.total_net_words);
         // Per-link occupancy: each of the mesh's tiles owns one static
         // network link, and every link moves at most one word per cycle,
@@ -421,19 +364,8 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             (self.cfg.tiles() as u64).saturating_mul(total.get()),
         );
         metrics.counter("raw.phases.count", self.phases);
-        metrics.counter("raw.run.ops", self.ops);
-        metrics.counter("raw.run.mem_words", self.mem_words);
-        metrics.bandwidth("raw.run.achieved_bw", self.mem_words, total.get());
-        metrics.bandwidth("raw.run.achieved_ops", self.ops, total.get());
         metrics.set("raw.phases.cycles", Metric::Histogram(self.phase_hist));
-        Ok(KernelRun {
-            cycles: total,
-            breakdown,
-            ops_executed: self.ops,
-            mem_words: self.mem_words,
-            verification: Verification::Unchecked,
-            metrics,
-        })
+        self.account.finish(metrics)
     }
 }
 
@@ -474,13 +406,7 @@ mod tests {
         m.dram_traffic(0, 28_000, AccessPattern::Sequential).unwrap();
         m.end_phase(false).unwrap();
         assert!(m.cycles().get() >= 1_000);
-        assert!(m.breakdown_get("memory") >= 1_000);
-    }
-
-    impl RawMachine {
-        fn breakdown_get(&self, cat: &str) -> u64 {
-            self.ledger.get(cat).get()
-        }
+        assert!(m.finish().unwrap().breakdown.get("memory").get() >= 1_000);
     }
 
     #[test]
@@ -536,8 +462,9 @@ mod tests {
         m.tile_issue(0, 5).unwrap();
         m.tile_net_words(1, 50_000, 2).unwrap();
         m.end_phase(false).unwrap();
-        assert!(m.breakdown_get("network") >= 50_000);
-        assert_eq!(m.breakdown_get("issue"), 0);
+        let breakdown = m.finish().unwrap().breakdown;
+        assert!(breakdown.get("network").get() >= 50_000);
+        assert_eq!(breakdown.get("issue"), Cycles::ZERO);
     }
 
     #[test]

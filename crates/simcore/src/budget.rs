@@ -42,23 +42,6 @@ impl CycleBudget {
         self.limit == u64::MAX
     }
 
-    /// Registers watchdog observability into `report`: `{prefix}.spent`
-    /// always, plus `{prefix}.limit` and the `{prefix}.used` ratio when
-    /// the budget is finite (an unlimited budget has no meaningful
-    /// utilization).
-    pub fn export_metrics(
-        self,
-        report: &mut triarch_metrics::MetricsReport,
-        prefix: &str,
-        spent: u64,
-    ) {
-        report.counter(&format!("{prefix}.spent"), spent);
-        if !self.is_unlimited() {
-            report.counter(&format!("{prefix}.limit"), self.limit);
-            report.ratio(&format!("{prefix}.used"), spent, self.limit);
-        }
-    }
-
     /// Checks `spent` simulated cycles against the budget.
     ///
     /// # Errors
@@ -102,18 +85,6 @@ mod tests {
         assert_eq!(err, SimError::BudgetExceeded { spent: 101, limit: 100 });
         assert!(err.to_string().contains("101"));
         assert!(err.to_string().contains("100"));
-    }
-
-    #[test]
-    fn export_metrics_reports_headroom() {
-        let mut report = triarch_metrics::MetricsReport::new();
-        CycleBudget::limited(200).export_metrics(&mut report, "x.budget", 50);
-        assert_eq!(report.counter_value("x.budget.spent"), Some(50));
-        assert_eq!(report.counter_value("x.budget.limit"), Some(200));
-        let mut unlimited = triarch_metrics::MetricsReport::new();
-        CycleBudget::UNLIMITED.export_metrics(&mut unlimited, "x.budget", 50);
-        assert_eq!(unlimited.counter_value("x.budget.spent"), Some(50));
-        assert!(unlimited.get("x.budget.limit").is_none());
     }
 
     #[test]

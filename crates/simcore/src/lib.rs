@@ -20,6 +20,9 @@
 //!   paper's Table 1 / Section 2.5, used for Table 4 and consistency checks.
 //! - [`MachineInfo`] and [`KernelRun`] — the common result vocabulary
 //!   shared by all machine simulators.
+//! - [`RunAccount`] — one run's cycle account: the ledger, counted trace
+//!   spans, overlap regions, fault costs, the watchdog and the finished
+//!   [`KernelRun`], shared by every engine.
 //!
 //! Tracing support lives in the `triarch-trace` crate (re-exported here
 //! as [`trace`]); this crate adds the glue between the two vocabularies:
@@ -39,6 +42,7 @@
 //! assert!((seconds - 0.00277).abs() < 1e-5);
 //! ```
 
+pub mod account;
 pub mod budget;
 pub mod cycles;
 pub mod divisor;
@@ -53,6 +57,7 @@ pub use triarch_faults as faults;
 pub use triarch_metrics as metrics;
 pub use triarch_trace as trace;
 
+pub use account::{Residue, RunAccount};
 pub use budget::CycleBudget;
 pub use cycles::{ClockFrequency, Cycles};
 pub use divisor::Divisor;

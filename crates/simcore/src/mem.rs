@@ -3,12 +3,12 @@
 //! A memory models its whole capacity but stores only the pages a run
 //! writes, so a machine with 64 MB of simulated DRAM costs the host the
 //! words its kernel touches, not the capacity. Pages freed by a dropped
-//! memory wait on a per-thread free list for the next memory built on
-//! that thread, so back-to-back runs neither zero-fill whole memories nor
-//! take fresh page faults.
+//! memory wait on one free list for the next memory built on any thread,
+//! so back-to-back runs neither zero-fill whole memories nor take fresh
+//! page faults.
 
-use std::cell::RefCell;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::error::SimError;
 
@@ -19,40 +19,46 @@ const PAGE_MASK: usize = PAGE_WORDS - 1;
 
 type Page = Box<[u32; PAGE_WORDS]>;
 
-/// This thread's pages that no memory holds.
-struct PagePool {
-    free: Vec<Page>,
-    /// Pages held by live memories, as taken and returned on this thread.
-    live: usize,
-    /// The most pages live at once on this thread; `free` never holds
-    /// more.
-    peak: usize,
-}
+/// Pages that no memory holds, shared by every thread.
+///
+/// A page is made only when the list is empty, so the list never holds
+/// more pages than were live at once. It is one list for every thread so
+/// that a thread's exit strands no page: the serve daemon runs each
+/// request on a thread of its own, and a list per thread would leave each
+/// exited thread's pages in that thread's allocator arena, where how much
+/// of them the process kept would depend on thread timing.
+struct PagePool(Mutex<Vec<Page>>);
 
-thread_local! {
-    static POOL: RefCell<PagePool> =
-        const { RefCell::new(PagePool { free: Vec::new(), live: 0, peak: 0 }) };
-}
+impl PagePool {
+    const fn new() -> Self {
+        PagePool(Mutex::new(Vec::new()))
+    }
 
-/// A zeroed page, reused from this thread's free list when it has one.
-fn take_page() -> Page {
-    let reused = POOL
-        .try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            pool.live += 1;
-            pool.peak = pool.peak.max(pool.live);
-            pool.free.pop()
-        })
-        .ok()
-        .flatten();
-    match reused {
-        Some(mut page) => {
-            page.fill(0);
-            page
+    /// The list, locked. A push or a pop cannot leave it half done, so a
+    /// lock poisoned by a panic elsewhere is taken as it is.
+    fn free(&self) -> MutexGuard<'_, Vec<Page>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A zeroed page, reused from the list when it has one.
+    fn take(&self) -> Page {
+        let reused = self.free().pop();
+        match reused {
+            Some(mut page) => {
+                page.fill(0);
+                page
+            }
+            None => Box::new([0; PAGE_WORDS]),
         }
-        None => Box::new([0; PAGE_WORDS]),
+    }
+
+    /// Puts `pages` on the list for the next memory.
+    fn give(&self, pages: impl IntoIterator<Item = Page>) {
+        self.free().extend(pages);
     }
 }
+
+static POOL: PagePool = PagePool::new();
 
 /// Splits the `len` words from `addr` into page runs:
 /// `(page, offset in page, offset in block, words)`. The caller has
@@ -177,7 +183,7 @@ impl WordMemory {
         if page >= self.pages.len() {
             self.pages.resize_with(page + 1, || None);
         }
-        self.pages[page].insert(take_page())
+        self.pages[page].insert(POOL.take())
     }
 
     /// Reads a raw 32-bit word.
@@ -348,20 +354,9 @@ impl Clone for WordMemory {
 }
 
 impl Drop for WordMemory {
-    /// Hands the pages to this thread's free list, up to the most the
-    /// thread has had live at once; the rest go back to the allocator, as
-    /// does everything after the thread's list is gone.
+    /// Hands the pages to the shared free list.
     fn drop(&mut self) {
-        let pages = std::mem::take(&mut self.pages);
-        let _ = POOL.try_with(move |pool| {
-            let mut pool = pool.borrow_mut();
-            for page in pages.into_iter().flatten() {
-                pool.live = pool.live.saturating_sub(1);
-                if pool.free.len() < pool.peak {
-                    pool.free.push(page);
-                }
-            }
-        });
+        POOL.give(std::mem::take(&mut self.pages).into_iter().flatten());
     }
 }
 
@@ -497,34 +492,33 @@ mod tests {
     }
 
     #[test]
-    fn the_free_list_holds_no_more_than_the_thread_had_live() {
-        // A fresh thread, so other tests' pages do not count.
-        std::thread::spawn(|| {
-            let pool = || POOL.with(|p| (p.borrow().free.len(), p.borrow().peak));
-            let mut a = WordMemory::new(8 * PAGE_WORDS);
-            let mut b = WordMemory::new(8 * PAGE_WORDS);
-            a.write_block_u32(0, &[1; 3 * PAGE_WORDS]).unwrap();
-            b.write_block_u32(0, &[1; 2 * PAGE_WORDS]).unwrap();
-            drop(a);
-            assert_eq!(pool(), (3, 5));
-            let c = b.clone();
-            drop(b);
-            drop(c);
-            assert_eq!(pool(), (5, 5));
-            // A memory made elsewhere and dropped here adds nothing past
-            // the thread's peak.
-            let foreign = std::thread::spawn(|| {
-                let mut m = WordMemory::new(16 * PAGE_WORDS);
-                m.write_block_u32(0, &[2; 16 * PAGE_WORDS]).unwrap();
-                m
+    fn pages_an_exited_thread_gave_back_serve_the_next_thread_zeroed() {
+        // A pool of its own, so other tests' pages do not count.
+        let pool = PagePool::new();
+        let at = |page: &Page| page.as_ptr() as usize;
+        let given: Vec<usize> = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut pages: Vec<Page> = (0..3).map(|_| pool.take()).collect();
+                let given = pages.iter().map(at).collect();
+                for page in &mut pages {
+                    page.fill(u32::MAX);
+                }
+                pool.give(pages);
+                given
             })
             .join()
-            .unwrap();
-            drop(foreign);
-            assert_eq!(pool(), (5, 5));
-        })
-        .join()
-        .unwrap();
+            .unwrap()
+        });
+        let taken: Vec<Page> =
+            std::thread::scope(|s| s.spawn(|| (0..4).map(|_| pool.take()).collect()).join())
+                .unwrap();
+        // The three pages come back, last given first; only the fourth is
+        // made.
+        let reused: Vec<usize> = taken[..3].iter().map(at).collect();
+        assert_eq!(reused, given.iter().rev().copied().collect::<Vec<_>>());
+        assert!(!given.contains(&at(&taken[3])));
+        assert!(taken.iter().all(|page| page.iter().all(|&w| w == 0)));
+        assert!(pool.free().is_empty());
     }
 
     #[test]

@@ -81,20 +81,6 @@ impl CycleBreakdown {
         }
     }
 
-    /// Registers every category as a counter under
-    /// `{prefix}.{category}` in `report`.
-    ///
-    /// Every engine calls this from `finish()` with a `"<arch>.cycles"`
-    /// prefix, which establishes the metrics conservation law checked in
-    /// `tests/metrics_validation.rs`: the sum of the `<arch>.cycles.*`
-    /// counters equals [`CycleBreakdown::total`] with drift exactly zero,
-    /// because both read the same ledger.
-    pub fn export_metrics(&self, report: &mut triarch_metrics::MetricsReport, prefix: &str) {
-        for (category, cycles) in self.entries.iter() {
-            report.counter(&format!("{prefix}.{category}"), cycles.get());
-        }
-    }
-
     /// Number of distinct categories.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -120,7 +106,8 @@ impl CycleBreakdown {
 /// categories, so linear find beats a tree), plus a running total read in
 /// O(1).
 ///
-/// Convert to a [`CycleBreakdown`] once, at `finish()`:
+/// Convert to a [`CycleBreakdown`] once, when the run ends
+/// ([`RunAccount::finish`](crate::RunAccount::finish)):
 ///
 /// ```
 /// use triarch_simcore::{CycleLedger, Cycles};
@@ -156,16 +143,6 @@ impl CycleLedger {
         }
     }
 
-    /// Returns the cycles charged to `category` (zero if absent).
-    #[must_use]
-    pub fn get(&self, category: &str) -> Cycles {
-        self.entries
-            .iter()
-            .find(|(name, _)| *name == category)
-            .map(|(_, cycles)| *cycles)
-            .unwrap_or(Cycles::ZERO)
-    }
-
     /// Total cycles across all categories — O(1), maintained on charge.
     #[inline]
     #[must_use]
@@ -173,24 +150,9 @@ impl CycleLedger {
         self.total
     }
 
-    /// Fraction of the total charged to `category` (0.0 when empty).
-    #[must_use]
-    pub fn fraction(&self, category: &str) -> f64 {
-        if self.total == Cycles::ZERO {
-            return 0.0;
-        }
-        self.get(category).ratio(self.total)
-    }
-
     /// Iterates `(category, cycles)` pairs in first-charge order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Cycles)> + '_ {
         self.entries.iter().copied()
-    }
-
-    /// Whether no cycles have been charged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Empties the ledger and keeps its storage, so a ledger reused for
@@ -200,16 +162,16 @@ impl CycleLedger {
         self.total = Cycles::ZERO;
     }
 
-    /// Converts into the sorted [`CycleBreakdown`] reported by `finish()`.
+    /// Converts into the sorted [`CycleBreakdown`] a run reports.
     #[must_use]
     pub fn into_breakdown(self) -> CycleBreakdown {
         self.entries.into_iter().collect()
     }
 
-    /// Builds the sorted [`CycleBreakdown`] without consuming the ledger.
-    #[must_use]
-    pub fn to_breakdown(&self) -> CycleBreakdown {
-        self.iter().collect()
+    /// Where the entries are stored, for tests that check storage is kept.
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> *const (&'static str, Cycles) {
+        self.entries.as_ptr()
     }
 }
 
@@ -282,17 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_conserves_total() {
-        let b: CycleBreakdown =
-            [("memory", Cycles::new(870)), ("compute", Cycles::new(130))].into_iter().collect();
-        let mut report = triarch_metrics::MetricsReport::new();
-        b.export_metrics(&mut report, "viram.cycles");
-        assert_eq!(report.counter_value("viram.cycles.memory"), Some(870));
-        assert_eq!(report.counter_value("viram.cycles.compute"), Some(130));
-        assert_eq!(report.counter_sum("viram.cycles."), b.total().get());
-    }
-
-    #[test]
     fn ledger_matches_breakdown_with_constant_time_total() {
         let mut ledger = CycleLedger::new();
         let mut breakdown = CycleBreakdown::new();
@@ -303,10 +254,7 @@ mod tests {
             breakdown.charge(category, Cycles::new(cycles));
         }
         assert_eq!(ledger.total(), breakdown.total());
-        assert_eq!(ledger.get("memory"), Cycles::new(17));
-        assert_eq!(ledger.get("missing"), Cycles::ZERO);
-        assert_eq!(ledger.fraction("memory"), breakdown.fraction("memory"));
-        assert_eq!(ledger.to_breakdown(), breakdown);
+        assert_eq!(breakdown.get("memory"), Cycles::new(17));
         assert_eq!(ledger.clone().into_breakdown(), breakdown);
         // Iteration preserves first-charge order (overlap replay relies
         // on it), while the converted breakdown is category-sorted.
@@ -319,10 +267,9 @@ mod tests {
     #[test]
     fn empty_ledger_is_total_zero() {
         let ledger = CycleLedger::new();
-        assert!(ledger.is_empty());
+        assert_eq!(ledger.iter().count(), 0);
         assert_eq!(ledger.total(), Cycles::ZERO);
-        assert_eq!(ledger.fraction("memory"), 0.0);
-        assert!(ledger.to_breakdown().is_empty());
+        assert!(ledger.into_breakdown().is_empty());
     }
 
     #[test]

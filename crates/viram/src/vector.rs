@@ -19,8 +19,7 @@ use triarch_simcore::faults::{FaultDomain, FaultHook, NoFaults, TransferFaults};
 use triarch_simcore::metrics::{Histogram, Metric, MetricsReport};
 use triarch_simcore::trace::{NullSink, TraceSink};
 use triarch_simcore::{
-    AccessPattern, CycleBudget, CycleLedger, Cycles, DramModel, KernelRun, SimError, Verification,
-    WordMemory,
+    AccessPattern, CycleBudget, Cycles, DramModel, KernelRun, RunAccount, SimError, WordMemory,
 };
 
 use crate::config::ViramConfig;
@@ -55,17 +54,6 @@ pub enum IntOp {
     Shr,
 }
 
-#[derive(Debug, Default, Clone)]
-struct OverlapAcc {
-    /// Memory-side per-category totals: a [`CycleLedger`] keeps
-    /// `&'static str` keys in first-charge order so the winner can be
-    /// replayed as counted trace spans at [`VectorUnit::end_overlap`].
-    mem: CycleLedger,
-    compute: CycleLedger,
-    /// Cycle cursor (== charged total) when the region opened.
-    start: u64,
-}
-
 /// The functional-plus-timing vector unit.
 ///
 /// Generic over a [`TraceSink`] and a [`FaultHook`]; the defaults
@@ -85,22 +73,9 @@ pub struct VectorUnit<S: TraceSink = NullSink, F: FaultHook = NoFaults> {
     mem: WordMemory,
     dram: DramModel,
     tlb: Tlb,
-    ledger: CycleLedger,
-    hidden: Cycles,
-    ops: u64,
-    mem_words: u64,
-    overlap: Option<OverlapAcc>,
-    /// The last closed region's accumulator, emptied: the next region
-    /// charges into storage it already has.
-    spare_overlap: Option<OverlapAcc>,
     /// Fixed-bucket histogram of per-transfer DRAM occupancy cycles.
     mem_hist: Histogram,
-    budget: CycleBudget,
-    /// Simulated activity the watchdog counts: *all* charged cycles,
-    /// including both sides of an overlap region (so a region cannot hide
-    /// unbounded work from the budget).
-    spent: u64,
-    sink: S,
+    account: RunAccount<S>,
     faults: F,
 }
 
@@ -136,17 +111,9 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             mem: WordMemory::new(cfg.dram_words),
             dram: DramModel::new(cfg.dram)?,
             tlb: Tlb::new(cfg.tlb_entries, cfg.page_words),
-            ledger: CycleLedger::new(),
-            hidden: Cycles::ZERO,
-            ops: 0,
-            mem_words: 0,
-            overlap: None,
-            spare_overlap: None,
             mem_hist: Histogram::cycles(),
-            budget,
-            spent: 0,
+            account: RunAccount::new("viram", sink, budget).hiding(),
             cfg: cfg.clone(),
-            sink,
             faults,
         })
     }
@@ -197,92 +164,24 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         Ok(())
     }
 
-    fn charge(&mut self, is_mem: bool, category: &'static str, name: &'static str, cycles: Cycles) {
-        if cycles == Cycles::ZERO {
-            return;
-        }
-        self.spent += cycles.get();
-        let track = if is_mem { TRACK_MEM } else { TRACK_VEC };
-        match &mut self.overlap {
-            Some(acc) => {
-                let side = if is_mem { &mut acc.mem } else { &mut acc.compute };
-                if self.sink.is_enabled() {
-                    // Inside an overlap region only the slower pipeline will
-                    // be charged (at end_overlap); per-op spans here are
-                    // uncounted detail on each pipeline's own timeline.
-                    let at = acc.start + side.total().get();
-                    self.sink.span_uncounted(track, category, name, at, cycles.get());
-                }
-                side.charge(category, cycles);
-            }
-            None => {
-                if self.sink.is_enabled() {
-                    let at = self.ledger.total().get();
-                    self.sink.span(track, category, name, at, cycles.get());
-                }
-                self.ledger.charge(category, cycles);
-            }
-        }
-    }
-
     /// Opens an overlap region (memory pipeline ∥ vector pipeline).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if a region is already open.
     pub fn begin_overlap(&mut self) -> Result<(), SimError> {
-        if self.overlap.is_some() {
-            return Err(SimError::unsupported("nested overlap regions"));
-        }
-        let start = self.ledger.total().get();
-        if self.sink.is_enabled() {
-            self.sink.instant(TRACK_VEC, "overlap-begin", start);
-        }
-        let mut acc = self.spare_overlap.take().unwrap_or_default();
-        acc.start = start;
-        self.overlap = Some(acc);
-        Ok(())
+        self.account.begin_region(TRACK_MEM, TRACK_VEC)
     }
 
     /// Closes the overlap region: the slower of the two pipelines is
-    /// charged; the faster pipeline's cycles are recorded as hidden.
-    ///
-    /// When tracing, the winning side's per-category totals are emitted as
-    /// *counted* spans tiling `[start, start + winner_total)`, so the trace
-    /// aggregation reproduces the breakdown exactly while the per-op detail
-    /// recorded during the region stays uncounted.
+    /// charged, as counted spans, and the faster pipeline's cycles are
+    /// hidden.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if no region is open.
     pub fn end_overlap(&mut self) -> Result<(), SimError> {
-        let mut acc = self
-            .overlap
-            .take()
-            .ok_or_else(|| SimError::unsupported("end_overlap without begin_overlap"))?;
-        let mem_total = acc.mem.total();
-        let comp_total = acc.compute.total();
-        let (winner, winner_track, hidden) = if mem_total >= comp_total {
-            (&acc.mem, TRACK_MEM, comp_total)
-        } else {
-            (&acc.compute, TRACK_VEC, mem_total)
-        };
-        if self.sink.is_enabled() {
-            let mut t = acc.start;
-            for (category, cycles) in winner.iter() {
-                self.sink.span(winner_track, category, "overlap-charged", t, cycles.get());
-                t += cycles.get();
-            }
-            self.sink.instant(TRACK_VEC, "overlap-end", t);
-        }
-        for (category, cycles) in winner.iter() {
-            self.ledger.charge(category, cycles);
-        }
-        self.hidden += hidden;
-        acc.mem.clear();
-        acc.compute.clear();
-        self.spare_overlap = Some(acc);
-        self.budget.check(self.spent)
+        self.account.end_region(None)
     }
 
     fn mem_op(
@@ -298,24 +197,21 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             _ => 1,
         };
         let misses = self.tlb.access_strided(addr, stride, vl);
-        let cursor = self.mem_cursor();
-        let cost =
-            self.dram.transfer_observed(addr, vl, pattern, &mut self.sink, TRACK_DRAM, cursor)?;
+        let cursor = self.account.mem_cursor();
+        let sink = self.account.sink();
+        let cost = self.dram.transfer_observed(addr, vl, pattern, sink, TRACK_DRAM, cursor)?;
         self.mem_hist.observe(cost.total.get());
-        self.mem_words += vl as u64;
-        self.charge(
-            true,
-            "memory",
-            name,
-            cost.data + cost.startup + Cycles::new(self.cfg.mem_startup),
-        );
-        self.charge(true, "precharge", "row-precharge-activate", cost.overhead);
-        self.charge(true, "tlb", "tlb-miss-stall", Cycles::new(misses * self.cfg.tlb_miss_cycles));
+        self.account.add_words(vl as u64);
+        let memory = cost.data + cost.startup + Cycles::new(self.cfg.mem_startup);
+        self.account.charge(TRACK_MEM, "memory", name, memory);
+        self.account.charge(TRACK_MEM, "precharge", "row-precharge-activate", cost.overhead);
+        let tlb = Cycles::new(misses * self.cfg.tlb_miss_cycles);
+        self.account.charge(TRACK_MEM, "tlb", "tlb-miss-stall", tlb);
         if self.faults.is_enabled() {
             let fx = self.faults.transfer(FaultDomain::Dram, addr, vl);
             self.apply_dram_faults(addr, pattern, &fx)?;
         }
-        self.budget.check(self.spent)
+        self.account.check()
     }
 
     /// Applies a fault hook's verdict on one DRAM transfer: flips land in
@@ -328,20 +224,12 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         pattern: AccessPattern,
         fx: &TransferFaults,
     ) -> Result<(), SimError> {
-        if fx.is_clean() {
-            return Ok(());
-        }
         for flip in &fx.flips {
             let a = pattern.word(addr, flip.offset);
             let word = self.mem.read_u32(a)?;
             self.mem.write_u32(a, word ^ flip.xor_mask)?;
         }
-        self.charge(true, "ecc", "ecc-correct", Cycles::new(fx.ecc_cycles));
-        self.charge(true, "retry", "dram-retry", Cycles::new(fx.retry_cycles));
-        match &fx.failure {
-            Some(what) => Err(SimError::detected_fault(what.clone())),
-            None => Ok(()),
-        }
+        self.account.charge_faults(TRACK_MEM, "dram-retry", fx)
     }
 
     /// Applies an active stuck-at vector-lane fault to the `vl` computed
@@ -366,14 +254,6 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         let range = self.lanes(dst, vl);
         self.regs[range].copy_from_slice(&self.scratch[..vl]);
         self.apply_stuck_lane(dst, vl);
-    }
-
-    /// Current cycle position of the memory pipeline (for span placement).
-    fn mem_cursor(&self) -> u64 {
-        match &self.overlap {
-            Some(acc) => acc.start + acc.mem.total().get(),
-            None => self.ledger.total().get(),
-        }
     }
 
     /// Unit-stride vector load.
@@ -497,11 +377,10 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             FpOp::Mul => zip_f32_lanes(out, xs, ys, |x, y| x * y),
         }
         self.commit(dst, vl);
-        self.ops += vl as u64;
+        self.account.add_ops(vl as u64);
         let data = vl.div_ceil(self.cfg.fp_ops_per_cycle()) as u64;
-        self.charge(false, "compute", "vfp", Cycles::new(data));
-        self.charge(false, "startup", "vector-startup", Cycles::new(self.cfg.vector_startup));
-        self.budget.check(self.spent)
+        self.account.charge(TRACK_VEC, "compute", "vfp", Cycles::new(data));
+        self.vector_startup()
     }
 
     /// Lane-wise integer operation; `Shr` shifts by the scalar `imm`
@@ -534,11 +413,10 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
             IntOp::Shr => zip_lanes(out, xs, ys, |x, _| ((x as i32) >> (imm & 31)) as u32),
         }
         self.commit(dst, vl);
-        self.ops += vl as u64;
+        self.account.add_ops(vl as u64);
         let data = vl.div_ceil(self.cfg.int_ops_per_cycle()) as u64;
-        self.charge(false, "compute", "vint", Cycles::new(data));
-        self.charge(false, "startup", "vector-startup", Cycles::new(self.cfg.vector_startup));
-        self.budget.check(self.spent)
+        self.account.charge(TRACK_VEC, "compute", "vint", Cycles::new(data));
+        self.vector_startup()
     }
 
     /// Broadcasts a scalar into every lane of `dst` (free-ish setup op).
@@ -551,8 +429,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.check_vl(vl)?;
         let range = self.lanes(dst, vl);
         self.regs[range].fill(value);
-        self.charge(false, "startup", "vsplat", Cycles::new(self.cfg.vector_startup));
-        self.budget.check(self.spent)
+        self.account.charge(TRACK_VEC, "startup", "vsplat", Cycles::new(self.cfg.vector_startup));
+        self.account.check()
     }
 
     /// Writes explicit lane values into `dst` (used for twiddle/index
@@ -567,17 +445,11 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         let range = self.lanes(dst, values.len());
         self.regs[range].copy_from_slice(values);
         // Tables live in DRAM; loading one costs a unit-stride burst.
-        self.charge(
-            true,
-            "memory",
-            "vset-table",
-            Cycles::new(
-                values.len().div_ceil(self.cfg.dram.seq_words_per_cycle as usize) as u64
-                    + self.cfg.mem_startup,
-            ),
-        );
-        self.mem_words += values.len() as u64;
-        self.budget.check(self.spent)
+        let burst = values.len().div_ceil(self.cfg.dram.seq_words_per_cycle as usize) as u64;
+        let cycles = Cycles::new(burst + self.cfg.mem_startup);
+        self.account.charge(TRACK_MEM, "memory", "vset-table", cycles);
+        self.account.add_words(values.len() as u64);
+        self.account.check()
     }
 
     /// Register-to-register permute: `dst[i] = src(idx[i])` where indices
@@ -612,14 +484,20 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.regs[range].copy_from_slice(&self.scratch[..idx.len()]);
         let raw = idx.len().div_ceil(self.cfg.int_ops_per_cycle()) as u64;
         let visible = ((raw as f64) * self.cfg.int_visibility).ceil() as u64;
-        self.charge(false, "shuffle", "vperm2", Cycles::new(visible));
-        self.charge(false, "startup", "vector-startup", Cycles::new(self.cfg.vector_startup));
-        self.budget.check(self.spent)
+        self.account.charge(TRACK_VEC, "shuffle", "vperm2", Cycles::new(visible));
+        self.vector_startup()
+    }
+
+    /// Charges a vector instruction's startup and checks the watchdog.
+    fn vector_startup(&mut self) -> Result<(), SimError> {
+        let startup = Cycles::new(self.cfg.vector_startup);
+        self.account.charge(TRACK_VEC, "startup", "vector-startup", startup);
+        self.account.check()
     }
 
     /// Charges scalar-core cycles (loop control, address arithmetic).
     pub fn scalar(&mut self, cycles: u64) {
-        self.charge(false, "scalar", "scalar-core", Cycles::new(cycles));
+        self.account.charge(TRACK_VEC, "scalar", "scalar-core", Cycles::new(cycles));
     }
 
     /// Charges an off-chip DMA transfer of `words` at the configured
@@ -629,20 +507,15 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     /// (paper Section 4.6).
     pub fn dma(&mut self, words: usize) {
         let data = (words as u64).div_ceil(u64::from(self.cfg.offchip_words_per_cycle));
-        self.mem_words += words as u64;
-        self.charge(true, "dma", "dma-offchip", Cycles::new(data + self.cfg.offchip_startup));
+        self.account.add_words(words as u64);
+        let cycles = Cycles::new(data + self.cfg.offchip_startup);
+        self.account.charge(TRACK_MEM, "dma", "dma-offchip", cycles);
     }
 
     /// Total cycles charged so far.
     #[must_use]
     pub fn cycles(&self) -> Cycles {
-        self.ledger.total()
-    }
-
-    /// Cycles hidden by overlap regions (not part of the total).
-    #[must_use]
-    pub fn hidden_cycles(&self) -> Cycles {
-        self.hidden
+        self.account.cycles()
     }
 
     /// TLB miss count.
@@ -651,28 +524,18 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
         self.tlb.misses()
     }
 
-    /// Consumes the unit into a [`KernelRun`] whose verification is
-    /// left [`Verification::Unchecked`]: the program returns its output
-    /// beside the run, and the blanket `SignalMachine` impl checks it.
+    /// Consumes the unit into its [`KernelRun`] (see
+    /// [`RunAccount::finish`]): the program returns its output beside the
+    /// run, and the blanket `SignalMachine` impl checks it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] if an overlap region is still
     /// open.
     pub fn finish(self) -> Result<KernelRun, SimError> {
-        if self.overlap.is_some() {
-            return Err(SimError::unsupported("finish with open overlap region"));
-        }
-        let breakdown = self.ledger.into_breakdown();
-        let total = breakdown.total();
         let mut metrics = MetricsReport::new();
-        breakdown.export_metrics(&mut metrics, "viram.cycles");
         self.dram.export_metrics(&mut metrics, "viram.dram");
-        self.budget.export_metrics(&mut metrics, "viram.budget", self.spent);
         metrics.counter("viram.tlb.misses", self.tlb.misses());
-        metrics.counter("viram.run.ops", self.ops);
-        metrics.counter("viram.run.mem_words", self.mem_words);
-        metrics.counter("viram.run.hidden_cycles", self.hidden.get());
         metrics.ratio(
             "viram.mem.ag_occupancy",
             self.dram.words_transferred(),
@@ -680,17 +543,8 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
                 .busy_cycles()
                 .saturating_mul(u64::from(self.dram.config().seq_words_per_cycle)),
         );
-        metrics.bandwidth("viram.run.achieved_bw", self.mem_words, total.get());
-        metrics.bandwidth("viram.run.achieved_ops", self.ops, total.get());
         metrics.set("viram.mem.xfer_cycles", Metric::Histogram(self.mem_hist));
-        Ok(KernelRun {
-            cycles: total,
-            breakdown,
-            ops_executed: self.ops,
-            mem_words: self.mem_words,
-            verification: Verification::Unchecked,
-            metrics,
-        })
+        self.account.finish(metrics)
     }
 }
 
@@ -782,14 +636,9 @@ mod tests {
         u.vfp(FpOp::Add, 1, 0, 0, 8).unwrap(); // small compute side
         u.end_overlap().unwrap();
         // Memory dominated: compute cycles hidden.
-        assert!(u.hidden_cycles() > Cycles::ZERO);
-        assert_eq!(u.breakdown_fraction_compute(), 0.0);
-    }
-
-    impl VectorUnit {
-        fn breakdown_fraction_compute(&self) -> f64 {
-            self.ledger.fraction("compute")
-        }
+        let run = u.finish().unwrap();
+        assert!(run.metrics.counter_value("viram.run.hidden_cycles") > Some(0));
+        assert_eq!(run.breakdown.get("compute"), Cycles::ZERO);
     }
 
     #[test]

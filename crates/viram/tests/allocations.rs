@@ -1,37 +1,55 @@
 //! Heap allocations of the VIRAM vector unit, counted exactly.
 //!
-//! This binary holds one test, so nothing else allocates while it counts.
+//! Each thread counts its own allocations, so the count a test reads is
+//! its own: libtest's main thread allocates while tests run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use triarch_simcore::SimError;
 use triarch_viram::programs::vfft::VfftPlan;
 use triarch_viram::vector::{FpOp, IntOp};
 use triarch_viram::{VectorUnit, ViramConfig};
 
-/// The system allocator, counting every block it hands out or regrows.
+/// The system allocator, counting every block it hands out or regrows on
+/// the thread that asked for it.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Blocks this thread has allocated or regrown. A `const` initializer
+    /// with no destructor, so the allocator can read it without
+    /// allocating.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one block on the calling thread (none once its thread-locals
+/// are gone).
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Blocks the calling thread has allocated or regrown so far.
+fn allocated() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a plain statistic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` was allocated by `System` through this allocator
         // with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -54,9 +72,9 @@ fn second_run_allocations(
     op: impl Fn(&mut VectorUnit) -> Result<(), SimError>,
 ) -> usize {
     op(unit).unwrap();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated();
     op(unit).unwrap();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocated() - before
 }
 
 #[test]

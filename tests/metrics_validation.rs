@@ -24,18 +24,6 @@ use triarch_core::roofline::Scorecard;
 use triarch_kernels::{Kernel, WorkloadSet};
 use triarch_simcore::metrics::{Histogram, Metric, MetricsReport, CYCLE_EDGES};
 
-/// The hierarchical prefix an architecture's engine exports its cycle
-/// categories under (the PPC engine serves both baseline rows).
-fn cycles_prefix(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::Ppc | Architecture::Altivec => "ppc.cycles.",
-        Architecture::Viram => "viram.cycles.",
-        Architecture::Imagine => "imagine.cycles.",
-        Architecture::Raw => "raw.cycles.",
-        Architecture::Dpu => "dpu.cycles.",
-    }
-}
-
 fn small_table3() -> (Table3, WorkloadSet) {
     let workloads = WorkloadSet::small(7).expect("small workloads build");
     let table = experiments::table3(&workloads).expect("table3 runs");
@@ -47,8 +35,8 @@ fn cycle_counters_conserve_totals_on_all_cells() {
     let (table, _) = small_table3();
     let mut cells = 0;
     for (arch, kernel, run) in table.iter() {
-        let prefix = cycles_prefix(arch);
-        let counted = run.metrics.counter_sum(prefix);
+        let prefix = format!("{}.cycles.", arch.engine());
+        let counted = run.metrics.counter_sum(&prefix);
         assert_eq!(
             counted,
             run.cycles.get(),
@@ -73,15 +61,9 @@ fn every_cell_carries_a_nonempty_metrics_report() {
     let (table, _) = small_table3();
     for (arch, kernel, run) in table.iter() {
         assert!(!run.metrics.is_empty(), "{arch}/{kernel} has no metrics");
-        // The run-level counters engines maintain anyway must be present
-        // and agree with the KernelRun fields.
-        let prefix = match arch {
-            Architecture::Ppc | Architecture::Altivec => "ppc",
-            Architecture::Viram => "viram",
-            Architecture::Imagine => "imagine",
-            Architecture::Raw => "raw",
-            Architecture::Dpu => "dpu",
-        };
+        // The run-level counters every engine's account exports must be
+        // present and agree with the KernelRun fields.
+        let prefix = arch.engine();
         assert_eq!(
             run.metrics.counter_value(&format!("{prefix}.run.ops")),
             Some(run.ops_executed),
@@ -92,6 +74,18 @@ fn every_cell_carries_a_nonempty_metrics_report() {
             Some(run.mem_words),
             "{arch}/{kernel}: run.mem_words mirrors mem_words"
         );
+        // The watchdog counted at least every cycle the run was charged.
+        let spent = run.metrics.counter_value(&format!("{prefix}.budget.spent"));
+        assert!(spent >= Some(run.cycles.get()), "{arch}/{kernel}: budget.spent {spent:?}");
+        for rate in ["achieved_bw", "achieved_ops"] {
+            let name = format!("{prefix}.run.{rate}");
+            assert!(run.metrics.get(&name).is_some(), "{arch}/{kernel}: {name} missing");
+        }
+        // Only the engines that hide work under overlap or a makespan
+        // report it.
+        let hides = matches!(arch, Architecture::Viram | Architecture::Imagine | Architecture::Dpu);
+        let hidden = run.metrics.counter_value(&format!("{prefix}.run.hidden_cycles"));
+        assert_eq!(hidden.is_some(), hides, "{arch}/{kernel}: run.hidden_cycles {hidden:?}");
     }
 }
 
@@ -115,14 +109,14 @@ fn dram_row_misses_and_bank_conflicts_are_pinned_on_the_small_set() {
     let (table, _) = small_table3();
     for (arch, kernel, row_misses, bank_conflicts) in PINNED {
         let run = table.run(arch, kernel);
-        let prefix = cycles_prefix(arch).trim_end_matches("cycles.");
+        let prefix = arch.engine();
         assert_eq!(
-            run.metrics.counter_value(&format!("{prefix}dram.row_misses")),
+            run.metrics.counter_value(&format!("{prefix}.dram.row_misses")),
             Some(row_misses),
             "{arch}/{kernel}: dram.row_misses"
         );
         assert_eq!(
-            run.metrics.counter_value(&format!("{prefix}dram.bank_conflicts")),
+            run.metrics.counter_value(&format!("{prefix}.dram.bank_conflicts")),
             Some(bank_conflicts),
             "{arch}/{kernel}: dram.bank_conflicts"
         );

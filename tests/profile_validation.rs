@@ -1,6 +1,7 @@
 //! Validation of the `triarch-profile` attribution pipeline end to end:
 //! fold totals re-add to every engine's `CycleBreakdown` with drift
-//! exactly 0 on all 15 grid cells, and the two byte-stable artifacts —
+//! exactly 0 on all 18 grid cells, every counted span carries fold-safe
+//! labels, and the two byte-stable artifacts —
 //! the collapsed-stack ("folded") profiles and the HTML attribution
 //! report — are byte-identical across `--jobs` worker counts (1, 2, 16)
 //! and across consecutive runs.
@@ -11,7 +12,7 @@ use triarch_core::faultsweep;
 use triarch_core::htmlreport::{self, FoldedCell, ReportInputs};
 use triarch_core::roofline::Scorecard;
 use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_profile::flamegraph_svg;
+use triarch_profile::{flamegraph_svg, is_fold_safe};
 
 const SEED: u64 = 42;
 
@@ -40,16 +41,25 @@ fn fold_totals_readd_to_breakdowns_with_drift_zero_on_all_cells() {
     assert_eq!(folds.len(), grid().len());
     assert_eq!(folds.len(), 18);
     for cell in &folds {
+        let label = cell.label();
+        assert!(!cell.fold.is_empty(), "{label}: no counted spans");
         // Total conservation: fold total == engine-reported cycles.
-        assert_eq!(cell.fold_drift(), 0, "{}: fold drift", cell.label());
+        assert_eq!(cell.fold_drift(), 0, "{label}: fold drift");
+        // Every counted category and span name is a fold-safe frame
+        // (`[A-Za-z0-9._/-]`), so the collapsed stacks never need lossy
+        // sanitizing and the flamegraph's colour keys stay one to one
+        // with the breakdown's categories.
+        for (category, name, _) in cell.fold.iter() {
+            assert!(is_fold_safe(category), "{label}: unsafe category label '{category}'");
+            assert!(is_fold_safe(name), "{label}: unsafe span label '{name}'");
+        }
         // Per-category conservation: each breakdown category's cycles
         // equal the fold's per-category sum exactly.
         for (category, cycles) in cell.run.breakdown.iter() {
             assert_eq!(
                 cell.fold.category_total(category),
                 cycles.get(),
-                "{}: category '{category}'",
-                cell.label(),
+                "{label}: category '{category}'"
             );
         }
     }
