@@ -268,6 +268,18 @@ cold="$(servectl submit table3)" || serve_fail "cold table3 submit failed"
 warm="$(servectl submit table3)" || serve_fail "warm table3 submit failed"
 [ "$cold" = "$one_shot" ] || serve_fail "served table3 differs from one-shot repro table3"
 [ "$cold" = "$warm" ] || serve_fail "warm cache hit is not byte-identical to the cold miss"
+# The small set goes through the same exhibits: --small reaches table3,
+# and a served report is the report.html repro writes.
+small_shot="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 2 table3 --small 2>/dev/null)"
+[ "$(servectl submit table3 --workload small)" = "$small_shot" ] \
+  || serve_fail "served small table3 differs from one-shot repro table3 --small"
+servectl submit report --workload small --campaigns 2 > target/ci-served-report.html \
+  || serve_fail "small report submit failed"
+cargo run --release -q -p triarch-bench --bin repro -- \
+  --jobs 2 --quiet report target/ci-report-small --small --campaigns 2 > /dev/null \
+  || serve_fail "one-shot repro report --small failed"
+cmp -s target/ci-served-report.html target/ci-report-small/report.html \
+  || serve_fail "served small report differs from one-shot repro report --small"
 servectl stats | grep -qx "triarch_serve_cache_hits 1" \
   || serve_fail "stats did not count exactly one cache hit"
 servectl shutdown || serve_fail "serve shutdown failed"

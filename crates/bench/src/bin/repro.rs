@@ -5,9 +5,18 @@
 //! cargo run --release -p triarch-bench --bin repro -- table3    # one exhibit
 //! ```
 //!
-//! Accepted selectors: `table1 table2 table3 table4 figure8 figure9
-//! breakdowns altivec claims ablations trace faultsweep dse metrics
-//! bench flame report timeline profdiff serve`.
+//! Accepted selectors, in the order their exhibits run and print:
+//! `table1 table2 trace faultsweep dse metrics flame report timeline
+//! profdiff bench table3 table4 figure8 figure9 breakdowns altivec claims
+//! ablations serve`.
+//!
+//! Every exhibit is rendered by `triarch_core::driver`, the code the
+//! `serve` daemon runs for the same job; this binary parses flags,
+//! creates output directories, writes files and prints. One invocation
+//! simulates each grid at most once, the plain one and the one traced
+//! through the fold and timeline sinks, and shares it among every
+//! selector that reads it. `--small` runs every simulating selector on
+//! the reduced workload set.
 //!
 //! `trace [dir]` runs every machine × kernel pair with event tracing
 //! enabled and writes one Chrome `trace_event` JSON file and one CSV per
@@ -23,8 +32,7 @@
 //! utilization scorecard follows. The combined dump also carries the
 //! informational `host.*` self-profiling gauges (wall seconds and
 //! simulated-cycles-per-host-second per cell) — host numbers never
-//! appear in the deterministic per-cell JSON artifacts. `--small`
-//! substitutes the reduced workload set.
+//! appear in the deterministic per-cell JSON artifacts.
 //!
 //! `bench [file]` runs the Table 3 grid and writes the schema-versioned
 //! benchmark artifact (default `BENCH_table3.json`): git revision,
@@ -67,12 +75,12 @@
 //! regression in cycle time ("diverges from window 12, top mover:
 //! dram").
 //!
-//! `faultsweep [--seed S] [--campaigns N] [--small]` runs every machine ×
-//! kernel pair under `N` seeded fault-injection campaigns and prints the
+//! `faultsweep [--seed S] [--campaigns N]` runs every machine × kernel
+//! pair under `N` seeded fault-injection campaigns and prints the
 //! per-architecture outcome-rate table (corrected / detected / silent
 //! data corruption / masked). The sweep is deterministic for a given
-//! seed. `--small` substitutes the reduced workload set for quick smoke
-//! runs.
+//! seed. `report` embeds the same sweep; `--seed` and `--campaigns`
+//! without either selector are usage errors.
 //!
 //! `serve [--addr A] [--workers N] [--queue N] [--cache-entries N]
 //! [--cache-dir DIR] [--job-timeout MS] [--access-log FILE]` starts the
@@ -92,11 +100,11 @@
 //! with the `servectl` binary; repeated requests are served from the
 //! cache byte-identically.
 //!
-//! `dse [--small]` sweeps microarchitectural parameters around the
-//! paper's design points (VIRAM lanes × address generators, Imagine
-//! clusters × memory width, Raw mesh size, PPC L2 capacity), prints the
-//! per-architecture sensitivity tables, and checks the §4.2–§4.4
-//! attribution claims mechanistically.
+//! `dse` sweeps microarchitectural parameters around the paper's design
+//! points (VIRAM lanes × address generators, Imagine clusters × memory
+//! width, Raw mesh size, PPC L2 capacity), prints the per-architecture
+//! sensitivity tables, and checks the §4.2–§4.4 attribution claims
+//! mechanistically.
 //!
 //! The global `--jobs N` flag (or the `TRIARCH_JOBS` environment
 //! variable) fans the heavy drivers out over a deterministic
@@ -106,38 +114,35 @@
 //! parallelism; pool throughput reports go to stderr. `--quiet` (or
 //! `TRIARCH_QUIET=1`) suppresses the informational stderr lines — pool
 //! throughput, progress messages, and host self-profiling summaries —
-//! without changing stdout; the same statistics remain available as
-//! `pool.*` and `host.*` gauges.
+//! without changing stdout. Pool statistics go to stderr only; the
+//! `host.*` gauges also land in `metrics.prom`.
 //!
 //! Unknown selectors or malformed flags exit with status 2 and a
 //! one-line diagnostic; simulation errors and unwritable output paths
 //! exit with status 1.
 
+use std::collections::BTreeMap;
 use std::env;
 use std::fs;
 use std::path::Path;
 use std::process;
-use std::time::Instant;
 
-use triarch_core::arch::Architecture;
-use triarch_core::benchjson::{self, BenchCell, BenchReport, SCHEMA_VERSION};
-use triarch_core::driver::{self, cell_slug, table_from_folds, WorkloadKind};
-use triarch_core::experiments::Table3;
-use triarch_core::htmlreport::{self, FoldedCell};
-use triarch_core::roofline::Scorecard;
-use triarch_core::{ablations, chart, dse, experiments, faultsweep, timelinedoc};
-use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
-use triarch_profile::{flamegraph_svg, FoldSink, HostProf, ProfileDiff, WindowDiff, WindowDoc};
-use triarch_simcore::metrics::{Metric, MetricsReport};
-use triarch_simcore::trace::{export, RingSink, TeeSink};
+use triarch_core::driver::{self, Exhibit, Session, WorkloadKind};
 
-/// Events retained per trace file; older events are counted as dropped.
-const RING_CAPACITY: usize = 1 << 18;
-
-/// Every selector the CLI accepts (flags are parsed separately).
+/// Every selector the CLI accepts (flags are parsed separately), in the
+/// order their exhibits run and print.
 const SELECTORS: [&str; 20] = [
     "table1",
     "table2",
+    "trace",
+    "faultsweep",
+    "dse",
+    "metrics",
+    "flame",
+    "report",
+    "timeline",
+    "profdiff",
+    "bench",
     "table3",
     "table4",
     "figure8",
@@ -146,46 +151,39 @@ const SELECTORS: [&str; 20] = [
     "altivec",
     "claims",
     "ablations",
-    "trace",
-    "faultsweep",
-    "dse",
-    "metrics",
-    "bench",
-    "flame",
-    "report",
-    "timeline",
-    "profdiff",
     "serve",
+];
+
+/// The selectors that write files, each with its default output path (a
+/// directory, or the artifact file for `bench`).
+const OUTPUTS: [(&str, &str); 6] = [
+    ("trace", "target/traces"),
+    ("metrics", "target/metrics"),
+    ("flame", "target/flame"),
+    ("report", "target/report"),
+    ("timeline", "target/timeline"),
+    ("bench", "BENCH_table3.json"),
 ];
 
 /// Parsed command line.
 struct Options {
     /// Selectors in command-line order; empty means "run the default set".
     selectors: Vec<String>,
-    /// Output directory for `trace`.
-    trace_dir: String,
-    /// Output directory for `metrics`.
-    metrics_dir: String,
-    /// Output directory for `flame`.
-    flame_dir: String,
-    /// Output directory for `report`.
-    report_dir: String,
-    /// Output directory for `timeline`.
-    timeline_dir: String,
+    /// Output path of each file-writing selector (see [`OUTPUTS`]).
+    outputs: BTreeMap<&'static str, String>,
     /// Timeline window size in cycles (`--window`, timeline only).
     window: u64,
-    /// Output path for `bench`.
-    bench_path: String,
     /// The two artifact paths for `profdiff`.
     profdiff: Option<(String, String)>,
     /// Diff `timeline.json` artifacts window-by-window instead of
     /// bench artifacts (`--windows`, profdiff only).
     profdiff_windows: bool,
-    /// Fault-sweep seed (`--seed`).
+    /// Fault-sweep seed (`--seed`, faultsweep and report only).
     seed: u64,
-    /// Fault-sweep campaigns per machine × kernel pair (`--campaigns`).
+    /// Fault-sweep campaigns per machine × kernel pair (`--campaigns`,
+    /// faultsweep and report only).
     campaigns: u64,
-    /// Use the reduced workload set for the fault sweep and DSE
+    /// Use the reduced workload set for every selector that simulates
     /// (`--small`).
     small: bool,
     /// Suppress informational stderr output (`--quiet` or
@@ -219,13 +217,8 @@ impl Options {
     fn parse(args: &[String]) -> Result<Options, String> {
         let mut opts = Options {
             selectors: Vec::new(),
-            trace_dir: String::from("target/traces"),
-            metrics_dir: String::from("target/metrics"),
-            flame_dir: String::from("target/flame"),
-            report_dir: String::from("target/report"),
-            timeline_dir: String::from("target/timeline"),
+            outputs: OUTPUTS.iter().map(|&(name, path)| (name, String::from(path))).collect(),
             window: triarch_timeline::DEFAULT_WINDOW,
-            bench_path: String::from("BENCH_table3.json"),
             profdiff: None,
             profdiff_windows: false,
             seed: driver::DEFAULT_SEED,
@@ -369,27 +362,17 @@ impl Options {
                         }
                     }
                 }
-                "trace" | "metrics" | "bench" | "flame" | "report" | "timeline" => {
-                    opts.selectors.push(String::from(arg));
-                    // An optional output path may follow.
-                    if let Some(next) = args.get(i + 1) {
-                        if !SELECTORS.contains(&next.as_str()) && !next.starts_with("--") {
-                            match arg {
-                                "trace" => opts.trace_dir.clone_from(next),
-                                "metrics" => opts.metrics_dir.clone_from(next),
-                                "flame" => opts.flame_dir.clone_from(next),
-                                "report" => opts.report_dir.clone_from(next),
-                                "timeline" => opts.timeline_dir.clone_from(next),
-                                _ => opts.bench_path.clone_from(next),
-                            }
-                            i += 1;
-                        }
-                    }
-                    i += 1;
-                }
                 s if SELECTORS.contains(&s) => {
                     opts.selectors.push(String::from(s));
                     i += 1;
+                    // A file-writing selector may be followed by its
+                    // output path.
+                    if let (Some(path), Some(next)) = (opts.outputs.get_mut(s), args.get(i)) {
+                        if !SELECTORS.contains(&next.as_str()) && !next.starts_with("--") {
+                            path.clone_from(next);
+                            i += 1;
+                        }
+                    }
                 }
                 other => {
                     return Err(format!(
@@ -399,25 +382,22 @@ impl Options {
                 }
             }
         }
-        if opts.window != triarch_timeline::DEFAULT_WINDOW && !opts.explicit("timeline") {
-            return Err(String::from("--window requires the timeline selector"));
-        }
-        if opts.profdiff_windows && !opts.explicit("profdiff") {
-            return Err(String::from("--windows requires the profdiff selector"));
-        }
-        if !opts.explicit("serve") {
-            for (flag, given) in [
-                ("--addr", opts.serve_addr != "127.0.0.1:7444"),
-                ("--workers", opts.workers != 2),
-                ("--queue", opts.queue != 16),
-                ("--cache-entries", opts.cache_entries != 64),
-                ("--cache-dir", !opts.cache_dir.is_empty()),
-                ("--access-log", !opts.access_log.is_empty()),
-                ("--job-timeout", opts.job_timeout_ms != 0),
-            ] {
-                if given {
-                    return Err(format!("{flag} requires the serve selector"));
-                }
+        // A selector's own flag without that selector would be ignored.
+        for (flag, given, owners) in [
+            ("--window", opts.window != triarch_timeline::DEFAULT_WINDOW, &["timeline"][..]),
+            ("--windows", opts.profdiff_windows, &["profdiff"]),
+            ("--seed", opts.seed != driver::DEFAULT_SEED, &["faultsweep", "report"]),
+            ("--campaigns", opts.campaigns != driver::DEFAULT_CAMPAIGNS, &["faultsweep", "report"]),
+            ("--addr", opts.serve_addr != "127.0.0.1:7444", &["serve"]),
+            ("--workers", opts.workers != 2, &["serve"]),
+            ("--queue", opts.queue != 16, &["serve"]),
+            ("--cache-entries", opts.cache_entries != 64, &["serve"]),
+            ("--cache-dir", !opts.cache_dir.is_empty(), &["serve"]),
+            ("--access-log", !opts.access_log.is_empty(), &["serve"]),
+            ("--job-timeout", opts.job_timeout_ms != 0, &["serve"]),
+        ] {
+            if given && !owners.iter().any(|owner| opts.explicit(owner)) {
+                return Err(format!("{flag} requires the {} selector", owners.join(" or ")));
             }
         }
         Ok(opts)
@@ -460,347 +440,32 @@ fn write_file(path: &Path, contents: &str) -> Result<(), String> {
     fs::write(path, contents).map_err(|e| format!("cannot write '{}': {e}", path.display()))
 }
 
-/// Reads and parses a bench artifact, naming the path in any failure.
-fn read_artifact(path: &str) -> Result<BenchReport, String> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| format!("cannot read bench artifact '{path}': {e}"))?;
-    BenchReport::parse(&text).map_err(|e| format!("bench artifact '{path}': {e}"))
-}
-
-/// Reads and parses a timeline artifact, naming the path in any failure.
-fn read_timeline_artifact(path: &str) -> Result<WindowDoc, String> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| format!("cannot read timeline artifact '{path}': {e}"))?;
-    timelinedoc::parse_timeline_doc(&text).map_err(|e| format!("timeline artifact '{path}': {e}"))
-}
-
-/// Runs the grid with a folding sink attached and reports pool stats.
-fn collect_folds(
-    opts: &Options,
-    what: &str,
-) -> Result<(Vec<FoldedCell>, &'static WorkloadSet, &'static str), Box<dyn std::error::Error>> {
-    let (workloads, kind) = select_workloads(opts)?;
-    if !opts.quiet {
-        eprintln!("{what} ({kind} workloads) ...");
-    }
-    let (folds, stats) =
-        htmlreport::collect_folds_jobs_windowed(workloads, opts.jobs, opts.window)?;
-    if !opts.quiet {
-        eprintln!("{}", stats.render());
-    }
-    Ok((folds, workloads, kind))
-}
-
-/// Runs every machine × kernel pair traced and writes JSON + CSV files.
-fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = Path::new(&opts.trace_dir);
-    ensure_dir(dir)?;
-    let (workloads, _) = select_workloads(opts)?;
-    println!("== Cycle-attribution traces ({}) ==", dir.display());
-    for arch in Architecture::ALL {
-        let mut machine = arch.machine()?;
-        for kernel in Kernel::ALL {
-            let mut sink = TeeSink::new(RingSink::new(RING_CAPACITY), FoldSink::new());
-            let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
-            let run = machine.run_with(workloads.input(kernel), ctx)?;
-            let TeeSink { a: ring, b: fold } = sink;
-            let dropped = ring.dropped();
-            let events = ring.into_events();
-            let fold = fold.into_fold();
-
-            let base = cell_slug(arch, kernel);
-            write_file(
-                &dir.join(format!("{base}.trace.json")),
-                &export::chrome_trace_json(&events),
-            )?;
-            write_file(&dir.join(format!("{base}.csv")), &export::csv(&events))?;
-
-            // Trace-vs-breakdown agreement: counted spans must reproduce
-            // the engine's own tally.
-            let drift =
-                run.breakdown_drift(fold.iter().map(|(category, _, cycles)| (category, cycles)));
-            println!(
-                "  {base}: {} events ({dropped} dropped from ring), \
-                 {} cycles, trace-vs-breakdown drift {drift}",
-                fold.events_observed(),
-                run.cycles.get(),
-            );
-        }
-    }
-    println!();
-    Ok(())
-}
-
-/// Runs the seeded fault-injection sweep and prints the outcome table.
-fn run_faultsweep(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let (workloads, kind) = select_workloads(opts)?;
-    if !opts.quiet {
-        eprintln!(
-            "running fault sweep: seed {}, {} campaigns, {kind} workloads ...",
-            opts.seed, opts.campaigns,
-        );
-    }
-    let (table, stats) = faultsweep::sweep_jobs(workloads, opts.seed, opts.campaigns, opts.jobs)?;
-    if !opts.quiet {
-        eprintln!("{}", stats.render());
-    }
-    print!("{}", driver::faultsweep_text(&table));
-    Ok(())
-}
-
-/// Runs the design-space sweep and prints sensitivity tables + findings.
-fn run_dse(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let (workloads, kind) = select_workloads(opts)?;
-    if !opts.quiet {
-        eprintln!(
-            "running design-space sweep: {} design points x {} kernels, {kind} workloads ...",
-            dse::points().len(),
-            Kernel::ALL.len(),
-        );
-    }
-    let (report, stats) = dse::sweep(workloads, opts.jobs)?;
-    if !opts.quiet {
-        eprintln!("{}", stats.render());
-    }
-    print!("{}", driver::dse_text(&report));
-    Ok(())
-}
-
-/// The process-wide workload set a selector should use (see
-/// [`driver::workloads`]), with its kind label.
-fn select_workloads(
-    opts: &Options,
-) -> Result<(&'static WorkloadSet, &'static str), triarch_simcore::SimError> {
-    let kind = if opts.small { WorkloadKind::Small } else { WorkloadKind::Paper };
-    Ok((driver::workloads(kind)?, kind.name()))
-}
-
-/// Runs the grid and writes per-cell metrics JSON + a Prometheus dump.
-fn run_metrics(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = Path::new(&opts.metrics_dir);
-    ensure_dir(dir)?;
-    let (folds, workloads, _) = collect_folds(opts, "collecting hardware-counter metrics")?;
-    let table3 = table_from_folds(&folds);
-    let scorecard = Scorecard::compute(&table3, workloads)?;
-
-    println!("== Hardware-counter metrics ({}) ==", dir.display());
-    let mut combined = MetricsReport::new();
-    let mut prof = HostProf::new();
-    let mut cells = 0usize;
-    for cell in &folds {
-        let run = &cell.run;
-        let mut report = run.metrics.clone();
-        scorecard.cell(cell.arch, cell.kernel).export_metrics(&mut report);
-        let base = cell_slug(cell.arch, cell.kernel);
-        write_file(&dir.join(format!("{base}.metrics.json")), &report.render_json())?;
-        for (name, metric) in report.iter() {
-            combined.set(&format!("{base}.{name}"), metric.clone());
-        }
-        // Conservation law: the exported cycle-category counters must
-        // re-add to the engine's breakdown and total cycle count exactly.
-        let engine = cell.arch.engine();
-        let drift = run.breakdown_drift(report.iter().filter_map(|(name, metric)| match metric {
-            Metric::Counter(cycles) => {
-                Some((name.strip_prefix(engine)?.strip_prefix(".cycles.")?, *cycles))
-            }
-            _ => None,
-        }));
-        println!("  {base}: {} metrics, cycle conservation drift {drift}", report.len());
-        prof.record_cell(&base, cell.wall, run.cycles.get());
-        cells += 1;
-    }
-    // Host self-profiling gauges are informational and land only in the
-    // combined dump; the per-cell JSON artifacts stay deterministic.
-    prof.export(&mut combined);
-    write_file(&dir.join("metrics.prom"), &combined.render_prometheus())?;
-    println!("  wrote {cells} per-cell JSON reports + metrics.prom");
-    println!();
-    println!("== Roofline utilization scorecard ==");
-    println!("{}", scorecard.render());
-    if !opts.quiet {
-        eprintln!("{}", prof.render());
-    }
-    Ok(())
-}
-
-/// Writes per-cell collapsed stacks + SVG flamegraphs under `flame_dir`.
-fn run_flame(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = Path::new(&opts.flame_dir);
-    ensure_dir(dir)?;
-    let (folds, _, _) = collect_folds(opts, "folding trace spans into flamegraphs")?;
-    println!("== Flamegraphs ({}) ==", dir.display());
-    for cell in &folds {
-        let base = cell_slug(cell.arch, cell.kernel);
-        write_file(
-            &dir.join(format!("{base}.folded")),
-            &cell.fold.render_collapsed(cell.arch.name(), cell.kernel.name()),
-        )?;
-        write_file(
-            &dir.join(format!("{base}.svg")),
-            &flamegraph_svg(cell.arch.name(), cell.kernel.name(), &cell.fold),
-        )?;
-        println!("  {base}: {} cycles, fold drift {}", cell.run.cycles.get(), cell.fold_drift(),);
-    }
-    println!("  wrote {} folded stacks + SVG flamegraphs", folds.len());
-    println!();
-    Ok(())
-}
-
-/// Builds the self-contained HTML attribution report.
-fn run_report(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = Path::new(&opts.report_dir);
-    ensure_dir(dir)?;
-    let mut prof = HostProf::new();
-    let t0 = Instant::now();
-    let (folds, workloads, kind) = collect_folds(opts, "building the HTML attribution report")?;
-    prof.record_phase("simulate-grid", t0.elapsed());
-    for cell in &folds {
-        prof.record_cell(&cell_slug(cell.arch, cell.kernel), cell.wall, cell.run.cycles.get());
-    }
-    let table3 = table_from_folds(&folds);
-    let scorecard = prof.time_phase("scorecard", || Scorecard::compute(&table3, workloads))?;
-    let (sweep, sweep_stats) = prof.time_phase("faultsweep", || {
-        faultsweep::sweep_jobs(workloads, opts.seed, opts.campaigns, opts.jobs)
-    })?;
-    if !opts.quiet {
-        eprintln!("{}", sweep_stats.render());
-    }
-    let inputs = htmlreport::ReportInputs {
-        table3: &table3,
-        scorecard: &scorecard,
-        sweep: &sweep,
-        folds: &folds,
-        workloads,
-        workload_kind: kind,
+/// `profdiff [--windows] <a> <b>`: the shared diff body under a header
+/// naming the two artifact paths.
+fn profdiff(a: &str, b: &str, windows: bool) -> Result<Exhibit, String> {
+    let (artifact, header) = if windows { ("timeline", "timeline") } else { ("bench", "profile") };
+    let read = |path: &str| {
+        fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {artifact} artifact '{path}': {e}"))
     };
-    let html = prof.time_phase("render-html", || htmlreport::render(&inputs))?;
-    let path = dir.join("report.html");
-    write_file(&path, &html)?;
-    println!("== HTML report ==");
-    println!("  wrote {} ({} cells, {} bytes)", path.display(), folds.len(), html.len());
-    println!();
-    if !opts.quiet {
-        eprintln!("{}", prof.render());
-    }
-    Ok(())
-}
-
-/// Writes per-cell windowed-occupancy CSVs + SVGs and the combined
-/// schema-versioned `timeline.json` artifact under `timeline_dir`.
-fn run_timeline(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = Path::new(&opts.timeline_dir);
-    ensure_dir(dir)?;
-    let (folds, _, kind) = collect_folds(opts, "bucketing trace spans into cycle windows")?;
-    println!("== Utilization timelines ({}) ==", dir.display());
-    for cell in &folds {
-        let base = cell_slug(cell.arch, cell.kernel);
-        write_file(&dir.join(format!("{base}.timeline.csv")), &cell.timeline.render_csv())?;
-        write_file(
-            &dir.join(format!("{base}.timeline.svg")),
-            &chart::render_timeline_svg(&cell.label(), &cell.timeline),
-        )?;
-        println!(
-            "  {base}: {} cycles in {} windows of {}, occupancy drift {}",
-            cell.run.cycles.get(),
-            cell.timeline.windows(),
-            cell.timeline.window(),
-            cell.timeline_drift(),
-        );
-    }
-    write_file(&dir.join("timeline.json"), &timelinedoc::render_timeline_json(kind, &folds))?;
-    println!(
-        "  wrote {} per-cell CSV + SVG timelines + timeline.json (schema v{})",
-        folds.len(),
-        timelinedoc::TIMELINE_SCHEMA_VERSION,
-    );
-    println!();
-    Ok(())
-}
-
-/// Diffs two timeline artifacts window-by-window.
-fn run_profdiff_windows(a_path: &str, b_path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let a = read_timeline_artifact(a_path)?;
-    let b = read_timeline_artifact(b_path)?;
-    let diff = WindowDiff::compute(&a, &b);
-    println!("== Differential timeline: {a_path} -> {b_path} ==");
-    println!("{}", diff.render());
-    Ok(())
-}
-
-/// Diffs two bench artifacts cell-by-cell and category-by-category.
-fn run_profdiff(a_path: &str, b_path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let a = read_artifact(a_path)?;
-    let b = read_artifact(b_path)?;
-    let diff = ProfileDiff::compute(&benchjson::profiles(&a), &benchjson::profiles(&b));
-    println!("== Differential profile: {a_path} -> {b_path} ==");
-    println!("{}", diff.render());
-    Ok(())
-}
-
-/// Builds the schema-versioned benchmark artifact from a measured grid.
-fn bench_report(table3: &Table3, scorecard: &Scorecard, workload: &str) -> BenchReport {
-    let cells = table3
-        .iter()
-        .map(|(arch, kernel, run)| {
-            let c = scorecard.cell(arch, kernel);
-            BenchCell {
-                arch: arch.name().to_string(),
-                kernel: kernel.name().to_string(),
-                cycles: run.cycles.get(),
-                ops: run.ops_executed,
-                mem_words: run.mem_words,
-                util: [c.onchip_util, c.offchip_util, c.compute_util, c.bound_util],
-                gflops: c.achieved_gflops,
-                gbytes_per_s: c.achieved_gbytes,
-                breakdown: run
-                    .breakdown
-                    .iter()
-                    .map(|(category, cycles)| (category.to_string(), cycles.get()))
-                    .collect(),
-            }
-        })
-        .collect();
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        git_rev: benchjson::git_rev(),
-        workload: workload.to_string(),
-        cells,
-    }
-}
-
-/// Runs the Table 3 grid and writes the bench artifact.
-fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let (workloads, kind) = select_workloads(opts)?;
-    if !opts.quiet {
-        eprintln!("running the Table 3 grid ({kind} workloads) ...");
-    }
-    let (table3, stats) = experiments::table3_jobs(workloads, opts.jobs)?;
-    if !opts.quiet {
-        eprintln!("{}", stats.render());
-    }
-    let scorecard = Scorecard::compute(&table3, workloads)?;
-    let report = bench_report(&table3, &scorecard, kind);
-    write_file(Path::new(&opts.bench_path), &report.render())?;
-    println!("== Bench ==");
-    println!(
-        "  wrote {} (schema v{SCHEMA_VERSION}, {} cells, {kind} workloads)",
-        opts.bench_path,
-        report.cells.len(),
-    );
-    println!();
-    Ok(())
+    let (a_text, b_text) = (read(a)?, read(b)?);
+    let [a_name, b_name] = [a, b].map(|path| format!("{artifact} artifact '{path}'"));
+    let body = if windows { driver::profdiff_windows_body } else { driver::profdiff_body };
+    let body = body(&a_text, &b_text, [&a_name, &b_name])?;
+    let stdout = format!("== Differential {header}: {a} -> {b} ==\n{body}");
+    Ok(Exhibit { stdout, files: Vec::new() })
 }
 
 /// Starts the campaign daemon and blocks until it is shut down (via
 /// `servectl shutdown` or a shutdown frame from any client).
-fn run_serve(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+fn run_serve(opts: &Options, quiet: bool) -> Result<(), Box<dyn std::error::Error>> {
     let addr = triarch_serve::parse_addr(&opts.serve_addr).map_err(|e| e.to_string())?;
     let mut config = triarch_serve::ServeConfig::new(addr);
     config.workers = opts.workers;
     config.queue = opts.queue;
     config.cache_entries = opts.cache_entries;
     config.jobs = opts.jobs;
-    config.quiet = opts.quiet;
+    config.quiet = quiet;
     if !opts.cache_dir.is_empty() {
         config.cache_dir = Some(std::path::PathBuf::from(&opts.cache_dir));
     }
@@ -816,131 +481,62 @@ fn run_serve(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+    let quiet = opts.quiet;
     // `serve` runs the daemon until shutdown; it composes with nothing
     // else, so it takes over the whole invocation.
     if opts.explicit("serve") {
-        return run_serve(opts);
+        return run_serve(opts, quiet);
     }
-
-    if opts.want("table1") {
-        println!("== Table 1: peak throughput (32-bit words per cycle) ==");
-        println!("{}", experiments::table1());
-    }
-    if opts.want("table2") {
-        println!("== Table 2: processor parameters ==");
-        println!("{}", experiments::table2());
-    }
-
-    // `trace [dir]` is explicit-only (it writes files), so it does not
-    // participate in the run-everything default.
-    if opts.explicit("trace") {
-        dump_traces(opts)?;
-    }
-
-    // `faultsweep` is explicit-only too: it is a study of its own, not a
-    // paper exhibit.
-    if opts.explicit("faultsweep") {
-        run_faultsweep(opts)?;
-    }
-
-    // `dse` likewise: a design-space study around the paper's points.
-    if opts.explicit("dse") {
-        run_dse(opts)?;
-    }
-
-    // `metrics [dir]` writes files, so it is explicit-only too.
-    if opts.explicit("metrics") {
-        run_metrics(opts)?;
-    }
-
-    // `flame [dir]` and `report [dir]` write files: explicit-only.
-    if opts.explicit("flame") {
-        run_flame(opts)?;
-    }
-    if opts.explicit("report") {
-        run_report(opts)?;
-    }
-
-    // `timeline [dir]` writes files too: explicit-only.
-    if opts.explicit("timeline") {
-        run_timeline(opts)?;
-    }
-
-    // `profdiff` reads two artifacts the caller names explicitly.
-    if let Some((a, b)) = &opts.profdiff {
-        if opts.profdiff_windows {
-            run_profdiff_windows(a, b)?;
-        } else {
-            run_profdiff(a, b)?;
+    // Every output directory exists before the first simulation, so a
+    // bad path fails before any work is done.
+    for (name, dir) in &opts.outputs {
+        if *name != "bench" && opts.explicit(name) {
+            ensure_dir(Path::new(dir))?;
         }
     }
 
-    // `bench` writes the artifact, so it never joins the run-everything
-    // default.
-    if opts.explicit("bench") {
-        run_bench(opts)?;
-    }
-
-    let needs_runs =
-        ["table3", "table4", "figure8", "figure9", "breakdowns", "altivec", "claims", "ablations"]
-            .iter()
-            .any(|n| opts.want(n));
-    if !needs_runs {
-        return Ok(());
-    }
-
-    if !opts.quiet {
-        eprintln!("running all machines on paper-sized workloads ...");
-    }
-    let workloads = driver::workloads(WorkloadKind::Paper)?;
-    let (table3, stats) = experiments::table3_jobs(workloads, opts.jobs)?;
-    if !opts.quiet {
-        eprintln!("{}", stats.render());
-    }
-
-    if opts.want("table3") {
-        print!("{}", driver::table3_text(&table3));
-    }
-    if opts.want("table4") {
-        println!("== Table 4: performance-model lower bounds (kilocycles) ==");
-        println!("{}", experiments::table4(workloads)?);
-    }
-    if opts.want("figure8") {
-        println!("== Figure 8: speedup over PPC+AltiVec (cycles) ==");
-        println!("{}", experiments::figure8(&table3).render());
-        println!("{}", experiments::figure8(&table3).render_chart(50));
-    }
-    if opts.want("figure9") {
-        println!("== Figure 9: speedup over PPC+AltiVec (execution time) ==");
-        println!("{}", experiments::figure9(&table3).render());
-        println!("{}", experiments::figure9(&table3).render_chart(50));
-    }
-    if opts.want("breakdowns") {
-        println!("== Section 4 cycle breakdowns ==");
-        println!("{}", table3.render_breakdowns());
-    }
-    if opts.want("altivec") {
-        println!("== Section 4.5: AltiVec gains over scalar PPC ==");
-        for kernel in Kernel::ALL {
-            let gain = table3.cycles(Architecture::Ppc, kernel).get() as f64
-                / table3.cycles(Architecture::Altivec, kernel).get() as f64;
-            println!("  {kernel}: {gain:.1}x");
+    let kind = if opts.small { WorkloadKind::Small } else { WorkloadKind::Paper };
+    // The one stderr printer: progress, pool and host-profile lines.
+    let mut note = |line: &str| {
+        if !quiet {
+            eprintln!("{line}");
         }
-        println!();
-    }
-    if opts.want("claims") {
-        println!("== Section 4 claims scorecard ==");
-        let claims = triarch_core::claims::evaluate(&table3);
-        println!("{}", triarch_core::claims::render(&claims));
-    }
-    if opts.want("ablations") {
-        println!("== Ablations ==");
-        let (report, stats) = ablations::render_all_jobs(workloads, opts.jobs)?;
-        if !opts.quiet {
-            eprintln!("{}", stats.render());
+    };
+    let mut session = Session::new(kind, opts.jobs, opts.window, &mut note);
+    for name in SELECTORS.into_iter().filter(|name| opts.want(name)) {
+        let out = opts.outputs.get(name).map(String::as_str).unwrap_or_default();
+        let dir = Path::new(out);
+        let exhibit = match name {
+            "table1" => driver::table1(),
+            "table2" => driver::table2(),
+            "trace" => session.trace(dir)?,
+            "faultsweep" => session.faultsweep(opts.seed, opts.campaigns)?,
+            "dse" => session.dse()?,
+            "metrics" => session.metrics(dir)?,
+            "flame" => session.flame(dir)?,
+            "report" => session.report(dir, opts.seed, opts.campaigns)?,
+            "timeline" => session.timeline(dir)?,
+            "profdiff" => match &opts.profdiff {
+                Some((a, b)) => profdiff(a, b, opts.profdiff_windows)?,
+                None => continue,
+            },
+            "bench" => session.bench(out)?,
+            "table3" => session.table3()?,
+            "table4" => session.table4()?,
+            "figure8" => session.figure8()?,
+            "figure9" => session.figure9()?,
+            "breakdowns" => session.breakdowns()?,
+            "altivec" => session.altivec()?,
+            "claims" => session.claims()?,
+            "ablations" => session.ablations()?,
+            _ => continue,
+        };
+        for (path, contents) in &exhibit.files {
+            write_file(path, contents)?;
         }
-        println!("{report}");
+        print!("{}", exhibit.stdout);
     }
+    session.finish();
     Ok(())
 }
 
@@ -951,11 +547,10 @@ fn main() {
         Err(msg) => {
             eprintln!("repro: {msg}");
             eprintln!(
-                "usage: repro [--jobs N] [--quiet] [selector ...] [trace [dir]] \
-                 [faultsweep [--seed S] [--campaigns N] [--small]] [dse [--small]] \
-                 [metrics [dir] [--small]] [bench [file] [--small]] \
-                 [flame [dir] [--small]] [report [dir] [--small]] \
-                 [timeline [dir] [--window N] [--small]] \
+                "usage: repro [--jobs N] [--quiet] [--small] [selector ...] [trace [dir]] \
+                 [faultsweep [--seed S] [--campaigns N]] [dse] [metrics [dir]] [bench [file]] \
+                 [flame [dir]] [report [dir] [--seed S] [--campaigns N]] \
+                 [timeline [dir] [--window N]] \
                  [profdiff [--windows] <a.json> <b.json>] \
                  [serve [--addr A] [--workers N] [--queue N] [--cache-entries N] \
                  [--cache-dir DIR] [--job-timeout MS] [--access-log FILE]]"

@@ -22,10 +22,13 @@
 //! scripts behave identically run to run.
 //!
 //! `submit` writes the artifact bytes to stdout *verbatim* — byte-for-byte
-//! what the matching one-shot `repro` selector prints — and notes the
-//! cache disposition (hit or miss) and the request id the daemon minted
-//! (the `"id"` of the request's access-log record) on stderr unless
-//! `--quiet` / `TRIARCH_QUIET=1`. Flame jobs need `--arch` + `--kernel`;
+//! what the matching one-shot `repro` selector prints for table3, dse and
+//! faultsweep, and what it writes for metrics (`metrics.prom` less its
+//! `triarch_host_*` lines), report (`report.html`) and flame (the cell's
+//! `.folded`); a profdiff body lacks only `repro`'s header naming the two
+//! paths — and notes the cache disposition (hit or miss) and the request
+//! id the daemon minted (the `"id"` of the request's access-log record)
+//! on stderr unless `--quiet` / `TRIARCH_QUIET=1`. Flame jobs need `--arch` + `--kernel`;
 //! profdiff jobs need `--a` + `--b` (two bench JSON artifacts, sent
 //! inline).
 //!

@@ -237,6 +237,14 @@ fn unwritable_output_paths_fail_fast_with_a_named_path() {
             "selector {selector}: {stderr}"
         );
     }
+
+    // Every directory is made before the first simulation: a good one
+    // named first stays empty when a later one is bad.
+    let good = dir.join("good");
+    let out = repro(&["metrics", good.to_str().unwrap(), "report", bad, "--small", "--jobs", "1"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains(bad), "{}", stderr_of(&out));
+    assert_eq!(fs::read_dir(&good).map_or(0, Iterator::count), 0, "metrics wrote files");
 }
 
 #[test]
@@ -474,6 +482,152 @@ fn repro_faultsweep_defaults_are_the_served_job_defaults() {
     let spec = driver::JobSpec::new(driver::DriverKind::Faultsweep, driver::WorkloadKind::Small);
     let served = driver::run_job(&spec, 1).unwrap();
     assert_eq!(stdout_of(&out), served.body);
+}
+
+/// `--seed` and `--campaigns` feed only the fault sweep, so without
+/// `faultsweep` or `report` they are usage errors, like `--window`
+/// without `timeline`.
+#[test]
+fn fault_flags_require_a_fault_selector() {
+    for args in [["--seed", "7", "table3"], ["dse", "--campaigns", "2"]] {
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        let stderr = stderr_of(&out);
+        assert!(stderr.contains("requires the faultsweep or report selector"), "{stderr}");
+        assert!(stderr.contains("usage: repro"), "{stderr}");
+    }
+    let out = repro(&["faultsweep", "--seed", "7", "--campaigns", "1", "--small", "--quiet"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(stdout_of(&out).starts_with("== Fault-injection sweep =="), "{}", stdout_of(&out));
+}
+
+/// `--small` selects the workload set of the paper exhibits too.
+#[test]
+fn small_flag_reaches_every_paper_exhibit() {
+    let exhibits =
+        ["table3", "table4", "figure8", "figure9", "breakdowns", "altivec", "claims", "ablations"];
+    let mut args = exhibits.to_vec();
+    args.extend(["--small", "--quiet", "--jobs", "2"]);
+    let out = repro(&args);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+
+    let mut silent = |_: &str| {};
+    let window = triarch_timeline::DEFAULT_WINDOW;
+    let mut small = driver::Session::new(driver::WorkloadKind::Small, 1, window, &mut silent);
+    let expected = [
+        small.table3(),
+        small.table4(),
+        small.figure8(),
+        small.figure9(),
+        small.breakdowns(),
+        small.altivec(),
+        small.claims(),
+        small.ablations(),
+    ];
+    let expected: String = expected.into_iter().map(|e| e.unwrap().stdout).collect();
+    assert_eq!(stdout_of(&out), expected);
+}
+
+/// Every served job kind is byte for byte what one-shot `repro` prints
+/// or writes for the same selector: stdout for table3, dse and
+/// faultsweep, `metrics.prom` less its host gauges, `report.html`, each
+/// cell's `.folded`, and the profdiff body below its header.
+#[test]
+fn every_served_job_kind_equals_what_repro_writes() {
+    use driver::{DriverKind, JobSpec, WorkloadKind};
+    let served = |driver: DriverKind, edit: &dyn Fn(&mut JobSpec)| {
+        let mut spec = JobSpec::new(driver, WorkloadKind::Small);
+        edit(&mut spec);
+        driver::run_job(&spec, 1).unwrap().body
+    };
+    let oneshot = |args: &[&str]| {
+        let mut all = args.to_vec();
+        all.extend(["--small", "--quiet", "--jobs", "2"]);
+        let out = repro(&all);
+        assert!(out.status.success(), "{args:?}: {}", stderr_of(&out));
+        stdout_of(&out)
+    };
+    for (selector, driver) in [
+        ("table3", DriverKind::Table3),
+        ("dse", DriverKind::Dse),
+        ("faultsweep", DriverKind::Faultsweep),
+    ] {
+        assert_eq!(oneshot(&[selector]), served(driver, &|_| {}), "{selector}");
+    }
+
+    let dir = tmp("served-equals-oneshot");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    oneshot(&["metrics", &path("metrics")]);
+    let prom = fs::read_to_string(dir.join("metrics/metrics.prom")).unwrap();
+    let deterministic: String =
+        prom.lines().filter(|l| !l.contains("triarch_host_")).map(|l| format!("{l}\n")).collect();
+    assert_eq!(deterministic, served(DriverKind::Metrics, &|_| {}));
+
+    oneshot(&["report", &path("report"), "--campaigns", "2"]);
+    let html = fs::read_to_string(dir.join("report/report.html")).unwrap();
+    assert_eq!(html, served(DriverKind::Report, &|spec| spec.campaigns = 2));
+
+    oneshot(&["flame", &path("flame")]);
+    for (arch, kernel) in triarch_core::arch::grid() {
+        let file = dir.join(format!("flame/{}.folded", driver::cell_slug(arch, kernel)));
+        let folded = fs::read_to_string(&file).unwrap();
+        assert_eq!(folded, served(DriverKind::Flame, &|spec| spec.cell = Some((arch, kernel))));
+    }
+
+    let (a, b) = (baseline_path(), small_baseline_path());
+    let out = repro(&["profdiff", a.to_str().unwrap(), b.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let artifacts = (fs::read_to_string(&a).unwrap(), fs::read_to_string(&b).unwrap());
+    let body = served(DriverKind::Profdiff, &|spec| spec.artifacts = Some(artifacts.clone()));
+    let below_header = |text: &str| text.split_once('\n').unwrap().1.to_string();
+    assert_eq!(below_header(&stdout_of(&out)), below_header(&body));
+}
+
+/// Selectors that read the traced grid share one simulation of it and
+/// write what each writes alone.
+#[test]
+fn selectors_sharing_a_grid_write_what_they_write_alone() {
+    let selectors = ["metrics", "flame", "report", "timeline"];
+    let (together, apart) = (tmp("shared-grid-together"), tmp("shared-grid-apart"));
+    let mut args = vec!["--small", "--jobs", "2"];
+    let dirs: Vec<String> =
+        selectors.iter().map(|s| together.join(s).to_str().unwrap().to_string()).collect();
+    for (selector, dir) in selectors.iter().zip(&dirs) {
+        args.extend([*selector, dir.as_str()]);
+    }
+    let out = repro(&args);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let grids = stderr_of(&out).lines().filter(|l| l.starts_with("pool: 18 jobs")).count();
+    assert_eq!(grids, 1, "the traced grid ran {grids} times:\n{}", stderr_of(&out));
+
+    let mut alone = String::new();
+    for selector in selectors {
+        let dir = apart.join(selector);
+        let out = repro(&[selector, dir.to_str().unwrap(), "--small", "--jobs", "2", "--quiet"]);
+        assert!(out.status.success(), "{selector}: {}", stderr_of(&out));
+        alone += &stdout_of(&out);
+    }
+    let (together_str, apart_str) = (together.to_str().unwrap(), apart.to_str().unwrap());
+    assert_eq!(stdout_of(&out).replace(together_str, apart_str), alone);
+
+    let deterministic = |path: &Path| {
+        let text = fs::read_to_string(path).unwrap();
+        text.lines().filter(|l| !l.contains("triarch_host_")).collect::<Vec<_>>().join("\n")
+    };
+    let mut files = 0;
+    for selector in selectors {
+        for entry in fs::read_dir(together.join(selector)).unwrap() {
+            let path = entry.unwrap().path();
+            let twin = apart.join(selector).join(path.file_name().unwrap());
+            assert_eq!(deterministic(&path), deterministic(&twin), "{}", path.display());
+            files += 1;
+        }
+        assert_eq!(
+            fs::read_dir(together.join(selector)).unwrap().count(),
+            fs::read_dir(apart.join(selector)).unwrap().count()
+        );
+    }
+    assert_eq!(files, 19 + 36 + 1 + 37);
 }
 
 fn servectl(args: &[&str]) -> Output {

@@ -223,20 +223,10 @@ impl AblationTask {
     }
 }
 
-/// Renders every ablation for the given workload set.
-///
-/// Serial convenience wrapper over [`render_all_jobs`] with one worker.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn render_all(workloads: &WorkloadSet) -> Result<String, SimError> {
-    render_all_jobs(workloads, 1).map(|(report, _)| report)
-}
-
-/// Renders the ablation report with the independent studies fanned out
-/// over `jobs` pool workers; fragments are concatenated in fixed report
-/// order, so the output is byte-identical at any worker count.
+/// Renders every ablation for the given workload set, the independent
+/// studies fanned out over `jobs` pool workers; fragments are
+/// concatenated in fixed report order, so the output is byte-identical at
+/// any worker count.
 ///
 /// # Errors
 ///
@@ -294,7 +284,7 @@ mod tests {
     #[test]
     fn parallel_report_is_byte_identical_to_serial() {
         let workloads = WorkloadSet::small(5).unwrap();
-        let serial = render_all(&workloads).unwrap();
+        let serial = render_all_jobs(&workloads, 1).unwrap().0;
         let (parallel, stats) = render_all_jobs(&workloads, 4).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(stats.jobs, AblationTask::ALL.len());

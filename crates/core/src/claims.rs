@@ -178,7 +178,7 @@ mod tests {
         // Small workloads exercise the machinery; the claims themselves
         // are only expected to hold at paper scale (tests/paper_bands.rs).
         let workloads = WorkloadSet::small(1).unwrap();
-        let table = crate::experiments::table3(&workloads).unwrap();
+        let table = crate::experiments::table3_jobs(&workloads, 1).unwrap().0;
         let claims = evaluate(&table);
         assert_eq!(claims.len(), 11);
         let rendered = render(&claims);

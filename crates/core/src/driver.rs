@@ -12,31 +12,42 @@
 //! content-addressed result cache trivially correct — the cache key is
 //! just [`JobSpec::key`], the FNV-1a hash of the canonical form.
 //!
-//! The renderers here ([`table3_text`], [`faultsweep_text`],
-//! [`dse_text`]) are the *single* source of each driver's textual
-//! artifact: `repro` prints them to stdout and [`run_job`] returns the
-//! same bytes over the wire, so a served response can be diffed against
-//! one-shot CLI output byte-for-byte.
+//! A [`Session`] renders every `repro` exhibit, each grid simulated at
+//! most once per invocation, and [`run_job`] serves its jobs through the
+//! same exhibits: a served body is byte-for-byte what `repro` prints
+//! (table3, dse, faultsweep), writes (`report.html`, each `.folded`) or
+//! writes less its `host.*` lines (`metrics.prom`); a served profdiff
+//! differs only in the header line that names the two paths.
 //!
 //! The wire encoding ([`JobSpec::to_json`] / [`JobSpec::from_json`]) is
 //! schema-versioned ([`JOB_SCHEMA_VERSION`]) and rides the workspace's
 //! hand-rolled JSON reader/writer from [`crate::benchjson`]; decode
 //! failures surface as [`SimError::Protocol`].
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::OnceLock;
 
 use triarch_kernels::{Kernel, RunCtx, WorkloadSet};
-use triarch_profile::{fnv1a64, FoldSink, ProfileDiff};
-use triarch_simcore::metrics::MetricsReport;
+use triarch_profile::{flamegraph_svg, fnv1a64, FoldSink, HostProf, ProfileDiff, WindowDiff};
+use triarch_simcore::metrics::{Metric, MetricsReport};
+use triarch_simcore::trace::{export, RingSink, TeeSink};
 use triarch_simcore::SimError;
+use triarch_timeline::DEFAULT_WINDOW;
 
 use crate::arch::{Architecture, MachineSpec};
-use crate::benchjson::{self, escape, parse_json, BenchReport, JSON_EXACT_MAX};
+use crate::benchjson::{
+    self, escape, parse_json, BenchCell, BenchReport, JSON_EXACT_MAX, SCHEMA_VERSION,
+};
+use crate::chart::render_timeline_svg;
 use crate::experiments::{self, Table3};
+use crate::faultsweep::{self, SweepTable};
 use crate::htmlreport::{self, FoldedCell};
+use crate::parallel::PoolStats;
 use crate::roofline::Scorecard;
-use crate::{dse, faultsweep};
+use crate::timelinedoc::{parse_timeline_doc, render_timeline_json, TIMELINE_SCHEMA_VERSION};
+use crate::{ablations, dse};
 
 /// Version stamp of the [`JobSpec`] wire encoding.
 pub const JOB_SCHEMA_VERSION: u64 = 1;
@@ -432,89 +443,514 @@ impl Artifact {
     }
 }
 
-/// The Table 3 stdout block, exactly as `repro table3` prints it.
-#[must_use]
-pub fn table3_text(table3: &Table3) -> String {
-    format!(
-        "== Table 3: experimental results (kilocycles) ==\n{}\n\
-         == Table 3 vs published ==\n{}\n",
-        table3.render(),
-        table3.render_vs_paper()
-    )
-}
-
-/// The fault-sweep stdout block, exactly as `repro faultsweep` prints it.
-#[must_use]
-pub fn faultsweep_text(table: &faultsweep::SweepTable) -> String {
-    format!("== Fault-injection sweep ==\n{}\n", table.render())
-}
-
-/// The DSE stdout block, exactly as `repro dse` prints it.
-#[must_use]
-pub fn dse_text(report: &dse::DseReport) -> String {
-    format!(
-        "== Design-space exploration ==\n{}\n\
-         == Section 4 attribution findings ==\n{}\n",
-        report.render(),
-        report.render_findings()
-    )
-}
-
 /// Rebuilds a [`Table3`] from already-simulated folded cells.
 #[must_use]
 pub fn table_from_folds(folds: &[FoldedCell]) -> Table3 {
     Table3::from_runs(folds.iter().map(|c| ((c.arch, c.kernel), c.run.clone())).collect())
 }
 
-/// The combined deterministic hardware-counter dump for a simulated
-/// grid, in Prometheus exposition format. Unlike `repro metrics`'s
-/// `metrics.prom` file this carries no `host.*` self-profiling gauges,
-/// so the bytes are a pure function of the workload set.
+/// What one `repro` selector produces: the block it prints on stdout and
+/// the files it writes.
+#[derive(Debug)]
+pub struct Exhibit {
+    /// The stdout block.
+    pub stdout: String,
+    /// `(path, contents)` of each file, in write order.
+    pub files: Vec<(PathBuf, String)>,
+}
+
+impl Exhibit {
+    fn text(stdout: String) -> Exhibit {
+        Exhibit { stdout, files: Vec::new() }
+    }
+
+    /// A `== title ==` header over `body`.
+    fn block(title: &str, body: impl fmt::Display) -> Exhibit {
+        Exhibit::text(format!("== {title} ==\n{body}\n"))
+    }
+}
+
+/// `table1`: the machines' peak throughput.
 #[must_use]
-pub fn metrics_prom(folds: &[FoldedCell], scorecard: &Scorecard) -> String {
+pub fn table1() -> Exhibit {
+    Exhibit::block("Table 1: peak throughput (32-bit words per cycle)", experiments::table1())
+}
+
+/// `table2`: the machines' parameters.
+#[must_use]
+pub fn table2() -> Exhibit {
+    Exhibit::block("Table 2: processor parameters", experiments::table2())
+}
+
+/// The body of a differential profile of two bench artifacts, below the
+/// header that names them. `names` label the artifacts in parse errors.
+///
+/// # Errors
+///
+/// A named message when either artifact does not parse.
+pub fn profdiff_body(a: &str, b: &str, names: [&str; 2]) -> Result<String, String> {
+    let parse =
+        |text: &str, name: &str| BenchReport::parse(text).map_err(|e| format!("{name}: {e}"));
+    let (a, b) = (parse(a, names[0])?, parse(b, names[1])?);
+    let diff = ProfileDiff::compute(&benchjson::profiles(&a), &benchjson::profiles(&b));
+    Ok(format!("{}\n", diff.render()))
+}
+
+/// The body of a window-by-window diff of two `timeline.json` artifacts,
+/// below the header that names them. `names` label the artifacts in
+/// parse errors.
+///
+/// # Errors
+///
+/// A named message when either artifact does not parse.
+pub fn profdiff_windows_body(a: &str, b: &str, names: [&str; 2]) -> Result<String, String> {
+    let parse =
+        |text: &str, name: &str| parse_timeline_doc(text).map_err(|e| format!("{name}: {e}"));
+    let (a, b) = (parse(a, names[0])?, parse(b, names[1])?);
+    Ok(format!("{}\n", WindowDiff::compute(&a, &b).render()))
+}
+
+/// Events retained per trace file; older events are counted as dropped.
+const RING_CAPACITY: usize = 1 << 18;
+
+/// One invocation's exhibits over one workload set: the bytes `repro`
+/// prints and writes, and the bodies [`run_job`] serves.
+///
+/// The plain grid, the traced grid (fold and timeline sinks) and the
+/// fault sweep are each simulated at most once, on first use, and shared
+/// by every exhibit that reads them. The plain grid is rebuilt from the
+/// traced one when that exists, since both hold the same runs. Host wall
+/// time goes into a [`HostProf`]; progress and pool lines go to `note`.
+/// An exhibit returns the first simulation error it meets.
+pub struct Session<'n> {
+    kind: WorkloadKind,
+    jobs: usize,
+    window: u64,
+    note: &'n mut dyn FnMut(&str),
+    prof: HostProf,
+    plain: Option<Rc<Table3>>,
+    traced: Option<Rc<[FoldedCell]>>,
+    sweep: Option<Rc<SweepTable>>,
+}
+
+impl<'n> Session<'n> {
+    /// A session over the `kind` workload set on `jobs` pool workers,
+    /// whose traced grid buckets timelines into `window`-cycle windows.
+    /// Nothing is built or simulated until an exhibit needs it.
+    pub fn new(
+        kind: WorkloadKind,
+        jobs: usize,
+        window: u64,
+        note: &'n mut dyn FnMut(&str),
+    ) -> Session<'n> {
+        Session {
+            kind,
+            jobs,
+            window,
+            note,
+            prof: HostProf::new(),
+            plain: None,
+            traced: None,
+            sweep: None,
+        }
+    }
+
+    /// Ends the session, passing its host profile to `note` when it
+    /// timed anything.
+    pub fn finish(self) {
+        if !self.prof.total_wall().is_zero() {
+            (self.note)(&self.prof.render());
+        }
+    }
+
+    /// Runs one pool batch over the workload set as host phase `phase`,
+    /// announcing it as `what` and passing on its pool line.
+    fn batch<T>(
+        &mut self,
+        phase: &str,
+        what: &str,
+        batch: impl FnOnce(&'static WorkloadSet, usize) -> Result<(T, PoolStats), SimError>,
+    ) -> Result<T, SimError> {
+        let w = workloads(self.kind)?;
+        (self.note)(&format!("{what}, {} workloads ...", self.kind.name()));
+        let jobs = self.jobs;
+        let (out, stats) = self.prof.time_phase(phase, || batch(w, jobs))?;
+        (self.note)(&stats.render());
+        Ok(out)
+    }
+
+    fn plain_grid(&mut self) -> Result<Rc<Table3>, SimError> {
+        if let Some(table) = &self.plain {
+            return Ok(Rc::clone(table));
+        }
+        let table = match &self.traced {
+            Some(folds) => table_from_folds(folds),
+            None => {
+                self.batch("plain-grid", "running the Table 3 grid", experiments::table3_jobs)?
+            }
+        };
+        Ok(Rc::clone(self.plain.insert(Rc::new(table))))
+    }
+
+    fn traced_grid(&mut self) -> Result<Rc<[FoldedCell]>, SimError> {
+        if let Some(folds) = &self.traced {
+            return Ok(Rc::clone(folds));
+        }
+        let window = self.window;
+        let folds = self.batch(
+            "traced-grid",
+            "tracing the grid through the fold and timeline sinks",
+            |w, jobs| htmlreport::collect_folds_jobs_windowed(w, jobs, window),
+        )?;
+        for cell in &folds {
+            let label = cell_slug(cell.arch, cell.kernel);
+            self.prof.record_cell(&label, cell.wall, cell.run.cycles.get());
+        }
+        Ok(Rc::clone(self.traced.insert(folds.into())))
+    }
+
+    fn fault_sweep(&mut self, seed: u64, campaigns: u64) -> Result<Rc<SweepTable>, SimError> {
+        if let Some(table) =
+            self.sweep.as_ref().filter(|t| (t.seed, t.campaigns) == (seed, campaigns))
+        {
+            return Ok(Rc::clone(table));
+        }
+        let what = format!("running fault sweep: seed {seed}, {campaigns} campaigns");
+        let table = self.batch("faultsweep", &what, |w, jobs| {
+            faultsweep::sweep_jobs(w, seed, campaigns, jobs)
+        })?;
+        Ok(Rc::clone(self.sweep.insert(Rc::new(table))))
+    }
+
+    fn scorecard(&mut self) -> Result<Scorecard, SimError> {
+        let table = self.plain_grid()?;
+        let w = workloads(self.kind)?;
+        self.prof.time_phase("scorecard", || Scorecard::compute(&table, w))
+    }
+
+    /// `table3`: measured kilocycles, and the same against the paper.
+    pub fn table3(&mut self) -> Result<Exhibit, SimError> {
+        let table = self.plain_grid()?;
+        Ok(Exhibit::text(format!(
+            "== Table 3: experimental results (kilocycles) ==\n{}\n\
+             == Table 3 vs published ==\n{}\n",
+            table.render(),
+            table.render_vs_paper()
+        )))
+    }
+
+    /// `table4`: the performance model's lower bounds.
+    pub fn table4(&mut self) -> Result<Exhibit, SimError> {
+        let table = experiments::table4(workloads(self.kind)?)?;
+        Ok(Exhibit::block("Table 4: performance-model lower bounds (kilocycles)", table))
+    }
+
+    /// `figure8`: speedup over PPC+AltiVec in cycles.
+    pub fn figure8(&mut self) -> Result<Exhibit, SimError> {
+        let fig = experiments::figure8(&*self.plain_grid()?);
+        let body = format!("{}\n{}", fig.render(), fig.render_chart(50));
+        Ok(Exhibit::block("Figure 8: speedup over PPC+AltiVec (cycles)", body))
+    }
+
+    /// `figure9`: speedup over PPC+AltiVec in execution time.
+    pub fn figure9(&mut self) -> Result<Exhibit, SimError> {
+        let fig = experiments::figure9(&*self.plain_grid()?);
+        let body = format!("{}\n{}", fig.render(), fig.render_chart(50));
+        Ok(Exhibit::block("Figure 9: speedup over PPC+AltiVec (execution time)", body))
+    }
+
+    /// `breakdowns`: every cell's cycle breakdown (§4).
+    pub fn breakdowns(&mut self) -> Result<Exhibit, SimError> {
+        let body = self.plain_grid()?.render_breakdowns();
+        Ok(Exhibit::block("Section 4 cycle breakdowns", body))
+    }
+
+    /// `altivec`: AltiVec's gain over scalar PPC per kernel (§4.5).
+    pub fn altivec(&mut self) -> Result<Exhibit, SimError> {
+        let table = self.plain_grid()?;
+        let mut body = String::new();
+        for kernel in Kernel::ALL {
+            let gain = table.cycles(Architecture::Ppc, kernel).get() as f64
+                / table.cycles(Architecture::Altivec, kernel).get() as f64;
+            let _ = writeln!(body, "  {kernel}: {gain:.1}x");
+        }
+        Ok(Exhibit::block("Section 4.5: AltiVec gains over scalar PPC", body))
+    }
+
+    /// `claims`: the §4 claims scorecard.
+    pub fn claims(&mut self) -> Result<Exhibit, SimError> {
+        let claims = crate::claims::evaluate(&*self.plain_grid()?);
+        Ok(Exhibit::block("Section 4 claims scorecard", crate::claims::render(&claims)))
+    }
+
+    /// `ablations`: the what-if studies.
+    pub fn ablations(&mut self) -> Result<Exhibit, SimError> {
+        let report =
+            self.batch("ablations", "running the ablations", ablations::render_all_jobs)?;
+        Ok(Exhibit::block("Ablations", report))
+    }
+
+    /// `trace`: every cell traced into a ring, written under `dir` as a
+    /// Chrome `trace_event` JSON file and a CSV.
+    pub fn trace(&mut self, dir: &Path) -> Result<Exhibit, SimError> {
+        let w = workloads(self.kind)?;
+        let mut out =
+            Exhibit::text(format!("== Cycle-attribution traces ({}) ==\n", dir.display()));
+        self.prof.time_phase("trace", || {
+            for arch in Architecture::ALL {
+                let mut machine = arch.machine()?;
+                for kernel in Kernel::ALL {
+                    let mut sink = TeeSink::new(RingSink::new(RING_CAPACITY), FoldSink::new());
+                    let ctx = RunCtx { sink: Some(&mut sink), ..RunCtx::default() };
+                    let run = machine.run_with(w.input(kernel), ctx)?;
+                    let TeeSink { a: ring, b: fold } = sink;
+                    let dropped = ring.dropped();
+                    let events = ring.into_events();
+                    let fold = fold.into_fold();
+                    let base = cell_slug(arch, kernel);
+                    let path = dir.join(format!("{base}.trace.json"));
+                    out.files.push((path, export::chrome_trace_json(&events)));
+                    out.files.push((dir.join(format!("{base}.csv")), export::csv(&events)));
+                    // Trace-vs-breakdown agreement: counted spans must
+                    // reproduce the engine's own tally.
+                    let drift = run.breakdown_drift(fold.iter().map(|(c, _, cycles)| (c, cycles)));
+                    let _ = writeln!(
+                        out.stdout,
+                        "  {base}: {} events ({dropped} dropped from ring), \
+                         {} cycles, trace-vs-breakdown drift {drift}",
+                        fold.events_observed(),
+                        run.cycles.get(),
+                    );
+                }
+            }
+            Ok::<_, SimError>(())
+        })?;
+        out.stdout.push('\n');
+        Ok(out)
+    }
+
+    /// `faultsweep`: the per-architecture outcome rates of `campaigns`
+    /// seeded fault campaigns per cell.
+    pub fn faultsweep(&mut self, seed: u64, campaigns: u64) -> Result<Exhibit, SimError> {
+        let table = self.fault_sweep(seed, campaigns)?;
+        Ok(Exhibit::block("Fault-injection sweep", table.render()))
+    }
+
+    /// `dse`: the design-space sensitivity tables and §4 findings.
+    pub fn dse(&mut self) -> Result<Exhibit, SimError> {
+        let what = format!(
+            "running design-space sweep: {} design points x {} kernels",
+            dse::points().len(),
+            Kernel::ALL.len()
+        );
+        let report = self.batch("dse", &what, dse::sweep)?;
+        Ok(Exhibit::text(format!(
+            "== Design-space exploration ==\n{}\n== Section 4 attribution findings ==\n{}\n",
+            report.render(),
+            report.render_findings()
+        )))
+    }
+
+    /// The combined deterministic hardware-counter dump in Prometheus
+    /// exposition format: the `metrics.prom` that [`Session::metrics`]
+    /// writes, without its `host.*` self-profiling gauges, so the bytes
+    /// are a pure function of the workload set.
+    pub fn metrics_prom(&mut self) -> Result<String, SimError> {
+        let folds = self.traced_grid()?;
+        let scorecard = self.scorecard()?;
+        Ok(merged(&folds, &cell_counters(&folds, &scorecard)).render_prometheus())
+    }
+
+    /// `metrics`: each cell's counters and roofline utilizations as JSON
+    /// under `dir`, and their combined dump `metrics.prom` with the
+    /// session's `host.*` gauges merged in.
+    pub fn metrics(&mut self, dir: &Path) -> Result<Exhibit, SimError> {
+        let folds = self.traced_grid()?;
+        let scorecard = self.scorecard()?;
+        let reports = cell_counters(&folds, &scorecard);
+        let mut out =
+            Exhibit::text(format!("== Hardware-counter metrics ({}) ==\n", dir.display()));
+        for (cell, report) in folds.iter().zip(&reports) {
+            let base = cell_slug(cell.arch, cell.kernel);
+            out.files.push((dir.join(format!("{base}.metrics.json")), report.render_json()));
+            // Conservation law: the exported cycle-category counters must
+            // re-add to the engine's breakdown and total cycle count.
+            let engine = cell.arch.engine();
+            let drift = cell.run.breakdown_drift(report.iter().filter_map(|(name, metric)| {
+                let Metric::Counter(cycles) = metric else { return None };
+                Some((name.strip_prefix(engine)?.strip_prefix(".cycles.")?, *cycles))
+            }));
+            let _ = writeln!(
+                out.stdout,
+                "  {base}: {} metrics, cycle conservation drift {drift}",
+                report.len()
+            );
+        }
+        let mut combined = merged(&folds, &reports);
+        self.prof.export(&mut combined);
+        out.files.push((dir.join("metrics.prom"), combined.render_prometheus()));
+        let _ = write!(
+            out.stdout,
+            "  wrote {} per-cell JSON reports + metrics.prom\n\n\
+             == Roofline utilization scorecard ==\n{}\n",
+            folds.len(),
+            scorecard.render()
+        );
+        Ok(out)
+    }
+
+    /// `flame`: each cell's collapsed-stack profile and SVG flamegraph
+    /// under `dir`.
+    pub fn flame(&mut self, dir: &Path) -> Result<Exhibit, SimError> {
+        let folds = self.traced_grid()?;
+        let mut out = Exhibit::text(format!("== Flamegraphs ({}) ==\n", dir.display()));
+        for cell in folds.iter() {
+            let (arch, kernel) = (cell.arch.name(), cell.kernel.name());
+            let base = cell_slug(cell.arch, cell.kernel);
+            let folded = cell.fold.render_collapsed(arch, kernel);
+            out.files.push((dir.join(format!("{base}.folded")), folded));
+            let svg = flamegraph_svg(arch, kernel, &cell.fold);
+            out.files.push((dir.join(format!("{base}.svg")), svg));
+            let _ = writeln!(
+                out.stdout,
+                "  {base}: {} cycles, fold drift {}",
+                cell.run.cycles.get(),
+                cell.fold_drift()
+            );
+        }
+        let _ = write!(out.stdout, "  wrote {} folded stacks + SVG flamegraphs\n\n", folds.len());
+        Ok(out)
+    }
+
+    /// The self-contained HTML attribution report.
+    pub fn report_html(&mut self, seed: u64, campaigns: u64) -> Result<String, SimError> {
+        let folds = self.traced_grid()?;
+        let table3 = self.plain_grid()?;
+        let scorecard = self.scorecard()?;
+        let sweep = self.fault_sweep(seed, campaigns)?;
+        let inputs = htmlreport::ReportInputs {
+            table3: &table3,
+            scorecard: &scorecard,
+            sweep: &sweep,
+            folds: &folds,
+            workloads: workloads(self.kind)?,
+            workload_kind: self.kind.name(),
+        };
+        self.prof.time_phase("render-html", || htmlreport::render(&inputs))
+    }
+
+    /// `report`: [`Session::report_html`] as `report.html` under `dir`.
+    pub fn report(&mut self, dir: &Path, seed: u64, campaigns: u64) -> Result<Exhibit, SimError> {
+        let html = self.report_html(seed, campaigns)?;
+        let path = dir.join("report.html");
+        let stdout = format!(
+            "== HTML report ==\n  wrote {} ({} cells, {} bytes)\n\n",
+            path.display(),
+            self.traced_grid()?.len(),
+            html.len()
+        );
+        Ok(Exhibit { stdout, files: vec![(path, html)] })
+    }
+
+    /// `timeline`: each cell's windowed occupancy as CSV and SVG under
+    /// `dir`, and the combined schema-versioned `timeline.json`.
+    pub fn timeline(&mut self, dir: &Path) -> Result<Exhibit, SimError> {
+        let folds = self.traced_grid()?;
+        let mut out = Exhibit::text(format!("== Utilization timelines ({}) ==\n", dir.display()));
+        for cell in folds.iter() {
+            let base = cell_slug(cell.arch, cell.kernel);
+            let svg = render_timeline_svg(&cell.label(), &cell.timeline);
+            out.files.push((dir.join(format!("{base}.timeline.csv")), cell.timeline.render_csv()));
+            out.files.push((dir.join(format!("{base}.timeline.svg")), svg));
+            let _ = writeln!(
+                out.stdout,
+                "  {base}: {} cycles in {} windows of {}, occupancy drift {}",
+                cell.run.cycles.get(),
+                cell.timeline.windows(),
+                cell.timeline.window(),
+                cell.timeline_drift(),
+            );
+        }
+        let json = render_timeline_json(self.kind.name(), &folds);
+        out.files.push((dir.join("timeline.json"), json));
+        let _ = write!(
+            out.stdout,
+            "  wrote {} per-cell CSV + SVG timelines + timeline.json (schema v{})\n\n",
+            folds.len(),
+            TIMELINE_SCHEMA_VERSION,
+        );
+        Ok(out)
+    }
+
+    /// `bench`: the schema-versioned benchmark artifact, written to
+    /// `path`.
+    pub fn bench(&mut self, path: &str) -> Result<Exhibit, SimError> {
+        let table3 = self.plain_grid()?;
+        let scorecard = self.scorecard()?;
+        let kind = self.kind.name();
+        let cells = table3
+            .iter()
+            .map(|(arch, kernel, run)| {
+                let c = scorecard.cell(arch, kernel);
+                BenchCell {
+                    arch: arch.name().to_string(),
+                    kernel: kernel.name().to_string(),
+                    cycles: run.cycles.get(),
+                    ops: run.ops_executed,
+                    mem_words: run.mem_words,
+                    util: [c.onchip_util, c.offchip_util, c.compute_util, c.bound_util],
+                    gflops: c.achieved_gflops,
+                    gbytes_per_s: c.achieved_gbytes,
+                    breakdown: run
+                        .breakdown
+                        .iter()
+                        .map(|(category, cycles)| (category.to_string(), cycles.get()))
+                        .collect(),
+                }
+            })
+            .collect::<Vec<_>>();
+        let stdout = format!(
+            "== Bench ==\n  wrote {path} (schema v{SCHEMA_VERSION}, {} cells, {kind} workloads)\n\n",
+            cells.len()
+        );
+        let report = BenchReport {
+            schema_version: SCHEMA_VERSION,
+            git_rev: benchjson::git_rev(),
+            workload: kind.to_string(),
+            cells,
+        };
+        Ok(Exhibit { stdout, files: vec![(PathBuf::from(path), report.render())] })
+    }
+}
+
+/// Each traced cell's hardware counters with its roofline utilizations.
+fn cell_counters(folds: &[FoldedCell], scorecard: &Scorecard) -> Vec<MetricsReport> {
+    folds
+        .iter()
+        .map(|cell| {
+            let mut report = cell.run.metrics.clone();
+            scorecard.cell(cell.arch, cell.kernel).export_metrics(&mut report);
+            report
+        })
+        .collect()
+}
+
+/// The cells' counters in one registry, each name under its cell slug.
+fn merged(folds: &[FoldedCell], reports: &[MetricsReport]) -> MetricsReport {
     let mut combined = MetricsReport::new();
-    for cell in folds {
-        let mut report = cell.run.metrics.clone();
-        scorecard.cell(cell.arch, cell.kernel).export_metrics(&mut report);
+    for (cell, report) in folds.iter().zip(reports) {
         let base = cell_slug(cell.arch, cell.kernel);
         for (name, metric) in report.iter() {
             combined.set(&format!("{base}.{name}"), metric.clone());
         }
     }
-    combined.render_prometheus()
-}
-
-/// Builds the HTML attribution report for a workload set — the same
-/// bytes `repro report` writes to `report.html`.
-///
-/// # Errors
-///
-/// Propagates simulation errors from the grid, scorecard, and sweep.
-pub fn report_html(
-    workloads: &WorkloadSet,
-    kind: WorkloadKind,
-    seed: u64,
-    campaigns: u64,
-    jobs: usize,
-) -> Result<String, SimError> {
-    let (folds, _) = htmlreport::collect_folds_jobs(workloads, jobs)?;
-    let table3 = table_from_folds(&folds);
-    let scorecard = Scorecard::compute(&table3, workloads)?;
-    let (sweep, _) = faultsweep::sweep_jobs(workloads, seed, campaigns, jobs)?;
-    let inputs = htmlreport::ReportInputs {
-        table3: &table3,
-        scorecard: &scorecard,
-        sweep: &sweep,
-        folds: &folds,
-        workloads,
-        workload_kind: kind.name(),
-    };
-    htmlreport::render(&inputs)
+    combined
 }
 
 /// Runs a validated job to completion, fanning heavy grids out over
-/// `jobs` pool workers. Deterministic: the artifact bytes depend only on
-/// the spec, never on `jobs` or scheduling.
+/// `jobs` pool workers, through the [`Session`] exhibit that `repro`
+/// runs for the same selector. Deterministic: the artifact bytes depend
+/// only on the spec, never on `jobs` or scheduling.
 ///
 /// # Errors
 ///
@@ -523,37 +959,22 @@ pub fn report_html(
 /// errors.
 pub fn run_job(spec: &JobSpec, jobs: usize) -> Result<Artifact, SimError> {
     spec.validate()?;
+    let mut silent = |_: &str| {};
+    let mut session = Session::new(spec.workload, jobs, DEFAULT_WINDOW, &mut silent);
     match spec.driver {
-        DriverKind::Table3 => {
-            let w = workloads(spec.workload)?;
-            let (table3, _) = experiments::table3_jobs(w, jobs)?;
-            Ok(Artifact::text(table3_text(&table3)))
-        }
-        DriverKind::Dse => {
-            let w = workloads(spec.workload)?;
-            let (report, _) = dse::sweep(w, jobs)?;
-            Ok(Artifact::text(dse_text(&report)))
-        }
+        DriverKind::Table3 => Ok(Artifact::text(session.table3()?.stdout)),
+        DriverKind::Dse => Ok(Artifact::text(session.dse()?.stdout)),
         DriverKind::Faultsweep => {
-            let w = workloads(spec.workload)?;
-            let (table, _) = faultsweep::sweep_jobs(w, spec.seed, spec.campaigns, jobs)?;
-            Ok(Artifact::text(faultsweep_text(&table)))
+            Ok(Artifact::text(session.faultsweep(spec.seed, spec.campaigns)?.stdout))
         }
-        DriverKind::Metrics => {
-            let w = workloads(spec.workload)?;
-            let (folds, _) = htmlreport::collect_folds_jobs(w, jobs)?;
-            let table3 = table_from_folds(&folds);
-            let scorecard = Scorecard::compute(&table3, w)?;
-            Ok(Artifact {
-                content_type: String::from("text/plain; version=0.0.4"),
-                body: metrics_prom(&folds, &scorecard),
-            })
-        }
-        DriverKind::Report => {
-            let w = workloads(spec.workload)?;
-            let body = report_html(w, spec.workload, spec.seed, spec.campaigns, jobs)?;
-            Ok(Artifact { content_type: String::from("text/html"), body })
-        }
+        DriverKind::Metrics => Ok(Artifact {
+            content_type: String::from("text/plain; version=0.0.4"),
+            body: session.metrics_prom()?,
+        }),
+        DriverKind::Report => Ok(Artifact {
+            content_type: String::from("text/html"),
+            body: session.report_html(spec.seed, spec.campaigns)?,
+        }),
         DriverKind::Flame => {
             let (arch, kernel) = spec
                 .cell
@@ -565,16 +986,13 @@ pub fn run_job(spec: &JobSpec, jobs: usize) -> Result<Artifact, SimError> {
             Ok(Artifact::text(sink.into_fold().render_collapsed(arch.name(), kernel.name())))
         }
         DriverKind::Profdiff => {
-            let (a_text, b_text) = spec
+            let (a, b) = spec
                 .artifacts
                 .as_ref()
                 .ok_or_else(|| SimError::protocol("profdiff jobs require two bench artifacts"))?;
-            let a = BenchReport::parse(a_text)
-                .map_err(|e| SimError::protocol(format!("artifact a: {e}")))?;
-            let b = BenchReport::parse(b_text)
-                .map_err(|e| SimError::protocol(format!("artifact b: {e}")))?;
-            let diff = ProfileDiff::compute(&benchjson::profiles(&a), &benchjson::profiles(&b));
-            Ok(Artifact::text(format!("== Differential profile ==\n{}\n", diff.render())))
+            let body =
+                profdiff_body(a, b, ["artifact a", "artifact b"]).map_err(SimError::protocol)?;
+            Ok(Artifact::text(format!("== Differential profile ==\n{body}")))
         }
     }
 }
@@ -724,7 +1142,13 @@ mod tests {
         assert_eq!(a, b, "artifact must not depend on worker count");
         let w = workloads(WorkloadKind::Small).unwrap();
         let (table3, _) = experiments::table3_jobs(w, 1).unwrap();
-        assert_eq!(a.body, table3_text(&table3));
+        let text = format!(
+            "== Table 3: experimental results (kilocycles) ==\n{}\n\
+             == Table 3 vs published ==\n{}\n",
+            table3.render(),
+            table3.render_vs_paper()
+        );
+        assert_eq!(a.body, text);
         assert_eq!(a.content_type, "text/plain");
     }
 

@@ -86,7 +86,7 @@ impl Table3 {
     /// # Panics
     ///
     /// Panics if the cell is missing (cannot happen for values produced
-    /// by [`table3`]).
+    /// by [`table3_jobs`]).
     #[must_use]
     pub fn run(&self, arch: Architecture, kernel: Kernel) -> &KernelRun {
         &self
@@ -157,19 +157,8 @@ impl Table3 {
     }
 }
 
-/// Runs every machine on every kernel — the paper's Table 3.
-///
-/// Serial convenience wrapper over [`table3_jobs`] with one worker.
-///
-/// # Errors
-///
-/// Propagates any simulator error (none occur for paper-sized or `small`
-/// workload sets).
-pub fn table3(workloads: &WorkloadSet) -> Result<Table3, SimError> {
-    table3_jobs(workloads, 1).map(|(table, _)| table)
-}
-
-/// Runs the Table 3 grid on `jobs` pool workers.
+/// Runs every machine on every kernel — the paper's Table 3 — on `jobs`
+/// pool workers.
 ///
 /// Each cell is an independent job that builds its machine fresh via
 /// [`MachineSpec::run_cell`]; because engines rebuild all run state from
@@ -372,7 +361,7 @@ mod tests {
     #[test]
     fn small_workload_pipeline_end_to_end() {
         let workloads = WorkloadSet::small(1).unwrap();
-        let t3 = table3(&workloads).unwrap();
+        let t3 = table3_jobs(&workloads, 1).unwrap().0;
         // Every cell verified against the reference kernels.
         for (arch, kernel, run) in t3.iter() {
             let tolerance = match kernel {
@@ -402,7 +391,7 @@ mod tests {
     #[test]
     fn table3_is_byte_identical_across_worker_counts() {
         let workloads = WorkloadSet::small(1).unwrap();
-        let serial = table3(&workloads).unwrap();
+        let serial = table3_jobs(&workloads, 1).unwrap().0;
         let (parallel, stats) = table3_jobs(&workloads, 4).unwrap();
         assert_eq!(serial.render(), parallel.render());
         assert_eq!(serial.render_vs_paper(), parallel.render_vs_paper());

@@ -206,19 +206,8 @@ pub fn campaign_run(
     Ok(CampaignRun { arch, kernel, campaign, plan, report, outcome, abort })
 }
 
-/// Runs the full sweep: every architecture × kernel pair under
-/// `campaigns` derived fault environments.
-///
-/// Serial convenience wrapper over [`sweep_jobs`] with one worker.
-///
-/// # Errors
-///
-/// Propagates the first non-fault [`SimError`] from any run.
-pub fn sweep(workloads: &WorkloadSet, seed: u64, campaigns: u64) -> Result<SweepTable, SimError> {
-    sweep_jobs(workloads, seed, campaigns, 1).map(|(table, _)| table)
-}
-
-/// Runs the campaign × cell grid on `jobs` pool workers.
+/// Runs the full sweep — every architecture × kernel pair under
+/// `campaigns` derived fault environments — on `jobs` pool workers.
 ///
 /// Every (architecture, kernel, campaign) triple is an independent job:
 /// the plan is pure data derived from `(seed, campaign)` and the
@@ -257,8 +246,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_for_a_seed() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let a = sweep(&workloads, 7, 2).unwrap();
-        let b = sweep(&workloads, 7, 2).unwrap();
+        let a = sweep_jobs(&workloads, 7, 2, 1).unwrap().0;
+        let b = sweep_jobs(&workloads, 7, 2, 1).unwrap().0;
         assert_eq!(a.render(), b.render());
         assert_eq!(a.to_csv(), b.to_csv());
         for (ra, rb) in a.runs.iter().zip(&b.runs) {
@@ -271,7 +260,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_pair_and_classifies_every_run() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let table = sweep(&workloads, 3, 2).unwrap();
+        let table = sweep_jobs(&workloads, 3, 2, 1).unwrap().0;
         assert_eq!(table.runs.len(), 6 * 3 * 2);
         for arch in Architecture::ALL {
             let total: u64 = table.counts(arch).iter().sum();
@@ -287,7 +276,7 @@ mod tests {
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let serial = sweep(&workloads, 11, 3).unwrap();
+        let serial = sweep_jobs(&workloads, 11, 3, 1).unwrap().0;
         let (parallel, stats) = sweep_jobs(&workloads, 11, 3, 4).unwrap();
         assert_eq!(serial.render(), parallel.render());
         assert_eq!(serial.to_csv(), parallel.to_csv());
@@ -297,8 +286,8 @@ mod tests {
     #[test]
     fn different_seeds_explore_different_environments() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let a = sweep(&workloads, 1, 3).unwrap();
-        let b = sweep(&workloads, 2, 3).unwrap();
+        let a = sweep_jobs(&workloads, 1, 3, 1).unwrap().0;
+        let b = sweep_jobs(&workloads, 2, 3, 1).unwrap().0;
         assert_ne!(
             a.runs.iter().map(|r| r.plan.clone()).collect::<Vec<_>>(),
             b.runs.iter().map(|r| r.plan.clone()).collect::<Vec<_>>(),
@@ -308,7 +297,7 @@ mod tests {
     #[test]
     fn detected_aborts_carry_a_diagnostic() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let table = sweep(&workloads, 5, 4).unwrap();
+        let table = sweep_jobs(&workloads, 5, 4, 1).unwrap().0;
         for run in &table.runs {
             match run.outcome {
                 FaultOutcome::DetectedUncorrectable => {
@@ -322,7 +311,7 @@ mod tests {
     #[test]
     fn render_lists_every_machine_row() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let table = sweep(&workloads, 7, 1).unwrap();
+        let table = sweep_jobs(&workloads, 7, 1, 1).unwrap().0;
         let text = table.render();
         for arch in Architecture::ALL {
             assert!(text.contains(arch.name()), "{text}");

@@ -76,24 +76,12 @@ impl FoldedCell {
     }
 }
 
-/// Runs every grid cell with a folding sink attached, fanned out over
-/// `jobs` pool workers. Results come back in grid (submission) order,
-/// so every deterministic consumer of the folds is byte-identical at
-/// any worker count; the per-cell `wall` fields are the only
-/// non-deterministic payload and exist solely for host self-profiling.
-///
-/// # Errors
-///
-/// Propagates the first simulator error in cell order.
-pub fn collect_folds_jobs(
-    workloads: &WorkloadSet,
-    jobs: usize,
-) -> Result<(Vec<FoldedCell>, PoolStats), SimError> {
-    collect_folds_jobs_windowed(workloads, jobs, DEFAULT_WINDOW)
-}
-
-/// [`collect_folds_jobs`] with an explicit timeline window size in
-/// cycles (`repro -- timeline --window N`).
+/// Runs every grid cell with a folding sink and a `window`-cycle timeline
+/// sink attached, fanned out over `jobs` pool workers. Results come back
+/// in grid (submission) order, so every deterministic consumer of the
+/// folds is byte-identical at any worker count; the per-cell `wall`
+/// fields are the only non-deterministic payload and exist solely for
+/// host self-profiling.
 ///
 /// # Errors
 ///
@@ -119,7 +107,7 @@ pub struct ReportInputs<'a> {
     pub scorecard: &'a Scorecard,
     /// The seeded fault-sweep outcome table.
     pub sweep: &'a SweepTable,
-    /// Per-cell folds (from [`collect_folds_jobs`]).
+    /// Per-cell folds (from [`collect_folds_jobs_windowed`]).
     pub folds: &'a [FoldedCell],
     /// The workload set behind `table3`.
     pub workloads: &'a WorkloadSet,
@@ -326,16 +314,16 @@ pub fn render(inputs: &ReportInputs<'_>) -> Result<String, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::table3;
+    use crate::experiments::table3_jobs;
     use crate::faultsweep;
     use triarch_simcore::{CycleBreakdown, Cycles};
 
     fn build_inputs() -> (Table3, Scorecard, SweepTable, Vec<FoldedCell>, WorkloadSet) {
         let workloads = WorkloadSet::small(42).unwrap();
-        let table = table3(&workloads).unwrap();
+        let table = table3_jobs(&workloads, 1).unwrap().0;
         let scorecard = Scorecard::compute(&table, &workloads).unwrap();
-        let sweep = faultsweep::sweep(&workloads, 42, 2).unwrap();
-        let (folds, _) = collect_folds_jobs(&workloads, 1).unwrap();
+        let sweep = faultsweep::sweep_jobs(&workloads, 42, 2, 1).unwrap().0;
+        let (folds, _) = collect_folds_jobs_windowed(&workloads, 1, DEFAULT_WINDOW).unwrap();
         (table, scorecard, sweep, folds, workloads)
     }
 
@@ -408,7 +396,7 @@ mod tests {
     #[test]
     fn drifts_see_cycles_moved_between_categories() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let (folds, _) = collect_folds_jobs(&workloads, 1).unwrap();
+        let (folds, _) = collect_folds_jobs_windowed(&workloads, 1, DEFAULT_WINDOW).unwrap();
         let mut seen = 0;
         for cell in folds.iter().filter(|c| c.run.breakdown.len() >= 2) {
             let (tampered, moved) = with_first_category_moved(cell);
@@ -423,7 +411,7 @@ mod tests {
     #[test]
     fn drifts_see_a_total_mismatch_alone() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let (folds, _) = collect_folds_jobs(&workloads, 1).unwrap();
+        let (folds, _) = collect_folds_jobs_windowed(&workloads, 1, DEFAULT_WINDOW).unwrap();
         for cell in &folds {
             let mut tampered = cell.clone();
             tampered.run.cycles = Cycles::new(cell.run.cycles.get() + 7);
@@ -435,7 +423,7 @@ mod tests {
     #[test]
     fn folds_have_zero_drift_on_the_small_grid() {
         let workloads = WorkloadSet::small(42).unwrap();
-        let (folds, _) = collect_folds_jobs(&workloads, 2).unwrap();
+        let (folds, _) = collect_folds_jobs_windowed(&workloads, 2, DEFAULT_WINDOW).unwrap();
         assert_eq!(folds.len(), 18);
         for cell in &folds {
             assert_eq!(cell.fold_drift(), 0, "{}", cell.label());

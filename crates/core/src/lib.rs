@@ -12,7 +12,7 @@
 //!
 //! - [`experiments::table1`] — peak throughput (words/cycle),
 //! - [`experiments::table2`] — processor parameters,
-//! - [`experiments::table3`] — measured kilocycles per kernel per machine,
+//! - [`experiments::table3_jobs`] — measured kilocycles per kernel per machine,
 //! - [`experiments::table4`] — performance-model (roofline) predictions,
 //! - [`experiments::figure8`] — speedup over AltiVec in cycles,
 //! - [`experiments::figure9`] — speedup over AltiVec in execution time,
@@ -27,7 +27,7 @@
 //!
 //! # fn main() -> Result<(), triarch_simcore::SimError> {
 //! let workloads = WorkloadSet::paper(42)?;
-//! let table3 = experiments::table3(&workloads)?;
+//! let (table3, _pool_stats) = experiments::table3_jobs(&workloads, 1)?;
 //! println!("{}", table3.render());
 //! let viram_ct = table3.cycles(Architecture::Viram, triarch_kernels::Kernel::CornerTurn);
 //! assert!(viram_ct.get() > 0);
@@ -52,4 +52,4 @@ pub mod roofline;
 pub mod timelinedoc;
 
 pub use arch::Architecture;
-pub use experiments::{figure8, figure9, table1, table2, table3, table4, Table3};
+pub use experiments::{figure8, figure9, table1, table2, table3_jobs, table4, Table3};

@@ -314,11 +314,11 @@ fn fmt_pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::table3;
+    use crate::experiments::table3_jobs;
 
     fn scorecard() -> Scorecard {
         let workloads = WorkloadSet::small(1).expect("small workloads build");
-        let t3 = table3(&workloads).expect("table3 runs");
+        let t3 = table3_jobs(&workloads, 1).expect("table3 runs").0;
         Scorecard::compute(&t3, &workloads).expect("scorecard computes")
     }
 

@@ -43,6 +43,9 @@ struct PhaseAcc {
     instrs: Vec<u64>,
     /// Running DMA total across all DPUs (watchdog bound).
     dma_spent: u64,
+    /// The slowest DPU's pipeline cycles so far: the least `sync` will
+    /// charge for the phase's instructions (watchdog bound).
+    pipe_max: u64,
 }
 
 /// The DPU module state: host memory, MRAM banks, WRAM, accounting.
@@ -290,13 +293,9 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             dma: vec![0; self.cfg.dpus()],
             instrs: vec![0; self.cfg.dpus()],
             dma_spent: 0,
+            pipe_max: 0,
         });
         self.account.check()
-    }
-
-    /// The open phase, or a typed error naming the misused operation.
-    fn phase_mut(&mut self, what: &'static str) -> Result<&mut PhaseAcc, SimError> {
-        self.phase.as_mut().ok_or_else(|| SimError::unsupported(what))
     }
 
     /// DMA `len` words from one DPU's MRAM bank into its WRAM.
@@ -316,10 +315,12 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             return Err(SimError::capacity("wram dma range", len, dst.len));
         }
         let base = self.mram_addr(dpu, mram_off, len)?;
-        self.wram.copy_from(dst.start, &self.mram, base, len)?;
         let cost = self.dma_cost(len);
+        let Some(acc) = self.phase.as_mut() else {
+            return Err(SimError::unsupported("dma_read outside a launched phase"));
+        };
+        self.wram.copy_from(dst.start, &self.mram, base, len)?;
         self.account.add_words(len as u64);
-        let acc = self.phase_mut("dma_read outside a launched phase")?;
         acc.dma[dpu] += cost;
         acc.dma_spent += cost;
         let pending = acc.dma_spent;
@@ -354,10 +355,12 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             return Err(SimError::capacity("wram dma range", len, src.len));
         }
         let base = self.mram_addr(dpu, mram_off, len)?;
-        self.mram.copy_from(base, &self.wram, src.start, len)?;
         let cost = self.dma_cost(len);
+        let Some(acc) = self.phase.as_mut() else {
+            return Err(SimError::unsupported("dma_write outside a launched phase"));
+        };
+        self.mram.copy_from(base, &self.wram, src.start, len)?;
         self.account.add_words(len as u64);
-        let acc = self.phase_mut("dma_write outside a launched phase")?;
         acc.dma[dpu] += cost;
         acc.dma_spent += cost;
         let pending = acc.dma_spent;
@@ -380,15 +383,20 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Unsupported`] outside a launched phase.
+    /// Returns [`SimError::Unsupported`] outside a launched phase, or
+    /// [`SimError::BudgetExceeded`] from the watchdog.
     pub fn exec(&mut self, dpu: usize, instrs: u64, ops: u64) -> Result<(), SimError> {
         if dpu >= self.cfg.dpus() {
             return Err(SimError::capacity("dpu index", dpu + 1, self.cfg.dpus()));
         }
+        let Some(acc) = self.phase.as_mut() else {
+            return Err(SimError::unsupported("exec outside a launched phase"));
+        };
+        acc.instrs[dpu] = acc.instrs[dpu].saturating_add(instrs);
+        acc.pipe_max = acc.pipe_max.max(pipeline_cycles(&self.cfg, acc.instrs[dpu]));
+        let pending = acc.dma_spent.saturating_add(acc.pipe_max);
         self.account.add_ops(ops);
-        let acc = self.phase_mut("exec outside a launched phase")?;
-        acc.instrs[dpu] += instrs;
-        Ok(())
+        self.account.check_with(pending)
     }
 
     /// Closes the phase: every DPU ran in parallel, so the slowest DPU's
@@ -402,18 +410,17 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
     /// [`SimError::BudgetExceeded`] from the watchdog.
     pub fn sync(&mut self) -> Result<(), SimError> {
         let acc = self.phase.take().ok_or_else(|| SimError::unsupported("sync without launch"))?;
-        let fill = self.cfg.pipeline_fill();
-        let depth = self.cfg.revolve_depth;
-        let pipe: Vec<u64> = acc.instrs.iter().map(|&i| (i * depth).div_ceil(fill)).collect();
         let dma_max = acc.dma.iter().copied().max().unwrap_or(0);
         let dma_sum: u64 = acc.dma.iter().sum();
-        let pipe_max = pipe.iter().copied().max().unwrap_or(0);
-        let pipe_sum: u64 = pipe.iter().sum();
+        let pipe_sum = acc
+            .instrs
+            .iter()
+            .fold(0u64, |sum, &i| sum.saturating_add(pipeline_cycles(&self.cfg, i)));
         let account = &mut self.account;
         account.charge(TRACK_DMA, "mram_dma", "wram-mram-dma", Cycles::new(dma_max));
-        account.charge(TRACK_PIPELINE, "tasklet", "revolving-pipeline", Cycles::new(pipe_max));
+        account.charge(TRACK_PIPELINE, "tasklet", "revolving-pipeline", Cycles::new(acc.pipe_max));
         account.mark(TRACK_PIPELINE, "phase-end");
-        account.hide((dma_sum - dma_max) + (pipe_sum - pipe_max));
+        account.hide((dma_sum - dma_max).saturating_add(pipe_sum - acc.pipe_max));
         account.check()
     }
 
@@ -442,6 +449,12 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         metrics.set("dpu.host.xfer_cycles", Metric::Histogram(self.host_hist));
         self.account.finish(metrics)
     }
+}
+
+/// Cycles the revolving pipeline takes to issue `instrs` instructions on
+/// one DPU, saturating at `u64::MAX`.
+fn pipeline_cycles(cfg: &DpuConfig, instrs: u64) -> u64 {
+    instrs.saturating_mul(cfg.revolve_depth).div_ceil(cfg.pipeline_fill())
 }
 
 #[cfg(test)]
@@ -594,6 +607,41 @@ mod tests {
         assert_eq!(m.dma_write(0, tail, 0, 4), wram_end(wram_words + 2));
         assert!(untouched(&m));
         assert_eq!(m.cycles(), launched);
+    }
+
+    #[test]
+    fn calls_outside_a_phase_move_and_count_nothing() {
+        let mut m = machine();
+        m.host_mut().write_block_u32(0, &[9; 8]).unwrap();
+        m.host_push(0, 0, 0, 8).unwrap();
+        let (mram, wram, cycles) = (m.mram.clone(), m.wram.clone(), m.cycles());
+        let r = WramRange { start: 0, len: 8 };
+        for err in [m.dma_read(0, 0, r, 8), m.dma_write(0, r, 64, 8), m.exec(0, 5, 5)] {
+            assert!(matches!(err, Err(SimError::Unsupported { .. })), "{err:?}");
+        }
+        assert!(m.mram == mram && m.wram == wram && m.cycles() == cycles);
+        let run = m.finish().unwrap();
+        assert_eq!((run.mem_words, run.ops_executed), (0, 0));
+    }
+
+    #[test]
+    fn exec_checks_the_watchdog_and_pipeline_cycles_saturate() {
+        let budget = CycleBudget::limited(1_000_000);
+        let mut m =
+            DpuMachine::with_hooks(&DpuConfig::paper(), NullSink, NoFaults, budget).unwrap();
+        m.launch().unwrap();
+        let err = m.exec(0, u64::MAX / 2, 0).and_then(|()| m.sync()).unwrap_err();
+        assert!(matches!(err, SimError::BudgetExceeded { .. }), "{err}");
+
+        // Unlimited: the instruction sum and its pipeline cycles saturate.
+        let mut m = machine();
+        m.launch().unwrap();
+        for dpu in [0, 0, 1] {
+            m.exec(dpu, u64::MAX / 2, 0).unwrap();
+        }
+        m.sync().unwrap();
+        let tasklet = m.finish().unwrap().breakdown.get("tasklet").get();
+        assert_eq!(tasklet, u64::MAX.div_ceil(DpuConfig::paper().pipeline_fill()));
     }
 
     /// Reports one stuck-at fault on the module's output interface.

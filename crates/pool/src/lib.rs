@@ -55,9 +55,8 @@ pub const JOBS_ENV: &str = "TRIARCH_JOBS";
 /// When set to `1` (or any non-empty value other than `0`), CLI
 /// drivers suppress informational stderr chatter — the per-run
 /// [`PoolStats`] line and progress messages — so Prometheus scrape
-/// pipelines and `profdiff` JSON consumers get clean streams. The same
-/// numbers remain available as `pool.*` gauges via
-/// [`PoolStats::export_metrics`].
+/// pipelines and `profdiff` JSON consumers get clean streams. The pool
+/// statistics go to stderr only, so quiet runs do not report them.
 pub const QUIET_ENV: &str = "TRIARCH_QUIET";
 
 /// The [`QUIET_ENV`] interpretation rule: any non-empty value other
@@ -143,8 +142,7 @@ impl PoolStats {
     /// prefix — counts as counters, sizes/times/ratios as gauges.
     ///
     /// This is the canonical representation: [`PoolStats::render`] (the
-    /// stderr throughput line) is a formatter over this registry view,
-    /// and the `metrics` driver dumps the same names to Prometheus text.
+    /// stderr throughput line) is a formatter over this registry view.
     pub fn export_metrics(&self, report: &mut MetricsReport) {
         report.counter("pool.jobs", self.jobs as u64);
         report.counter("pool.steals", self.steals);

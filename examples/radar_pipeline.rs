@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     eprintln!("running all machines on paper-sized workloads ...");
     let workloads = WorkloadSet::paper(42)?;
-    let table3 = experiments::table3(&workloads)?;
+    let table3 = experiments::table3_jobs(&workloads, 1)?.0;
 
     println!("== Table 3: experimental results (kilocycles) ==");
     println!("{}", table3.render());
@@ -43,6 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", table3.render_breakdowns());
 
     println!("== Ablations ==");
-    println!("{}", ablations::render_all(&workloads)?);
+    println!("{}", ablations::render_all_jobs(&workloads, 1)?.0);
     Ok(())
 }

@@ -9,7 +9,7 @@ use triarch_kernels::{Kernel, WorkloadSet};
 #[test]
 fn all_machines_verify_on_shared_small_workloads() {
     let workloads = WorkloadSet::small(99).unwrap();
-    let table = experiments::table3(&workloads).unwrap();
+    let table = experiments::table3_jobs(&workloads, 1).unwrap().0;
     for (arch, kernel, run) in table.iter() {
         let tolerance = match kernel {
             Kernel::Cslc => triarch_kernels::verify::CSLC_TOLERANCE,
@@ -30,7 +30,7 @@ fn outputs_are_identical_across_machines_for_integer_kernels() {
     // must report BitExact against the same reference, i.e. they computed
     // the same answer.
     let workloads = WorkloadSet::small(7).unwrap();
-    let table = experiments::table3(&workloads).unwrap();
+    let table = experiments::table3_jobs(&workloads, 1).unwrap().0;
     for arch in Architecture::ALL {
         for kernel in [Kernel::CornerTurn, Kernel::BeamSteering] {
             assert_eq!(
@@ -45,7 +45,7 @@ fn outputs_are_identical_across_machines_for_integer_kernels() {
 #[test]
 fn research_machines_beat_the_baseline_on_small_workloads() {
     let workloads = WorkloadSet::small(3).unwrap();
-    let table = experiments::table3(&workloads).unwrap();
+    let table = experiments::table3_jobs(&workloads, 1).unwrap().0;
     for kernel in Kernel::ALL {
         let baseline = table.cycles(Architecture::Altivec, kernel);
         for arch in Architecture::RESEARCH {
@@ -60,8 +60,8 @@ fn research_machines_beat_the_baseline_on_small_workloads() {
 #[test]
 fn deterministic_across_repeat_runs() {
     let workloads = WorkloadSet::small(5).unwrap();
-    let a = experiments::table3(&workloads).unwrap();
-    let b = experiments::table3(&workloads).unwrap();
+    let a = experiments::table3_jobs(&workloads, 1).unwrap().0;
+    let b = experiments::table3_jobs(&workloads, 1).unwrap().0;
     for arch in Architecture::ALL {
         for kernel in Kernel::ALL {
             assert_eq!(a.cycles(arch, kernel), b.cycles(arch, kernel), "{arch}/{kernel}");

@@ -30,8 +30,8 @@ proptest! {
     #[test]
     fn same_seed_sweeps_are_byte_identical(seed in any::<u64>()) {
         let workloads = WorkloadSet::small(5).unwrap();
-        let a = faultsweep::sweep(&workloads, seed, 1).unwrap();
-        let b = faultsweep::sweep(&workloads, seed, 1).unwrap();
+        let a = faultsweep::sweep_jobs(&workloads, seed, 1, 1).unwrap().0;
+        let b = faultsweep::sweep_jobs(&workloads, seed, 1, 1).unwrap().0;
         prop_assert_eq!(a.render(), b.render());
         prop_assert_eq!(a.to_csv(), b.to_csv());
         for (ra, rb) in a.runs.iter().zip(&b.runs) {

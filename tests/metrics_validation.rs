@@ -26,7 +26,7 @@ use triarch_simcore::metrics::{Histogram, Metric, MetricsReport, CYCLE_EDGES};
 
 fn small_table3() -> (Table3, WorkloadSet) {
     let workloads = WorkloadSet::small(7).expect("small workloads build");
-    let table = experiments::table3(&workloads).expect("table3 runs");
+    let table = experiments::table3_jobs(&workloads, 1).expect("table3 runs").0;
     (table, workloads)
 }
 
@@ -141,7 +141,7 @@ fn render_all(table: &Table3, workloads: &WorkloadSet) -> String {
 #[test]
 fn metrics_are_byte_identical_across_worker_counts() {
     let workloads = WorkloadSet::small(7).expect("small workloads build");
-    let serial = experiments::table3(&workloads).expect("serial table3");
+    let serial = experiments::table3_jobs(&workloads, 1).expect("serial table3").0;
     let reference = render_all(&serial, &workloads);
     for jobs in [2usize, 16] {
         let (parallel, stats) =

@@ -18,7 +18,7 @@ fn paper_table3() -> &'static Table3 {
     static TABLE: OnceLock<Table3> = OnceLock::new();
     TABLE.get_or_init(|| {
         let workloads = WorkloadSet::paper(42).expect("paper workloads build");
-        experiments::table3(&workloads).expect("paper-scale run succeeds")
+        experiments::table3_jobs(&workloads, 1).expect("paper-scale run succeeds").0
     })
 }
 

@@ -10,6 +10,7 @@
 
 use triarch_core::{ablations, dse, experiments, faultsweep, htmlreport};
 use triarch_kernels::{Kernel, WorkloadSet};
+use triarch_timeline::DEFAULT_WINDOW;
 
 const SEED: u64 = 42;
 
@@ -51,9 +52,11 @@ fn table3_is_byte_identical_at_every_worker_count() {
 #[test]
 fn traced_grid_is_byte_identical_at_every_worker_count() {
     let workloads = WorkloadSet::small(SEED).unwrap();
-    let (serial, _) = htmlreport::collect_folds_jobs(&workloads, 1).unwrap();
+    let (serial, _) =
+        htmlreport::collect_folds_jobs_windowed(&workloads, 1, DEFAULT_WINDOW).unwrap();
     for jobs in WORKER_COUNTS {
-        let (parallel, stats) = htmlreport::collect_folds_jobs(&workloads, jobs).unwrap();
+        let (parallel, stats) =
+            htmlreport::collect_folds_jobs_windowed(&workloads, jobs, DEFAULT_WINDOW).unwrap();
         assert_eq!(stats.jobs, 18, "6 machines x 3 kernels");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
@@ -72,7 +75,7 @@ fn traced_grid_is_byte_identical_at_every_worker_count() {
 #[test]
 fn faultsweep_is_byte_identical_at_every_worker_count() {
     let workloads = WorkloadSet::small(SEED).unwrap();
-    let serial = faultsweep::sweep(&workloads, SEED, 3).unwrap().render();
+    let serial = faultsweep::sweep_jobs(&workloads, SEED, 3, 1).unwrap().0.render();
     for jobs in WORKER_COUNTS {
         let (parallel, stats) = faultsweep::sweep_jobs(&workloads, SEED, 3, jobs).unwrap();
         assert_eq!(serial, parallel.render(), "fault sweep diverged at jobs={jobs}");
@@ -83,7 +86,7 @@ fn faultsweep_is_byte_identical_at_every_worker_count() {
 #[test]
 fn ablation_report_is_byte_identical_at_every_worker_count() {
     let workloads = WorkloadSet::small(SEED).unwrap();
-    let serial = ablations::render_all(&workloads).unwrap();
+    let serial = ablations::render_all_jobs(&workloads, 1).unwrap().0;
     for jobs in WORKER_COUNTS {
         let (parallel, _) = ablations::render_all_jobs(&workloads, jobs).unwrap();
         assert_eq!(serial, parallel, "ablation report diverged at jobs={jobs}");

@@ -13,6 +13,7 @@ use triarch_core::htmlreport::{self, FoldedCell, ReportInputs};
 use triarch_core::roofline::Scorecard;
 use triarch_kernels::{Kernel, WorkloadSet};
 use triarch_profile::{flamegraph_svg, is_fold_safe};
+use triarch_timeline::DEFAULT_WINDOW;
 
 const SEED: u64 = 42;
 
@@ -22,7 +23,8 @@ const WORKER_COUNTS: [usize; 2] = [2, 16];
 
 fn folds_at(jobs: usize) -> Vec<FoldedCell> {
     let workloads = WorkloadSet::small(SEED).unwrap();
-    let (folds, _) = htmlreport::collect_folds_jobs(&workloads, jobs).unwrap();
+    let (folds, _) =
+        htmlreport::collect_folds_jobs_windowed(&workloads, jobs, DEFAULT_WINDOW).unwrap();
     folds
 }
 
@@ -94,11 +96,12 @@ fn flamegraph_svgs_are_byte_identical_across_worker_counts() {
 /// Renders the full HTML report from a grid folded at `jobs` workers.
 fn report_at(jobs: usize) -> String {
     let workloads = WorkloadSet::small(SEED).unwrap();
-    let (folds, _) = htmlreport::collect_folds_jobs(&workloads, jobs).unwrap();
+    let (folds, _) =
+        htmlreport::collect_folds_jobs_windowed(&workloads, jobs, DEFAULT_WINDOW).unwrap();
     let table3 =
         Table3::from_runs(folds.iter().map(|c| ((c.arch, c.kernel), c.run.clone())).collect());
     let scorecard = Scorecard::compute(&table3, &workloads).unwrap();
-    let sweep = faultsweep::sweep(&workloads, SEED, 2).unwrap();
+    let sweep = faultsweep::sweep_jobs(&workloads, SEED, 2, 1).unwrap().0;
     htmlreport::render(&ReportInputs {
         table3: &table3,
         scorecard: &scorecard,
@@ -127,7 +130,7 @@ fn html_report_is_byte_identical_across_worker_counts() {
 fn table3_from_folded_runs_matches_the_direct_grid() {
     use triarch_core::experiments;
     let workloads = WorkloadSet::small(SEED).unwrap();
-    let direct = experiments::table3(&workloads).unwrap();
+    let direct = experiments::table3_jobs(&workloads, 1).unwrap().0;
     let folds = folds_at(1);
     let folded =
         Table3::from_runs(folds.iter().map(|c| ((c.arch, c.kernel), c.run.clone())).collect());

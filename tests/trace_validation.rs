@@ -13,6 +13,7 @@ use std::sync::OnceLock;
 use triarch_core::htmlreport::{self, FoldedCell};
 use triarch_core::Architecture;
 use triarch_kernels::{Kernel, WorkloadSet};
+use triarch_timeline::DEFAULT_WINDOW;
 
 const SEED: u64 = 42;
 
@@ -22,7 +23,7 @@ fn grid() -> &'static [FoldedCell] {
     static GRID: OnceLock<Vec<FoldedCell>> = OnceLock::new();
     GRID.get_or_init(|| {
         let workloads = WorkloadSet::paper(SEED).unwrap();
-        htmlreport::collect_folds_jobs(&workloads, 1).unwrap().0
+        htmlreport::collect_folds_jobs_windowed(&workloads, 1, DEFAULT_WINDOW).unwrap().0
     })
 }
 
